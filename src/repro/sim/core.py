@@ -14,6 +14,9 @@ from repro.sim.trace import TraceEvent
 
 __all__ = ["Simulator", "EmptySchedule", "SimulationDeadlock"]
 
+#: ``fn`` marker of an observer-only (daemon) timer entry.
+_DAEMON = object()
+
 
 class EmptySchedule(Exception):
     """Raised by :meth:`Simulator.step` when no events remain."""
@@ -167,10 +170,10 @@ class Simulator:
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None, name: str = "") -> Timeout:
-        return Timeout(self, delay, value=value, name=name)
+        return Timeout(self, delay, value, name)
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        return Process(self, generator, name=name)
+        return Process(self, generator, name)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
@@ -192,14 +195,15 @@ class Simulator:
         consumes one per enqueue.  Callers that need a waitable handle
         use :meth:`schedule_callback_event` instead.
         """
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        # One comparison rejects negatives and NaN alike.
+        if not delay >= 0:
+            raise ValueError(
+                f"delay must be a non-negative number, got {delay!r}")
         if perfmode.REFERENCE:
             self.schedule_callback_event(delay, fn, *args)
             return
-        self._seq += 1
-        heapq.heappush(self._queue,
-                       (self._now + delay, NORMAL, self._seq, fn, args))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, fn, args))
 
     def schedule_daemon(self, delay: float, fn, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay``, as an *observer-only* timer.
@@ -221,69 +225,75 @@ class Simulator:
         :mod:`~repro.sim.perfmode` — observation is not part of the
         reference-vs-optimized engine surface.
         """
-        if delay <= 0:
-            raise ValueError(f"daemon delay must be positive, got {delay}")
-        self._seq += 1
+        if not delay > 0:
+            raise ValueError(
+                f"daemon delay must be a positive number, got {delay!r}")
+        self._seq = seq = self._seq + 1
         self._daemons += 1
         heapq.heappush(self._queue,
-                       (self._now + delay, NORMAL, self._seq, fn, args, True))
+                       (self._now + delay, NORMAL, seq, _DAEMON, (fn, args)))
 
     def schedule_callback_event(self, delay: float, fn, *args: Any) -> Event:
         """Like :meth:`schedule_callback`, but returns a waitable
         :class:`Event` that succeeds (with ``None``) when the callback
         runs — for callers that need to observe or compose the timer."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not delay >= 0:
+            raise ValueError(
+                f"delay must be a non-negative number, got {delay!r}")
         ev = Event(self, name=getattr(fn, "__name__", "callback"))
         ev._ok = True
         ev._value = None
-        ev.add_callback(lambda _e: fn(*args))
+        ev.callbacks.append(lambda _e: fn(*args))
         self._enqueue(ev, NORMAL, delay=delay)
         return ev
 
     # -- scheduling --------------------------------------------------------
+    # Every heap entry is a 5-tuple ``(when, prio, seq, fn, arg)``:
+    #
+    # * ``fn is None`` — an event; ``arg`` is the triggered Event;
+    # * ``fn is _DAEMON`` — an observer-only timer; ``arg`` is (fn, args);
+    # * otherwise — a lightweight timer that runs ``fn(*arg)``.
+    #
+    # ``seq`` is unique, so heap comparisons never reach the payload and
+    # all kinds order by the same (time, priority, FIFO) contract; the
+    # loops unpack each entry in one step and branch on ``fn`` identity.
     def _enqueue(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
         """Queue a triggered event for callback processing."""
-        self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._seq, event))
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue,
+                       (self._now + delay, priority, seq, None, event))
 
     def peek(self) -> float:
         """Timestamp of the next event, or +inf when the schedule is empty."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process the next scheduled entry (an event or a bare timer).
-
-        The heap holds 4-tuples ``(when, prio, seq, event)`` for events,
-        5-tuples ``(when, prio, seq, fn, args)`` for lightweight timers,
-        and 6-tuples with a trailing flag for daemon timers; ``seq`` is
-        unique, so heap comparisons never reach the payload and all
-        shapes order by the same (time, priority, FIFO) contract.
-        """
+        """Process the next scheduled entry (an event or a bare timer)."""
         try:
-            entry = heapq.heappop(self._queue)
+            when, _prio, _seq, fn, arg = heapq.heappop(self._queue)
         except IndexError:
             raise EmptySchedule() from None
-        when = entry[0]
         if when < self._now:  # pragma: no cover - defensive
             raise RuntimeError("event scheduled in the past")
         self._now = when
-        if len(entry) == 6:
+        if fn is _DAEMON:
             # Observer-only daemon: dispatched outside the events/sec
             # accounting so telemetry cannot perturb the benchmark.
             self._daemons -= 1
-            entry[3](*entry[4])
+            arg[0](*arg[1])
             return
         self.events_dispatched += 1
-        if len(entry) == 5:
-            entry[3](*entry[4])
+        if fn is not None:
+            fn(*arg)
             return
-        event = entry[3]
-        event._process()
+        callbacks = arg.callbacks
+        arg.callbacks = None
+        for cb in callbacks:
+            cb(arg)
         # Surface undefused failures: a failed event nobody waited on is a bug.
-        if event.triggered and not event.ok and not event.defused():
-            raise event.value
+        if not arg._ok and not arg._defused:
+            raise arg._value
 
     def run(self, until: Optional[Union[float, Event]] = None) -> Any:
         """Run the simulation.
@@ -295,133 +305,103 @@ class Simulator:
         * an :class:`Event` — run until the event is processed and return
           its value (raising its exception if it failed).
 
-        The optimized loop inlines :meth:`step`'s dispatch with hoisted
-        locals and *batches the timer drain*: after dispatching one
-        lightweight ``(when, prio, seq, fn, args)`` timer it keeps
-        popping while the heap head is another timer at the very same
-        timestamp, skipping the per-entry loop bookkeeping.  That is
-        behavior-preserving because same-shape entries already ran
-        back-to-back in (priority, FIFO) order, a timer callback can
-        never process the ``until`` event itself (events are 4-tuples),
-        and daemons are 6-tuples so observation never rides the batch.
-        Dispatch counts accumulate in a local and flush to
-        :attr:`events_dispatched` before any daemon runs (probes sample
-        it) and on loop exit.  :meth:`step` and the reference loop in
-        :meth:`_run_reference` keep the original one-at-a-time form.
+        Each mode inlines :meth:`step`'s dispatch with hoisted locals:
+        an event's callbacks run in the loop itself, and every state
+        test reads an Event slot, not a property.  Dispatch counts
+        accumulate in a local and flush to :attr:`events_dispatched`
+        before any daemon runs (probes sample it) and on loop exit.
+        :meth:`_run_reference` keeps the one-:meth:`step`-per-entry form.
         """
         if perfmode.REFERENCE:
             return self._run_reference(until)
 
         queue = self._queue
         pop = heapq.heappop
-        pending = Event._PENDING
-        batch = 0
+        daemon = _DAEMON
+        count = 0
         try:
             if until is None:
                 # Stop once only observer daemons remain: a self-rearming
-                # probe must not keep the simulation alive forever.
-                while len(queue) > self._daemons:
-                    entry = pop(queue)
-                    when = entry[0]
-                    self._now = when
-                    sz = len(entry)
-                    if sz == 5:
-                        batch += 1
-                        entry[3](*entry[4])
-                        while queue:
-                            head = queue[0]
-                            if head[0] != when or len(head) != 5:
-                                break
-                            pop(queue)
-                            batch += 1
-                            head[3](*head[4])
-                    elif sz == 4:
-                        batch += 1
-                        event = entry[3]
-                        event._process()
-                        if (event._value is not pending and not event._ok
-                                and not event._defused):
-                            raise event.value
+                # probe must not keep the simulation alive forever.  (The
+                # count is read first so a daemon-free run skips len().)
+                while queue:
+                    if self._daemons and len(queue) <= self._daemons:
+                        break
+                    self._now, _prio, _seq, fn, arg = pop(queue)
+                    if fn is None:
+                        count += 1
+                        callbacks = arg.callbacks
+                        arg.callbacks = None
+                        for cb in callbacks:
+                            cb(arg)
+                        if not arg._ok and not arg._defused:
+                            raise arg._value
+                    elif fn is not daemon:
+                        count += 1
+                        fn(*arg)
                     else:
-                        self.events_dispatched += batch
-                        batch = 0
+                        self.events_dispatched += count
+                        count = 0
                         self._daemons -= 1
-                        entry[3](*entry[4])
+                        arg[0](*arg[1])
                 return None
 
             if isinstance(until, Event):
                 stop = until
-                while not stop.processed:
-                    if len(queue) <= self._daemons:
+                while stop.callbacks is not None:
+                    if not queue or (self._daemons
+                                     and len(queue) <= self._daemons):
                         # Run dry (possibly up to armed probes, which
                         # cannot make progress happen): a lost wakeup.
                         raise self._deadlock(stop) from None
-                    entry = pop(queue)
-                    when = entry[0]
-                    self._now = when
-                    sz = len(entry)
-                    if sz == 5:
-                        batch += 1
-                        entry[3](*entry[4])
-                        while queue:
-                            head = queue[0]
-                            if head[0] != when or len(head) != 5:
-                                break
-                            pop(queue)
-                            batch += 1
-                            head[3](*head[4])
-                    elif sz == 4:
-                        batch += 1
-                        event = entry[3]
-                        event._process()
-                        if (event._value is not pending and not event._ok
-                                and not event._defused):
-                            raise event.value
+                    self._now, _prio, _seq, fn, arg = pop(queue)
+                    if fn is None:
+                        count += 1
+                        callbacks = arg.callbacks
+                        arg.callbacks = None
+                        for cb in callbacks:
+                            cb(arg)
+                        if not arg._ok and not arg._defused:
+                            raise arg._value
+                    elif fn is not daemon:
+                        count += 1
+                        fn(*arg)
                     else:
-                        self.events_dispatched += batch
-                        batch = 0
+                        self.events_dispatched += count
+                        count = 0
                         self._daemons -= 1
-                        entry[3](*entry[4])
-                if not stop.ok:
-                    stop.defuse()
-                    raise stop.value
-                return stop.value
+                        arg[0](*arg[1])
+                if not stop._ok:
+                    stop._defused = True
+                    raise stop._value
+                return stop._value
 
             horizon = float(until)
             if horizon < self._now:
                 raise ValueError(
                     f"until={horizon} lies in the past (now={self._now})")
             while queue and queue[0][0] <= horizon:
-                entry = pop(queue)
-                when = entry[0]
-                self._now = when
-                sz = len(entry)
-                if sz == 5:
-                    batch += 1
-                    entry[3](*entry[4])
-                    while queue:
-                        head = queue[0]
-                        if head[0] != when or len(head) != 5:
-                            break
-                        pop(queue)
-                        batch += 1
-                        head[3](*head[4])
-                elif sz == 4:
-                    batch += 1
-                    event = entry[3]
-                    event._process()
-                    if (event._value is not pending and not event._ok
-                            and not event._defused):
-                        raise event.value
+                self._now, _prio, _seq, fn, arg = pop(queue)
+                if fn is None:
+                    count += 1
+                    callbacks = arg.callbacks
+                    arg.callbacks = None
+                    for cb in callbacks:
+                        cb(arg)
+                    if not arg._ok and not arg._defused:
+                        raise arg._value
+                elif fn is not daemon:
+                    count += 1
+                    fn(*arg)
                 else:
-                    self.events_dispatched += batch
-                    batch = 0
+                    self.events_dispatched += count
+                    count = 0
                     self._daemons -= 1
-                    entry[3](*entry[4])
+                    arg[0](*arg[1])
             self._now = horizon
             return None
         finally:
-            self.events_dispatched += batch
+            self.events_dispatched += count
 
     def _run_reference(self, until: Optional[Union[float, Event]]) -> Any:
         """The retained pre-optimization run loop (perfmode): one
@@ -433,14 +413,14 @@ class Simulator:
 
         if isinstance(until, Event):
             stop = until
-            while not stop.processed:
+            while stop.callbacks is not None:
                 if len(self._queue) <= self._daemons:
                     raise self._deadlock(stop) from None
                 self.step()
-            if not stop.ok:
-                stop.defuse()
-                raise stop.value
-            return stop.value
+            if not stop._ok:
+                stop._defused = True
+                raise stop._value
+            return stop._value
 
         horizon = float(until)
         if horizon < self._now:

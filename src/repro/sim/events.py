@@ -9,6 +9,7 @@ every waiting process unless the failure was explicitly defused.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
@@ -21,6 +22,9 @@ NORMAL = 1
 
 __all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Interrupt", "URGENT", "NORMAL"]
 
+#: Marker for "no outcome yet" in :attr:`Event._value`.
+_PENDING = object()
+
 
 class Event:
     """A one-shot waitable outcome.
@@ -28,16 +32,20 @@ class Event:
     An event starts un-triggered.  :meth:`succeed` or :meth:`fail` gives it
     an outcome and schedules it; the simulator then runs the registered
     callbacks (in registration order) at the trigger timestamp.
+
+    Kernel code (this module, :mod:`~repro.sim.process`, the
+    :class:`~repro.sim.core.Simulator` loop) reads the slots directly:
+    ``_value is _PENDING`` for "not triggered", ``callbacks is None`` for
+    "processed", ``_ok``/``_value`` for the outcome.  The properties below
+    are the same tests behind a call, for callers outside the kernel.
     """
 
     __slots__ = ("sim", "callbacks", "_value", "_ok", "_defused", "name")
 
-    _PENDING = object()
-
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.callbacks: Optional[List[Callable[["Event"], None]]] = []
-        self._value: Any = Event._PENDING
+        self._value: Any = _PENDING
         self._ok: Optional[bool] = None
         self._defused = False
         self.name = name
@@ -46,7 +54,7 @@ class Event:
     @property
     def triggered(self) -> bool:
         """True once the event has an outcome (it may not be processed yet)."""
-        return self._value is not Event._PENDING
+        return self._value is not _PENDING
 
     @property
     def processed(self) -> bool:
@@ -56,14 +64,14 @@ class Event:
     @property
     def ok(self) -> bool:
         """True if the event succeeded.  Only valid once triggered."""
-        if not self.triggered:
+        if self._value is _PENDING:
             raise RuntimeError(f"event {self!r} has no outcome yet")
         return bool(self._ok)
 
     @property
     def value(self) -> Any:
         """The event outcome (value or exception instance)."""
-        if not self.triggered:
+        if self._value is _PENDING:
             raise RuntimeError(f"event {self!r} has no outcome yet")
         return self._value
 
@@ -75,40 +83,47 @@ class Event:
         self._defused = True
 
     # -- triggering -----------------------------------------------------
+    # Both push their ``(now, priority, seq, None, event)`` heap entry
+    # inline: one sequence number per trigger, as Simulator._enqueue.
     def succeed(self, value: Any = None, priority: int = NORMAL) -> "Event":
         """Give the event a success outcome and schedule its callbacks."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._ok = True
         self._value = value
-        self.sim._enqueue(self, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now, priority, seq, None, self))
         return self
 
     def fail(self, exc: BaseException, priority: int = NORMAL) -> "Event":
         """Give the event a failure outcome and schedule its callbacks."""
         if not isinstance(exc, BaseException):
             raise TypeError(f"fail() requires an exception, got {exc!r}")
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"event {self!r} already triggered")
         self._ok = False
         self._value = exc
-        self.sim._enqueue(self, priority)
+        sim = self.sim
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now, priority, seq, None, self))
         return self
 
     def trigger_from(self, other: "Event") -> None:
-        """Copy the outcome of an already-triggered event onto this one."""
+        """Copy the outcome of an already-triggered event onto this one.
+
+        A failed source is defused only once this event has taken over
+        its failure, so a rejected call leaves both events untouched.
+        """
+        if other._value is _PENDING:
+            raise RuntimeError(
+                f"cannot trigger {self!r} from {other!r}: "
+                f"the source has no outcome yet")
         if other._ok:
             self.succeed(other._value)
         else:
-            other.defuse()
             self.fail(other._value)
-
-    # -- processing (called by the Simulator) ----------------------------
-    def _process(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None
-        assert callbacks is not None
-        for cb in callbacks:
-            cb(self)
+            other._defused = True
 
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
@@ -133,13 +148,16 @@ class Timeout(Event):
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None,
                  name: str = "") -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay {delay!r}")
-        super().__init__(sim, name=name)
+        # One comparison rejects negatives and NaN alike.
+        if not delay >= 0:
+            raise ValueError(
+                f"timeout delay must be a non-negative number, got {delay!r}")
+        super().__init__(sim, name)
         self.delay = delay
         self._ok = True
         self._value = value
-        sim._enqueue(self, NORMAL, delay=delay)
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now + delay, NORMAL, seq, None, self))
 
 
 class _Condition(Event):
@@ -149,30 +167,30 @@ class _Condition(Event):
 
     def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
         super().__init__(sim)
-        self.events = tuple(events)
+        self.events = events = tuple(events)
         self._count = 0
-        for ev in self.events:
+        for ev in events:
             if ev.sim is not sim:
                 raise ValueError("events belong to different simulators")
         # Register after validation so a raise leaves no dangling callbacks.
         # An event counts as complete only once *processed*; a Timeout is
         # "triggered" from birth but its callbacks have not run yet.
-        immediate = [ev for ev in self.events if ev.processed]
-        pending = [ev for ev in self.events if not ev.processed]
-        for ev in immediate:
-            self._check(ev)
-        for ev in pending:
-            if not self.triggered:
-                ev.add_callback(self._check)
-        if not self.events and not self.triggered:
+        check = self._check
+        for ev in events:
+            callbacks = ev.callbacks
+            if callbacks is None:
+                check(ev)
+            elif self._value is _PENDING:
+                callbacks.append(check)
+        if not events:
             self.succeed(ConditionValue({}))
 
     def _check(self, ev: Event) -> None:
         raise NotImplementedError
 
     def _collect(self) -> "ConditionValue":
-        return ConditionValue(
-            {e: e.value for e in self.events if e.processed and e.ok})
+        return ConditionValue({e: e._value for e in self.events
+                               if e.callbacks is None and e._ok})
 
 
 class ConditionValue:
@@ -214,11 +232,11 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def _check(self, ev: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not ev.ok:
-            ev.defuse()
-            self.fail(ev.value)
+        if not ev._ok:
+            ev._defused = True
+            self.fail(ev._value)
             return
         self._count += 1
         if self._count == len(self.events):
@@ -231,11 +249,11 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def _check(self, ev: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             return
-        if not ev.ok:
-            ev.defuse()
-            self.fail(ev.value)
+        if not ev._ok:
+            ev._defused = True
+            self.fail(ev._value)
             return
         self.succeed(self._collect())
 

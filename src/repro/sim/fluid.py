@@ -91,7 +91,7 @@ class Flow:
         self.rate = 0.0
         self.cap = float(cap)
         self.done = done
-        self.started_at = pipe.sim.now
+        self.started_at = pipe.sim._now
         self.tag = tag
 
     def __repr__(self) -> str:  # pragma: no cover
@@ -121,7 +121,7 @@ class FluidPipe:
         self._capacity = float(capacity)
         self.capacity_fn = capacity_fn
         self.flows: List[Flow] = []
-        self._last_advance = sim.now
+        self._last_advance = sim._now
         self._timer_token = 0
         self._realloc_pending = False
         # Cached ascending-cap processing order for fair_share, valid
@@ -135,16 +135,15 @@ class FluidPipe:
         self._a_rem = np.empty(16)
         self._a_rate = np.empty(16)
         self._fin_buf = np.empty(16, dtype=np.int64)
-        # Sorted-cap order mirrored as int64/float64 arrays for the C
-        # fair-share kernel, rebuilt with the order cache.
-        self._caps_arr = np.empty(0)
-        self._order_arr = np.empty(0, dtype=np.int64)
+        # Sorted-cap order mirrored into float64/int64 buffers for the C
+        # fair-share kernel, refilled with the order cache and grown
+        # with the columns.
+        self._caps_arr = np.empty(16)
+        self._order_arr = np.empty(16, dtype=np.int64)
         # Raw data addresses for the kernels: computing arr.ctypes.data
         # allocates a wrapper object per access, so the hot path caches
         # the integers (refreshed whenever a buffer is reallocated).
         self._refresh_ptrs()
-        self._p_caps = 0
-        self._p_order = 0
         # Epoch-cached load aggregates (valid while no flow event has
         # mutated the columns): total remaining bytes, total rate, and
         # the relative horizon to the earliest completion.
@@ -180,7 +179,7 @@ class FluidPipe:
         falls back to one vectorized pass.
         """
         if perfmode.REFERENCE:
-            dt = self.sim.now - self._last_advance
+            dt = self.sim._now - self._last_advance
             if dt <= 0:
                 return sum(f.remaining for f in self.flows)
             total = 0.0
@@ -204,7 +203,7 @@ class FluidPipe:
             else:
                 self._drain_horizon = math.inf
             self._sums_valid = True
-        dt = self.sim.now - self._last_advance
+        dt = self.sim._now - self._last_advance
         if dt <= 0:
             return self._rem_sum
         if dt < self._drain_horizon:
@@ -280,18 +279,24 @@ class FluidPipe:
             bigger = np.empty(new_cap, dtype=old.dtype)
             bigger[:old.shape[0]] = old
             setattr(self, name, bigger)
+        # The order buffers are refilled before every use, so they grow
+        # without copying.
         self._fin_buf = np.empty(new_cap, dtype=np.int64)
+        self._caps_arr = np.empty(new_cap)
+        self._order_arr = np.empty(new_cap, dtype=np.int64)
         self._refresh_ptrs()
 
     def _refresh_ptrs(self) -> None:
         self._p_rem = self._a_rem.ctypes.data
         self._p_rate = self._a_rate.ctypes.data
         self._p_fin = self._fin_buf.ctypes.data
+        self._p_caps = self._caps_arr.ctypes.data
+        self._p_order = self._order_arr.ctypes.data
 
     # -- internals ---------------------------------------------------------
     def _advance(self) -> None:
         """Apply current rates over the elapsed interval."""
-        now = self.sim.now
+        now = self.sim._now
         dt = now - self._last_advance
         self._last_advance = now
         if dt <= 0 or not self.flows:
@@ -383,10 +388,8 @@ class FluidPipe:
                 order = sorted(range(n), key=caps.__getitem__)
                 self._caps_cache = caps
                 self._order = order
-                self._caps_arr = np.array(caps)
-                self._order_arr = np.array(order, dtype=np.int64)
-                self._p_caps = self._caps_arr.ctypes.data
-                self._p_order = self._order_arr.ctypes.data
+                self._caps_arr[:n] = caps
+                self._order_arr[:n] = order
             self._sums_valid = False
             fs = fastdrain.RAW_FAIR
             if fs is not None:

@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+from heapq import heappush
 from inspect import getgeneratorstate
+from types import GeneratorType
 from typing import TYPE_CHECKING, Any, Generator, Optional
 
-from repro.sim.events import NORMAL, URGENT, Event, Interrupt
+from repro.sim.events import _PENDING, URGENT, Event, Interrupt
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 __all__ = ["Process"]
+
+#: The shared, already-ok outcome every process starts from: its first
+#: ``_resume`` sends ``None`` into the fresh generator.  Never queued as
+#: an event itself, so it is born processed (no callbacks).
+START = Event(None, "<start>")  # type: ignore[arg-type]
+START.callbacks = None
+START._ok = True
+START._value = None
+_START_ARGS = (START,)
 
 
 class Process(Event):
@@ -21,28 +32,30 @@ class Process(Event):
     event's exception thrown into it on failure).  The process object is
     itself an event that triggers with the generator's return value, so
     processes can wait on one another.
+
+    A process starts from one bare ``(now, URGENT, seq, _resume,
+    (START,))`` timer entry: the same heap key, and so the same dispatch
+    order and count, as an URGENT event, without allocating one.
     """
 
     __slots__ = ("_generator", "_target")
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = "") -> None:
-        if not hasattr(generator, "send"):
+        if type(generator) is not GeneratorType and \
+                not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
-        super().__init__(sim, name=name or getattr(generator, "__name__", ""))
+        super().__init__(sim, name or getattr(generator, "__name__", ""))
         self._generator = generator
+        # None until the first yield parks the process on an event.
         self._target: Optional[Event] = None
-        # Kick off the process at the current time via an init event.
-        init = Event(sim, name="<init>")
-        init._ok = True
-        init._value = None
-        init.add_callback(self._resume)
-        sim._enqueue(init, URGENT)
-        self._target = init
+        sim._seq = seq = sim._seq + 1
+        heappush(sim._queue, (sim._now, URGENT, seq, self._resume,
+                              _START_ARGS))
 
     @property
     def is_alive(self) -> bool:
-        return not self.triggered
+        return self._value is _PENDING
 
     @property
     def target(self) -> Optional[Event]:
@@ -51,12 +64,12 @@ class Process(Event):
 
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
+        if self._value is not _PENDING:
             raise RuntimeError(f"{self!r} has already terminated")
         # Throwing into a generator that has not reached its first yield
         # would raise *outside* the body's try/except (the frame has not
         # been entered), crashing the simulation instead of delivering
-        # the interrupt.  Leave the <init> event in place so the body
+        # the interrupt.  Leave the start entry in place so the body
         # runs to its first yield first; the interrupt event, enqueued
         # behind it at the same timestamp, then lands inside the body.
         started = getgeneratorstate(self._generator) != "GEN_CREATED"
@@ -73,24 +86,26 @@ class Process(Event):
 
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self.triggered:
+        if self._value is not _PENDING:
             # A deferred interrupt raced with normal completion (the body
             # finished on its very first advance); nothing to deliver.
-            event.defuse()
+            event._defused = True
             return
-        if self._target is not None and self._target is not event:
+        target = self._target
+        if target is not None and target is not event:
             # Resumed by a deferred interrupt while parked on a real
             # event: deregister from it, or its later processing would
             # resume a finished generator.
-            self._target.remove_callback(self._resume)
+            target.remove_callback(self._resume)
         self._target = None
+        generator = self._generator
         while True:
             try:
-                if event.ok:
-                    next_event = self._generator.send(event.value)
+                if event._ok:
+                    next_event = generator.send(event._value)
                 else:
-                    event.defuse()
-                    next_event = self._generator.throw(event.value)
+                    event._defused = True
+                    next_event = generator.throw(event._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -102,16 +117,17 @@ class Process(Event):
                 exc = RuntimeError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}")
                 try:
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                 except StopIteration as stop:
                     self.succeed(stop.value)
                 except BaseException as err:
                     self.fail(err)
                 return
 
-            if next_event.callbacks is not None:
+            callbacks = next_event.callbacks
+            if callbacks is not None:
                 # Event still pending: park until it is processed.
-                next_event.add_callback(self._resume)
+                callbacks.append(self._resume)
                 self._target = next_event
                 return
             # Event already processed: loop and feed its outcome immediately.

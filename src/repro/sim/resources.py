@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
 
-from repro.sim.events import URGENT, Event
+from repro.sim.events import _PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -93,7 +93,7 @@ class Resource:
     def _grant_next(self) -> None:
         while self.queue and len(self.users) < self.capacity:
             nxt = self.queue.popleft()
-            if nxt.triggered:  # defensively skip zombie requests
+            if nxt._value is not _PENDING:  # skip zombie requests
                 continue
             self.users.append(nxt)
             nxt.succeed(priority=URGENT)

@@ -1,0 +1,274 @@
+"""The event-kernel dispatch protocol.
+
+The kernel reads Event slots directly, pushes heap entries inline, and
+starts a process from a bare timer entry instead of an ``<init>`` event.
+These tests pin the contract those shortcuts must keep: every heap
+entry's ``(when, priority, seq)`` key, the dispatch count, one-shot
+triggering, condition values, and failure surfacing from every run mode.
+"""
+
+import math
+
+import pytest
+
+from repro.cluster import Cluster
+from repro.cluster.spec import hyperion
+from repro.core.engine import run_job
+from repro.sim import AllOf, AnyOf, Simulator
+from repro.sim.events import URGENT
+from tests.core.test_mechanism_identity import _capture_module
+
+NAN = float("nan")
+
+
+def _recorder(order, label):
+    return lambda _ev: order.append(label)
+
+
+class TestProcessStart:
+    def _setup(self):
+        """At t=2: a NORMAL event, an earlier URGENT event, a process,
+        then a later URGENT event, all triggered at the same instant."""
+        sim = Simulator()
+        sim.run(until=2.0)
+        order = []
+        normal = sim.event()
+        normal.add_callback(_recorder(order, "normal"))
+        normal.succeed()
+        early = sim.event()
+        early.add_callback(_recorder(order, "urgent-early"))
+        early.succeed(priority=URGENT)
+
+        def body():
+            order.append(("proc", sim.now))
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        seq = sim._seq
+        proc = sim.process(body())
+        assert sim._seq == seq + 1  # one heap entry, one sequence number
+        late = sim.event()
+        late.add_callback(_recorder(order, "urgent-late"))
+        late.succeed(priority=URGENT)
+        return sim, proc, order
+
+    def test_urgent_slot_between_earlier_urgent_and_normal(self):
+        sim, proc, order = self._setup()
+        sim.run()
+        assert order == ["urgent-early", ("proc", 2.0), "urgent-late",
+                         "normal"]
+        assert proc.value == "done"
+        # early, start, late, normal, and the process's own completion.
+        assert sim.events_dispatched == 5
+
+    def test_start_is_one_dispatch(self):
+        sim, proc, order = self._setup()
+        sim.step()
+        assert order == ["urgent-early"]
+        assert sim.events_dispatched == 1
+        sim.step()
+        assert order == ["urgent-early", ("proc", 2.0)]
+        assert sim.events_dispatched == 2
+        assert proc.triggered and not proc.processed
+
+    def test_starts_at_creation_timestamp(self):
+        sim = Simulator()
+        seen = []
+
+        def body():
+            seen.append(sim.now)
+            yield sim.timeout(1.0)
+            seen.append(sim.now)
+
+        sim.schedule_callback(3.5, lambda: sim.process(body()))
+        sim.run()
+        assert seen == [3.5, 4.5]
+
+    def test_interrupt_before_first_step_lands_inside_body(self):
+        sim = Simulator()
+        caught = []
+
+        def body():
+            try:
+                yield sim.timeout(10.0)
+            except Exception as exc:  # noqa: BLE001 - record any interrupt
+                caught.append((type(exc).__name__, sim.now))
+
+        proc = sim.process(body())
+        assert proc.target is None
+        proc.interrupt("early")
+        sim.run()
+        assert caught == [("Interrupt", 0.0)]
+
+
+class TestOneShot:
+    @pytest.mark.parametrize("first,second", [
+        ("succeed", "succeed"), ("succeed", "fail"),
+        ("fail", "succeed"), ("fail", "fail")])
+    def test_second_trigger_raises(self, first, second):
+        sim = Simulator()
+        ev = sim.event()
+        trigger = {"succeed": lambda: ev.succeed(1),
+                   "fail": lambda: ev.fail(ValueError("x"))}
+        trigger[first]()
+        queued = len(sim._queue)
+        with pytest.raises(RuntimeError, match="already triggered"):
+            trigger[second]()
+        assert len(sim._queue) == queued  # the rejected call queued nothing
+        ev.defuse()
+        sim.run()
+
+    def test_timeout_is_triggered_from_birth(self):
+        sim = Simulator()
+        t = sim.timeout(1.0)
+        with pytest.raises(RuntimeError, match="already triggered"):
+            t.succeed()
+
+
+class TestConditionValues:
+    def test_all_of_over_processed_and_pending(self):
+        sim = Simulator()
+        done = sim.event()
+        done.succeed("a")
+        sim.run()
+        pending = sim.timeout(2.0, value="b")
+        cond = AllOf(sim, [done, pending])
+        sim.run(until=cond)
+        assert dict(cond.value.items()) == {done: "a", pending: "b"}
+        assert sim.now == 2.0
+
+    def test_any_of_counts_processed_not_merely_triggered(self):
+        """A Timeout is triggered from birth, but only a processed child
+        is in the value."""
+        sim = Simulator()
+        done = sim.event()
+        done.succeed("a")
+        sim.run()
+        triggered = sim.timeout(0.0, value="t")
+        pending = sim.event()
+        cond = AnyOf(sim, [triggered, pending, done])
+        assert cond.triggered  # settled by the processed child at once
+        sim.run()
+        assert dict(cond.value.items()) == {done: "a"}
+
+    def test_any_of_over_pending_children(self):
+        sim = Simulator()
+        fast = sim.timeout(1.0, value="f")
+        slow = sim.timeout(3.0, value="s")
+        cond = AnyOf(sim, [slow, fast])
+        assert sim.run(until=cond) == cond.value
+        assert list(cond.value) == [fast]
+        assert sim.now == 1.0
+
+    def test_all_of_fails_on_processed_failure(self):
+        sim = Simulator()
+        bad = sim.event()
+        bad.fail(ValueError("boom"))
+        bad.defuse()
+        sim.run()
+        cond = AllOf(sim, [sim.event(), bad])
+        with pytest.raises(ValueError, match="boom"):
+            sim.run(until=cond)
+
+    def test_all_of_takes_over_pending_failure(self):
+        sim = Simulator()
+        bad = sim.event()
+        cond = AllOf(sim, [sim.timeout(1.0), bad])
+        sim.schedule_callback(2.0, bad.fail, ValueError("late"))
+        with pytest.raises(ValueError, match="late"):
+            sim.run(until=cond)
+        assert bad.defused()
+        sim.run()  # the defused child no longer crashes the loop
+
+
+class TestUndefusedFailures:
+    def _failing(self):
+        sim = Simulator()
+        sim.event().fail(ValueError("lost"))
+        return sim
+
+    def test_step_raises(self):
+        with pytest.raises(ValueError, match="lost"):
+            self._failing().step()
+
+    def test_run_to_empty_raises(self):
+        with pytest.raises(ValueError, match="lost"):
+            self._failing().run()
+
+    def test_run_until_time_raises(self):
+        with pytest.raises(ValueError, match="lost"):
+            self._failing().run(until=5.0)
+
+    def test_run_until_event_raises(self):
+        sim = self._failing()
+        stop = sim.timeout(1.0)
+        with pytest.raises(ValueError, match="lost"):
+            sim.run(until=stop)
+
+    def test_failed_process_raises_from_every_mode(self):
+        def body(sim):
+            yield sim.timeout(0.5)
+            raise KeyError("proc")
+
+        for until in (None, 2.0, "event"):
+            sim = Simulator()
+            sim.process(body(sim))
+            arg = sim.timeout(1.0) if until == "event" else until
+            with pytest.raises(KeyError):
+                sim.run(until=arg)
+
+
+class TestNanDelays:
+    def test_timeout(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.timeout(NAN)
+        assert sim._queue == []
+
+    def test_schedule_callback(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_callback(NAN, lambda: None)
+        assert sim._queue == []
+
+    def test_schedule_callback_event(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_callback_event(NAN, lambda: None)
+        assert sim._queue == []
+
+    def test_schedule_daemon(self):
+        sim = Simulator()
+        with pytest.raises(ValueError, match="nan"):
+            sim.schedule_daemon(NAN, lambda: None)
+        assert sim._queue == [] and sim._daemons == 0
+
+    def test_clock_stays_finite(self):
+        sim = Simulator()
+        sim.schedule_callback(1.0, lambda: None)
+        with pytest.raises(ValueError):
+            sim.schedule_callback(NAN, lambda: None)
+        sim.run()
+        assert math.isfinite(sim.now) and sim.now == 1.0
+
+
+#: ``(events_dispatched, final _seq)`` per capture_fingerprints case,
+#: recorded when a process start was a queued ``<init>`` Event.  Equal
+#: counts prove the kernel queues and dispatches the same entries.
+PINNED_COUNTS = {
+    "groupby-ssd-stock": (2880, 2884),
+    "groupby-lustre-shared": (4781, 4782),
+    "grep-hdfs": (4241, 4322),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_COUNTS))
+def test_dispatch_counts_match_pinned(label):
+    cap = _capture_module()
+    spec_fn, opt_fn = next((s, o) for name, s, o in cap.CASES
+                           if name == label)
+    options = opt_fn()
+    cluster = Cluster(hyperion(cap.N_NODES), seed=options.seed)
+    run_job(spec_fn(), cluster=cluster, options=options)
+    sim = cluster.sim
+    assert (sim.events_dispatched, sim._seq) == PINNED_COUNTS[label]

@@ -25,6 +25,30 @@ class TestTriggerFrom:
         assert not dst.ok
         assert src.defused()
 
+    def test_pending_source_rejected_without_defusing_it(self):
+        sim = Simulator()
+        src, dst = sim.event("src"), sim.event("dst")
+        with pytest.raises(RuntimeError,
+                           match="'src'.*the source has no outcome yet"):
+            dst.trigger_from(src)
+        assert not src.defused()
+        assert not dst.triggered
+        # The source's later failure still surfaces from run().
+        src.fail(ValueError("late"))
+        with pytest.raises(ValueError, match="late"):
+            sim.run()
+
+    def test_triggered_target_leaves_failed_source_armed(self):
+        sim = Simulator()
+        src, dst = sim.event(), sim.event()
+        dst.succeed()
+        src.fail(ValueError("x"))
+        with pytest.raises(RuntimeError, match="already triggered"):
+            dst.trigger_from(src)
+        assert not src.defused()
+        src.defuse()
+        sim.run()
+
 
 class TestConditionValue:
     def test_mapping_protocol(self):
