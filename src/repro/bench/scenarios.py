@@ -112,9 +112,10 @@ def _shuffle_wave_10x(quick: bool,
     pulls from a bounded, deterministically-spread sender set instead of
     every peer — at this node count the bottleneck under test is the
     allocator's and calendar's scaling with *fabric size*, not raw flow
-    count.  Above ``_COMPACT_NODES`` the optimized allocator runs over
-    the compressed active-endpoint set; the reference path still scans
-    all 2 * n_nodes channels per water-level round.
+    count.  The optimized allocator runs over the channels that carry
+    flows (the C kernel at every fabric size, the NumPy fallback above
+    ``_COMPACT_NODES``); the reference path still scans all
+    2 * n_nodes channels per water-level round.
     """
     n_nodes = 253 if quick else 1010
     fan = 8 if quick else 12

@@ -1,68 +1,131 @@
-/* Progressive-filling max-min allocator: C hot loop.
+/* Fabric flow-event kernels: fused drain and fused reallocation.
  *
- * Bit-for-bit the same arithmetic as Fabric._assign_rates_reference in
- * fabric.py (see DESIGN.md section 8 for the equivalence argument):
+ * Each fabric flow event is one native call.  repro_fabric_drain
+ * advances and compacts the flow table; repro_fabric_realloc
+ * compresses the channel set, runs the progressive-filling max-min
+ * water-fill and returns the completion horizon.  The flow table is
+ * Fabric._tab: five parallel columns src, dst (int64) and cap,
+ * remaining, rate (float64), passed in that order.
+ *
+ * Both are bit-for-bit the arithmetic of the NumPy fallback in
+ * fabric.py (Fabric._advance, _assign_rates_numpy, _reallocate), and
+ * that in turn of Fabric._assign_rates_reference (see DESIGN.md
+ * sections 8 and 12 for the equivalence argument):
  *
  *   - every floating-point operation here is the identical IEEE-754
- *     double operation the NumPy reference applies elementwise, in the
- *     same per-element sequence;
+ *     double operation NumPy applies elementwise, in the same
+ *     per-element sequence;
  *   - the only reductions are minimums, which are order-independent at
- *     the bit level, so loop order cannot perturb any intermediate;
+ *     the bit level, so neither loop order nor channel numbering can
+ *     perturb any intermediate;
  *   - all still-active flows share one accumulated water `level` (the
  *     fold ((0 + inc_1) + inc_2) + ... is exactly what the reference's
  *     rates[active] += inc performs elementwise), so a flow's final
  *     rate is the level at its freeze round.
  *
  * Compile with strict FP semantics only: no -ffast-math, and
- * -ffp-contract=off so no FMA contraction changes rounding.  The
- * loader (fastalloc.py) passes those flags; the engine falls back to
- * the pure-NumPy fast path when no C toolchain is available.
+ * -ffp-contract=off so no FMA contraction changes rounding (of
+ * rate * dt before the subtract, or of inc * cnt before the head
+ * update).  The loader (fastalloc.py) passes those flags; the fabric
+ * falls back to the NumPy path when no C toolchain is available.
  */
 
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
-#include <string.h>
 
-/* Assign max-min fair rates to m flows across 2*n_nodes NIC channels
- * (tx slots 0..n-1, rx slots n..2n-1).  Writes every element of
- * out_rates.  Returns 0 on success, -1 on allocation failure (caller
- * falls back to the NumPy path).
+/* Fused drain: advance n flows by dt and compact the finished ones out.
+ *
+ * `left = remaining - rate * dt` is one double multiply and one
+ * subtract per flow, the sequence of the fallback's in-place
+ * `remaining -= rate * dt`; the finish test `<= 1e-6` compares the
+ * identical double.  Survivors are moved down over the holes in all
+ * five columns with one write cursor, so their relative order is kept
+ * (completion events enqueue in flow order: the determinism contract).
+ * Compaction moves values and never recomputes them: the result equals
+ * the fallback's FlowTable.remove.  Pre-compaction indices of finished
+ * flows land in `finished` (capacity >= n) in ascending order.
+ * Returns the number of finished flows; n minus that is the new row
+ * count.
  */
-int64_t repro_assign_rates(int64_t n_nodes, int64_t m,
-                           const int64_t *src, const int64_t *dst,
-                           const double *caps, double nic_bw,
-                           double bisection_bw, int64_t has_core,
-                           double *out_rates)
+int64_t repro_fabric_drain(int64_t n, double dt,
+                           int64_t *src, int64_t *dst, double *cap,
+                           double *remaining, double *rate,
+                           int64_t *finished)
 {
-    int64_t nn2 = 2 * n_nodes;
-    double *heads = malloc((size_t)nn2 * sizeof(double));
-    int64_t *cnt = malloc((size_t)nn2 * sizeof(int64_t));
-    int64_t *s = malloc((size_t)m * sizeof(int64_t));
-    int64_t *d = malloc((size_t)m * sizeof(int64_t));
-    int64_t *idx = malloc((size_t)m * sizeof(int64_t));
-    double *c = malloc((size_t)m * sizeof(double));
-    double *ctol = malloc((size_t)m * sizeof(double));
-    char *fin = malloc((size_t)m);
-    int64_t i, ch, mc, w;
-    double nic_tol, level, core_head, core_ref;
+    int64_t i, w = 0, k = 0;
 
-    if (!heads || !cnt || !s || !d || !idx || !c || !ctol || !fin) {
-        free(heads); free(cnt); free(s); free(d);
-        free(idx); free(c); free(ctol); free(fin);
-        return -1;
+    for (i = 0; i < n; i++) {
+        double left = remaining[i] - rate[i] * dt;
+        if (left <= 1e-6) {
+            finished[k++] = i;
+        } else {
+            src[w] = src[i];
+            dst[w] = dst[i];
+            cap[w] = cap[i];
+            remaining[w] = left;
+            rate[w] = rate[i];
+            w++;
+        }
     }
+    return k;
+}
 
-    for (ch = 0; ch < nn2; ch++)
-        heads[ch] = nic_bw;
+/* Fused reallocation: max-min fair rates for m >= 1 flows, then the
+ * completion horizon.
+ *
+ * Channels are the 2 * n_nodes NIC directions: tx of node v is channel
+ * v, rx of node v is channel n_nodes + v.  `ids` (2 * n_nodes int64,
+ * every entry -1 on entry, restored to -1 on return) stamps each
+ * channel some flow uses with a compressed id, assigned in first-seen
+ * order, so the water-fill runs over the nch <= 2 * m channels that
+ * carry flows, whatever the fabric size.  Dropping idle channels is
+ * bit-identical: in the dense form an idle channel has count 0, so it
+ * never enters the increment's min, its head never moves, and no flow
+ * tests it for saturation.  Renumbering the rest cannot change a bit,
+ * because each channel's arithmetic is its own and the only reduction
+ * across channels is min.
+ *
+ * Scratch (caller-owned, sized to the flow table's capacity cap >= m):
+ * `iw` holds 8 * cap int64, `dw` 4 * cap double.  Rates land in
+ * `rate`.  Returns min(remaining / rate) over flows with rate > 0 (the
+ * fallback's horizon expression), or -1.0 when no flow has a positive
+ * rate.
+ */
+double repro_fabric_realloc(int64_t m, int64_t n_nodes,
+                            const int64_t *src, const int64_t *dst,
+                            const double *caps, const double *remaining,
+                            double *rate,
+                            double nic_bw, double bisection_bw,
+                            int64_t has_core, int64_t *ids,
+                            int64_t *iw, double *dw)
+{
+    int64_t *s = iw, *d = iw + m, *idx = iw + 2 * m, *fin = iw + 3 * m;
+    int64_t *cnt = iw + 4 * m, *used = iw + 6 * m;
+    double *c = dw, *ctol = dw + m, *heads = dw + 2 * m;
+    int64_t i, ch, mc, w, nch = 0, positive = 0;
+    double nic_tol, level, core_head, core_ref, horizon = INFINITY;
+
     for (i = 0; i < m; i++) {
-        s[i] = src[i];
-        d[i] = n_nodes + dst[i];
+        int64_t tx = src[i], rx = n_nodes + dst[i];
+        if (ids[tx] < 0) {
+            ids[tx] = nch;
+            used[nch++] = tx;
+        }
+        if (ids[rx] < 0) {
+            ids[rx] = nch;
+            used[nch++] = rx;
+        }
+        s[i] = ids[tx];
+        d[i] = ids[rx];
         idx[i] = i;
         c[i] = caps[i];
-        fin[i] = (char)isfinite(caps[i]);
+        fin[i] = isfinite(caps[i]);
         /* Matches np.where(finite, 1e-7 * caps + 1e-12, 0.0). */
         ctol[i] = fin[i] ? 1e-7 * caps[i] + 1e-12 : 0.0;
+    }
+    for (ch = 0; ch < nch; ch++) {
+        ids[used[ch]] = -1;
+        heads[ch] = nic_bw;
     }
     nic_tol = 1e-7 * nic_bw;
     level = 0.0;
@@ -77,14 +140,15 @@ int64_t repro_assign_rates(int64_t n_nodes, int64_t m,
         int core_exhausted;
         int64_t frozen_any = 0;
 
-        memset(cnt, 0, (size_t)nn2 * sizeof(int64_t));
+        for (ch = 0; ch < nch; ch++)
+            cnt[ch] = 0;
         for (i = 0; i < mc; i++) {
             cnt[s[i]]++;
             cnt[d[i]]++;
         }
         /* Water-level increment: min head/cnt over used channels, the
          * core share, and the smallest remaining cap margin. */
-        for (ch = 0; ch < nn2; ch++) {
+        for (ch = 0; ch < nch; ch++) {
             if (cnt[ch] > 0) {
                 double q = heads[ch] / (double)cnt[ch];
                 if (q < inc)
@@ -106,7 +170,7 @@ int64_t repro_assign_rates(int64_t n_nodes, int64_t m,
         if (!isfinite(inc) || inc < 0.0)
             inc = 0.0;
         level += inc;
-        for (ch = 0; ch < nn2; ch++)
+        for (ch = 0; ch < nch; ch++)
             heads[ch] -= inc * (double)cnt[ch];
         if (has_core)
             core_head -= inc * (double)mc;
@@ -125,7 +189,7 @@ int64_t repro_assign_rates(int64_t n_nodes, int64_t m,
                     || heads[d[i]] <= nic_tol;
             }
             if (fr) {
-                out_rates[idx[i]] = level;
+                rate[idx[i]] = level;
                 frozen_any = 1;
             } else {
                 s[w] = s[i];
@@ -143,9 +207,17 @@ int64_t repro_assign_rates(int64_t n_nodes, int64_t m,
     }
     /* Flows still active at exit keep the final water level. */
     for (i = 0; i < mc; i++)
-        out_rates[idx[i]] = level;
+        rate[idx[i]] = level;
 
-    free(heads); free(cnt); free(s); free(d);
-    free(idx); free(c); free(ctol); free(fin);
-    return 0;
+    /* Completion horizon: one double divide per positive-rate flow;
+     * min is order-independent at the bit level. */
+    for (i = 0; i < m; i++) {
+        if (rate[i] > 0.0) {
+            double h = remaining[i] / rate[i];
+            positive = 1;
+            if (h < horizon)
+                horizon = h;
+        }
+    }
+    return positive ? horizon : -1.0;
 }

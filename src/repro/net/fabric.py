@@ -16,22 +16,28 @@ rate recomputation happens at every flow arrival and departure (see the
 profiling guidance in the repository's HPC coding guides: vectorise the
 measured hotspot, nothing else).
 
-Hot-path notes (see DESIGN.md §8): flow state lives in a
+Hot-path notes (see DESIGN.md §8/§12): flow state lives in a
 :class:`~repro.sim.flowarray.FlowTable` — amortized-doubling
 preallocated columns behind a live-length cursor — so an arrival is an
 O(1) write instead of five ``np.append`` full-array copies, and a
 departure is an order-preserving compaction instead of a five-array
-boolean-mask rebuild plus a Python loop over every live flow.
-Per-node tx/rx rate accumulators are maintained at reallocation so
-:meth:`Fabric.utilization` is an O(1) read.  The pre-optimization code
-paths are retained behind :mod:`repro.sim.perfmode` so
-``repro bench --check`` can prove the optimized fabric byte-identical.
+boolean-mask rebuild plus a Python loop over every live flow.  When
+the C kernels in :mod:`repro.net.fastalloc` are loaded, each flow
+event is one native call: a fused drain (advance, finish test,
+compaction) or a fused reallocation (endpoint compression, water-fill,
+completion horizon); the NumPy path is the fallback.  Per-node rates
+are not maintained per event: :meth:`Fabric.utilization`, which only
+telemetry and tests read, computes them on the first read after a
+flow change and caches them until the next one.  The
+pre-optimization code paths are retained behind
+:mod:`repro.sim.perfmode` so ``repro bench --check`` can prove the
+optimized fabric byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,16 +53,24 @@ __all__ = ["Fabric", "NetFlow"]
 
 GB = 1024.0 ** 3
 _EPS = 1e-9
-#: Above this many fabric nodes the allocator compresses the channel set
-#: to the endpoints that actually carry flows (np.unique + searchsorted)
-#: and the per-node rate refresh scatters over touched nodes only, so a
+#: Above this many fabric nodes the NumPy fallback allocator compresses
+#: the channel set to the endpoints that actually carry flows, so a
 #: mostly-idle 10,000-node fabric pays O(active), not O(n_nodes), per
 #: flow event.  Idle channels are exact no-ops in the water-level loop
 #: (head stays at nic_bw: +inf in the unmasked division falls out of the
 #: min, count 0 makes the decrement a no-op, and nic_bw never crosses
 #: the 1e-7*nic_bw saturation tolerance), so dropping them is
-#: bit-identical — below the threshold the dense form is cheaper.
+#: bit-identical — below the threshold the dense NumPy form is cheaper.
+#: The C kernel compresses at every fabric size.
 _COMPACT_NODES = 256
+
+
+def _horizon(remaining: np.ndarray, rates: np.ndarray) -> float:
+    """Least ``remaining / rate`` over positive rates, or -1.0 if none."""
+    positive = rates > 0
+    if not positive.any():
+        return -1.0
+    return float((remaining[positive] / rates[positive]).min())
 
 
 class NetFlow:
@@ -131,13 +145,21 @@ class Fabric:
         # Columnar flow state, parallel to ``self.flows`` (optimized path).
         self._tab = FlowTable(src=np.int64, dst=np.int64, cap=np.float64,
                               remaining=np.float64, rate=np.float64)
-        # Per-node rate accumulators, refreshed at every reallocation and
-        # compaction, so ``utilization`` is an O(1) read.
-        self._tx_rate = np.zeros(n_nodes)
-        self._rx_rate = np.zeros(n_nodes)
-        # Allocator scratch over the 2*n_nodes NIC channels (tx slots
-        # 0..n-1, rx slots n..2n-1), reused across reallocations so the
-        # per-round cost is ufunc dispatch, not allocation.
+        # Per-node (tx, rx) rates as of the last flow change, or None
+        # until ``utilization`` is read again after one.
+        self._node_rates: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        # C-kernel state: per-channel id stamps (all -1 between calls),
+        # the bisection limit as plain arguments, and scratch that grows
+        # with the flow table (its data addresses cached, like the
+        # table's own).
+        self._ids = np.full(2 * n_nodes, -1, dtype=np.int64)
+        self._p_ids = self._ids.ctypes.data
+        self._core_bw = 0.0 if bisection_bw is None else float(bisection_bw)
+        self._has_core = 0 if bisection_bw is None else 1
+        self._size_scratch()
+        # NumPy-fallback scratch over the 2*n_nodes NIC channels (tx
+        # slots 0..n-1, rx slots n..2n-1), reused across reallocations
+        # so the per-round cost is ufunc dispatch, not allocation.
         # On giant fabrics (> _COMPACT_NODES) the allocator runs over the
         # compressed active-endpoint set, so scratch starts small and
         # grows to the observed active width instead of 2 * n_nodes.
@@ -147,9 +169,6 @@ class Fabric:
         self._ab_tmp = np.empty(width)
         self._ab_sat = np.empty(width, dtype=bool)
         self._ab_ones = np.ones(64)
-        #: Nodes whose tx/rx accumulators are currently nonzero-scattered
-        #: (compact refresh path): the next refresh zeroes exactly these.
-        self._touched = np.empty(0, dtype=np.int64)
         # Compression scratch (giant fabrics): a node-presence bitmap
         # plus an old-id -> compressed-id lookup table.  flatnonzero on
         # the bitmap yields the same ascending unique endpoint set as
@@ -184,8 +203,11 @@ class Fabric:
         for n in (src, dst):
             if not 0 <= n < self.n_nodes:
                 raise ValueError(f"node {n} outside fabric of {self.n_nodes}")
-        if nbytes < 0:
-            raise ValueError(f"negative transfer {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(
+                f"transfer size must be finite and >= 0, got {nbytes}")
+        if not cap > 0:
+            raise ValueError(f"rate cap must be positive, got {cap}")
         done = Event(self.sim, name=f"net:{src}->{dst}")
         flow = NetFlow(src, dst, nbytes, cap, done, self.sim.now, tag)
         self._flow_seq += 1
@@ -209,10 +231,22 @@ class Fabric:
             self._remaining = np.append(self._remaining, flow.remaining)
             self._rates = np.append(self._rates, 0.0)
         else:
-            self._tab.append(flow.src, flow.dst, flow.cap, flow.remaining,
-                             0.0)
+            tab = self._tab
+            tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
+            if tab.capacity != self._scratch_rows:
+                self._size_scratch()
+            self._node_rates = None
         self._schedule_realloc()
         return done
+
+    def _size_scratch(self) -> None:
+        """(Re)allocate the C kernels' scratch for the table's capacity."""
+        rows = self._tab.capacity
+        self._scratch_rows = rows
+        self._iw = np.empty(fastalloc.INT_SCRATCH * rows, dtype=np.int64)
+        self._dw = np.empty(fastalloc.DOUBLE_SCRATCH * rows)
+        self._p_iw = self._iw.ctypes.data
+        self._p_dw = self._dw.ctypes.data
 
     def _finish_direct(self, flow: NetFlow) -> None:
         flow.remaining = 0.0
@@ -224,15 +258,29 @@ class Fabric:
         return len(self.flows)
 
     def utilization(self, node: int) -> Dict[str, float]:
-        """Current tx/rx byte rates at ``node`` (an O(1) accumulator read)."""
+        """Current tx/rx byte rates at ``node``.
+
+        The first read after a flow change runs one weighted bincount
+        per direction over the whole flow table (sums in flow order)
+        and caches the per-node rates until the next change, so the
+        flow events themselves maintain nothing for this read.
+        """
         if perfmode.REFERENCE:
             if len(self.flows) == 0:
                 return {"tx": 0.0, "rx": 0.0}
             tx = float(self._rates[self._src == node].sum())
             rx = float(self._rates[self._dst == node].sum())
             return {"tx": tx, "rx": rx}
-        return {"tx": float(self._tx_rate[node]),
-                "rx": float(self._rx_rate[node])}
+        rates = self._node_rates
+        if rates is None:
+            tab = self._tab
+            r = tab.col("rate")
+            rates = self._node_rates = (
+                np.bincount(tab.col("src"), weights=r,
+                            minlength=self.n_nodes),
+                np.bincount(tab.col("dst"), weights=r,
+                            minlength=self.n_nodes))
+        return {"tx": float(rates[0][node]), "rx": float(rates[1][node])}
 
     # -- fluid machinery -------------------------------------------------------
     def _advance(self) -> None:
@@ -245,15 +293,24 @@ class Fabric:
             self._advance_reference(dt)
             return
         tab = self._tab
-        remaining = tab.col("remaining")
-        remaining -= tab.col("rate") * dt
-        finished_idx = np.flatnonzero(remaining <= 1e-6)
-        if finished_idx.size == 0:
-            return
+        if fastalloc.AVAILABLE:
+            k = fastalloc.RAW_DRAIN(tab.n, dt, *tab.ptrs, self._p_iw)
+            if k == 0:
+                return
+            tab.n -= k
+            indices = self._iw[:k].tolist()
+        else:
+            remaining = tab.col("remaining")
+            remaining -= tab.col("rate") * dt
+            finished_idx = np.flatnonzero(remaining <= 1e-6)
+            if finished_idx.size == 0:
+                return
+            tab.remove(finished_idx)
+            indices = finished_idx.tolist()
+        self._node_rates = None
         flows = self.flows
         schedule = self.sim.schedule_callback
         latency = self.latency
-        indices = finished_idx.tolist()
         # Completion events enqueue in ascending flow order — the same
         # FIFO order the reference path produces — so same-timestamp
         # downstream scheduling stays byte-identical.
@@ -267,14 +324,11 @@ class Fabric:
                                nbytes=f.size)
             # Tail latency: the last byte still needs to propagate.
             schedule(latency, f.done.succeed, f)
-        if finished_idx.size == len(flows):
+        if len(indices) == len(flows):
             flows.clear()
-            tab.clear()
         else:
             for i in reversed(indices):
                 del flows[i]
-            tab.remove(finished_idx)
-        self._refresh_node_rates()
 
     def _advance_reference(self, dt: float) -> None:
         """The retained pre-optimization advancement (perfmode)."""
@@ -303,57 +357,6 @@ class Fabric:
         self._remaining = self._remaining[keep]
         self._rates = self._rates[keep]
 
-    def _zero_node_rates(self) -> None:
-        """Clear the accumulators, touching only scattered-to nodes on
-        giant fabrics."""
-        if self.n_nodes > _COMPACT_NODES:
-            t = self._touched
-            if t.size:
-                self._tx_rate[t] = 0.0
-                self._rx_rate[t] = 0.0
-                self._touched = t[:0]
-        else:
-            self._tx_rate[:] = 0.0
-            self._rx_rate[:] = 0.0
-
-    def _refresh_node_rates(self, u: Optional[np.ndarray] = None,
-                            cs: Optional[np.ndarray] = None,
-                            cd: Optional[np.ndarray] = None) -> None:
-        """Rebuild the O(1) per-node tx/rx rate accumulators.
-
-        On fabrics above :data:`_COMPACT_NODES` the weighted bincounts
-        run over the compressed endpoint set (``u`` ascending active
-        nodes, ``cs``/``cd`` the flows' positions in it — recomputed
-        here when the caller didn't already have them) and scatter to
-        exactly those nodes, zeroing only the previously-touched set:
-        per-flow-event cost is O(active endpoints), never O(n_nodes).
-        np.bincount sums weights sequentially in input order, so the
-        compact sums are bitwise the dense per-node sums.
-        """
-        tab = self._tab
-        if tab.n == 0:
-            self._zero_node_rates()
-            return
-        rates = tab.col("rate")
-        if self.n_nodes > _COMPACT_NODES:
-            if u is None:
-                u, cs, cd = self._compress_endpoints(tab.col("src"),
-                                                     tab.col("dst"))
-            t = self._touched
-            if t.size:
-                self._tx_rate[t] = 0.0
-                self._rx_rate[t] = 0.0
-            self._tx_rate[u] = np.bincount(cs, weights=rates,
-                                           minlength=u.size)
-            self._rx_rate[u] = np.bincount(cd, weights=rates,
-                                           minlength=u.size)
-            self._touched = u
-            return
-        self._tx_rate = np.bincount(tab.col("src"), weights=rates,
-                                    minlength=self.n_nodes)
-        self._rx_rate = np.bincount(tab.col("dst"), weights=rates,
-                                    minlength=self.n_nodes)
-
     def _schedule_realloc(self) -> None:
         """Coalesce all same-timestamp flow changes into one allocation.
 
@@ -372,23 +375,13 @@ class Fabric:
         self._reallocate()
 
     def _reallocate(self) -> None:
-        self._assign_rates()
+        horizon = self._assign_rates()
         self._timer_token += 1
-        token = self._timer_token
-        if len(self.flows):
-            if perfmode.REFERENCE:
-                remaining, rates = self._remaining, self._rates
-            else:
-                remaining = self._tab.col("remaining")
-                rates = self._tab.col("rate")
-            positive = rates > 0
-            if positive.any():
-                horizon = float(
-                    (remaining[positive] / rates[positive]).min())
-                # Clamp: a sub-ULP horizon must still advance the clock,
-                # or the timer respins at this timestamp forever.
-                self.sim.schedule_callback(max(horizon, 1e-9),
-                                           self._on_timer, token)
+        if horizon >= 0.0:
+            # Clamp: a sub-ULP horizon must still advance the clock, or
+            # the timer respins at this timestamp forever.
+            self.sim.schedule_callback(max(horizon, 1e-9), self._on_timer,
+                                       self._timer_token)
 
     def _on_timer(self, token: int) -> None:
         if token != self._timer_token:
@@ -396,12 +389,25 @@ class Fabric:
         self._advance()
         self._schedule_realloc()
 
-    def _assign_rates(self) -> None:
-        """Progressive-filling max–min allocation (mode dispatcher)."""
+    def _assign_rates(self) -> float:
+        """Progressive-filling max–min allocation (mode dispatcher).
+
+        Returns the completion horizon: the least ``remaining / rate``
+        over flows with a positive rate, or -1.0 when none drains.
+        """
         if perfmode.REFERENCE:
             self._assign_rates_reference()
-        else:
-            self._assign_rates_fast()
+            return _horizon(self._remaining, self._rates)
+        self._node_rates = None
+        tab = self._tab
+        if tab.n == 0:
+            return -1.0
+        if fastalloc.AVAILABLE:
+            return fastalloc.RAW_REALLOC(
+                tab.n, self.n_nodes, *tab.ptrs, self.nic_bw, self._core_bw,
+                self._has_core, self._p_ids, self._p_iw, self._p_dw)
+        self._assign_rates_fast()
+        return _horizon(tab.col("remaining"), tab.col("rate"))
 
     def _assign_rates_reference(self) -> None:
         """Vectorised progressive-filling max–min allocation.
@@ -490,36 +496,26 @@ class Fabric:
         Rates are scattered to original flow positions through ``idx``,
         so the published rate vector matches the reference elementwise.
 
-        When the optional C kernel (:mod:`repro.net.fastalloc`) compiled,
-        the whole multi-round loop runs in one native call — same
-        arithmetic, same bits — and this NumPy loop is the fallback.
+        This is the NumPy fallback: when the optional C kernel
+        (:mod:`repro.net.fastalloc`) is loaded, the same arithmetic runs
+        in one native call per reallocation, with the same bits.
         """
         tab = self._tab
-        m = tab.n
-        if m == 0:
-            self._zero_node_rates()
-            return
-        rate = tab.col("rate")
         src = tab.col("src")
         dst = tab.col("dst")
         if self.n_nodes > _COMPACT_NODES:
             # Compress the channel set to the endpoints actually carrying
-            # flows (bit-identical: see _COMPACT_NODES).  The C kernel
-            # and the NumPy loop both then allocate and iterate over
-            # O(active) channels regardless of fabric size.
+            # flows (bit-identical: see _COMPACT_NODES), so the loop
+            # allocates and iterates over O(active) channels.
             u, cs, cd = self._compress_endpoints(src, dst)
             n_ch = u.size
         else:
-            u = None
             cs, cd, n_ch = src, dst, self.n_nodes
-        if not (fastalloc.AVAILABLE and fastalloc.assign_rates(
-                n_ch, cs, cd, tab.col("cap"), self.nic_bw,
-                self.bisection_bw, rate)):
-            rate[:] = self._assign_rates_numpy(n_ch, cs, cd)
-        self._refresh_node_rates(u, cs, cd)
+        tab.col("rate")[:] = self._assign_rates_numpy(n_ch, cs, cd)
 
     def _compress_endpoints(self, src: np.ndarray, dst: np.ndarray):
-        """Active endpoint set + compressed flow indices, in O(n + m)."""
+        """Active endpoint set + compressed flow indices, in O(n + m)
+        (NumPy fallback on fabrics above :data:`_COMPACT_NODES`)."""
         present = self._present
         present[src] = True
         present[dst] = True

@@ -1,15 +1,19 @@
-"""Optional C kernel for the fabric's progressive-filling allocator.
+"""Optional C kernels for the fabric's flow events.
 
-The max–min allocator is the simulator's measured hot spot: tens of
-thousands of reallocations, each running ~a dozen water-filling rounds,
-each round a handful of small-array NumPy calls whose cost is ufunc
-dispatch rather than data.  This module compiles ``_fastalloc.c`` once
-per machine (cached by source hash under the user's temp directory),
-loads it with :mod:`ctypes`, and exposes :func:`assign_rates`.
+The max–min fabric is the simulator's measured hot spot on shuffle
+waves: tens of thousands of flow events, each a drain of the flow
+table and a reallocation running ~a dozen water-filling rounds, whose
+NumPy cost is dispatch rather than data.  This module compiles
+``_fastalloc.c`` once per machine (cached by source hash under the
+user's temp directory), loads it with :mod:`ctypes`, and exposes the
+two entry points pre-bound: :data:`RAW_DRAIN` (advance, finish test
+and order-preserving compaction of the flow table) and
+:data:`RAW_REALLOC` (endpoint compression, water-fill and completion
+horizon), so a flow event is one native call.
 
-The kernel is bit-for-bit equivalent to the NumPy reference — see the
-header comment in ``_fastalloc.c`` and DESIGN.md §8 — and ``repro bench
---check`` asserts that equivalence end to end.
+The kernels are bit-for-bit equivalent to the fabric's NumPy path — see
+the header comment in ``_fastalloc.c`` and DESIGN.md §8/§12 — and
+``repro bench --check`` asserts that equivalence end to end.
 
 Everything degrades gracefully: no C compiler, a failed build, or
 ``REPRO_NO_CKERNEL=1`` in the environment leaves :data:`AVAILABLE`
@@ -26,9 +30,7 @@ import subprocess
 import tempfile
 from typing import Optional
 
-import numpy as np
-
-__all__ = ["AVAILABLE", "assign_rates"]
+__all__ = ["AVAILABLE", "RAW_DRAIN", "RAW_REALLOC"]
 
 _SRC = os.path.join(os.path.dirname(__file__), "_fastalloc.c")
 # Strict IEEE-754 only: never -ffast-math, and -ffp-contract=off so FMA
@@ -64,14 +66,19 @@ def _load() -> Optional[ctypes.CDLL]:
         return None
     try:
         lib = ctypes.CDLL(so_path)
-        fn = lib.repro_assign_rates
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64, ctypes.c_int64,   # n_nodes, m
-                       ctypes.c_void_p, ctypes.c_void_p,  # src, dst
-                       ctypes.c_void_p,                   # caps
+        dr = lib.repro_fabric_drain
+        dr.restype = ctypes.c_int64                       # finished count
+        dr.argtypes = [ctypes.c_int64, ctypes.c_double,   # n, dt
+                       *[ctypes.c_void_p] * 5,            # table columns
+                       ctypes.c_void_p]                   # finished (out)
+        ra = lib.repro_fabric_realloc
+        ra.restype = ctypes.c_double                      # horizon
+        ra.argtypes = [ctypes.c_int64, ctypes.c_int64,    # m, n_nodes
+                       *[ctypes.c_void_p] * 5,            # table columns
                        ctypes.c_double, ctypes.c_double,  # nic_bw, bisection
                        ctypes.c_int64,                    # has_core
-                       ctypes.c_void_p]                   # out_rates
+                       ctypes.c_void_p,                   # ids stamps
+                       ctypes.c_void_p, ctypes.c_void_p]  # int/double scratch
         return lib
     except Exception:
         return None
@@ -82,22 +89,14 @@ _LIB = _load()
 #: True when the compiled kernel is loaded and usable.
 AVAILABLE = _LIB is not None
 
+# Pre-bound entry points: callers pass raw ``arr.ctypes.data`` integer
+# addresses they cached when the arrays were allocated (see
+# ``FlowTable.ptrs``), so a flow event allocates no ctypes wrapper
+# objects.  None when the kernel is unavailable.
+RAW_DRAIN = _LIB.repro_fabric_drain if _LIB is not None else None
+RAW_REALLOC = _LIB.repro_fabric_realloc if _LIB is not None else None
 
-def assign_rates(n_nodes: int, src: np.ndarray, dst: np.ndarray,
-                 caps: np.ndarray, nic_bw: float,
-                 bisection_bw: Optional[float],
-                 out_rates: np.ndarray) -> bool:
-    """Run the C allocator; returns False if the caller must fall back.
-
-    ``src``/``dst`` must be contiguous int64, ``caps``/``out_rates``
-    contiguous float64, all of the same length.  Every element of
-    ``out_rates`` is written.
-    """
-    if _LIB is None:
-        return False
-    m = src.shape[0]
-    rc = _LIB.repro_assign_rates(
-        n_nodes, m, src.ctypes.data, dst.ctypes.data, caps.ctypes.data,
-        nic_bw, 0.0 if bisection_bw is None else bisection_bw,
-        0 if bisection_bw is None else 1, out_rates.ctypes.data)
-    return rc == 0
+#: Scratch row multiples ``repro_fabric_realloc`` needs per table row:
+#: int64 and float64 words respectively.
+INT_SCRATCH = 8
+DOUBLE_SCRATCH = 4

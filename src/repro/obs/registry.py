@@ -71,7 +71,7 @@ class Gauge:
     """A point-in-time reading supplied by a pure-read callback.
 
     The callback must only *read* state (queue depths, free slots,
-    utilization accumulators); probes invoke it on the sim clock.
+    fabric utilization); probes invoke it on the sim clock.
     Re-registering the same key replaces the callback — components that
     are rebuilt mid-run (e.g. a stage runner per phase) simply point
     the gauge at their current instance.

@@ -143,6 +143,10 @@ class SlotPool:
         self._next_id = 0
         self._rebalancing = False
         self._again = False
+        #: ``policy.targets(leases, total)``, cached between lease
+        #: changes: it depends only on the active leases (tenant,
+        #: demand) and ``total``, which change only in admit/release.
+        self._targets: Optional[Dict[int, int]] = None
 
     # -- lifecycle ---------------------------------------------------------------
     def admit(self, tenant: str, demand: Optional[int] = None) -> SlotLease:
@@ -151,6 +155,7 @@ class SlotPool:
                           else self.total)
         self._next_id += 1
         self.leases.append(lease)
+        self._targets = None
         self.rebalance()
         return lease
 
@@ -161,6 +166,7 @@ class SlotPool:
             return
         lease.released = True
         self.leases.remove(lease)
+        self._targets = None
         for grant in lease.pending:
             grant.cancelled = True
         lease.pending.clear()
@@ -188,7 +194,10 @@ class SlotPool:
             self._rebalancing = False
 
     def _rebalance_once(self) -> None:
-        targets = self.policy.targets(self.leases, self.total)
+        targets = self._targets
+        if targets is None:
+            targets = self._targets = self.policy.targets(self.leases,
+                                                          self.total)
         # Shrink first so freed cores are grantable in the same pass.
         for lease in self.leases:
             excess = lease.committed - targets[lease.lease_id]

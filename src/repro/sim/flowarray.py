@@ -36,9 +36,17 @@ class FlowTable:
     columns:
         ``name=dtype`` pairs declaring the columns.  Append order is the
         declaration order.
+
+    Attributes
+    ----------
+    ptrs:
+        Raw data addresses of every column, in declaration order, for
+        native kernels that compact the table in place (they then set
+        :attr:`n` to the survivor count).  Valid until the next append
+        that grows the storage.
     """
 
-    __slots__ = ("n", "_capacity", "_names", "_cols")
+    __slots__ = ("n", "_capacity", "_names", "_cols", "ptrs")
 
     def __init__(self, **columns: object) -> None:
         if not columns:
@@ -50,6 +58,7 @@ class FlowTable:
             name: np.empty(self._capacity, dtype=dtype)
             for name, dtype in columns.items()
         }
+        self._refresh_ptrs()
 
     def __len__(self) -> int:
         return self.n
@@ -90,6 +99,13 @@ class FlowTable:
             bigger[:n] = arr[:n]
             self._cols[name] = bigger
         self._capacity = new_capacity
+        self._refresh_ptrs()
+
+    def _refresh_ptrs(self) -> None:
+        # Storage moves only when it grows, so the addresses are
+        # refreshed here and a kernel call does no ``.ctypes`` lookup.
+        self.ptrs = tuple(self._cols[name].ctypes.data
+                          for name in self._names)
 
     def remove(self, indices: np.ndarray) -> None:
         """Remove the rows at ``indices`` (sorted ascending, unique),

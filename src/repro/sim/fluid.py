@@ -249,8 +249,11 @@ class FluidPipe:
                  tag: Any = None) -> Event:
         """Start a flow of ``nbytes``; the returned event succeeds with the
         flow object when the last byte has been delivered."""
-        if nbytes < 0:
-            raise ValueError(f"negative transfer size {nbytes}")
+        if not 0 <= nbytes < math.inf:
+            raise ValueError(
+                f"transfer size must be finite and >= 0, got {nbytes}")
+        if not cap > 0:
+            raise ValueError(f"rate cap must be positive, got {cap}")
         done = Event(self.sim, name=f"xfer:{self.name}")
         flow = Flow(self, nbytes, cap, done, tag)
         if nbytes == 0:

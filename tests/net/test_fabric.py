@@ -55,6 +55,20 @@ class TestBasicTransfers:
         with pytest.raises(ValueError):
             fab.transfer(0, 1, -10)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_non_finite_size_rejected_at_the_call(self, sim, size):
+        fab = Fabric(sim, n_nodes=2, nic_bw=1 * GB)
+        with pytest.raises(ValueError, match=f"transfer size .* {size}"):
+            fab.transfer(0, 1, size)
+        assert fab.n_active == 0
+
+    @pytest.mark.parametrize("cap", [0, 0.0, -1, -math.inf, math.nan])
+    def test_non_positive_cap_rejected_at_the_call(self, sim, cap):
+        fab = Fabric(sim, n_nodes=2, nic_bw=1 * GB)
+        with pytest.raises(ValueError, match=f"rate cap .* {cap}"):
+            fab.transfer(0, 1, 1 * GB, cap=cap)
+        assert fab.n_active == 0
+
 
 class TestContention:
     def test_incast_shares_receiver_nic(self, sim):

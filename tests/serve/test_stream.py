@@ -7,7 +7,7 @@ import pytest
 from repro import hyperion
 from repro.core.faults import FaultPlan
 from repro.obs.registry import MetricsRegistry
-from repro.serve import StreamServer, Tenant
+from repro.serve import SlotPool, StreamServer, Tenant
 
 TENANTS = [Tenant("etl", 2.0), Tenant("adhoc", 1.0, quota=0.5)]
 
@@ -119,3 +119,36 @@ class TestFaults:
         clean = server().run()
         faulted = server(fault_plan=self.plan()).run()
         assert clean.summary_lines() != faulted.summary_lines()
+
+
+class TestPolicyTargetCache:
+    @pytest.mark.parametrize("policy", ["fair", "fifo"])
+    def test_cached_targets_match_a_fresh_policy_call(self, monkeypatch,
+                                                      policy):
+        """After every rebalance of a serve run, the pool's cached
+        targets equal ``policy.targets`` recomputed from scratch."""
+        checked = []
+        rebalance_once = SlotPool._rebalance_once
+
+        def checking(pool):
+            rebalance_once(pool)
+            assert pool._targets == pool.policy.targets(pool.leases,
+                                                        pool.total)
+            checked.append(pool._targets is not None)
+
+        monkeypatch.setattr(SlotPool, "_rebalance_once", checking)
+        res = server(policy=policy, rate=2.0).run()
+        assert len(res.outcomes) == 6
+        assert len(checked) > len(res.outcomes) and all(checked)
+
+    def test_cache_does_not_change_the_stream(self, monkeypatch):
+        cached = server(rate=2.0).run()
+        rebalance_once = SlotPool._rebalance_once
+
+        def uncached(pool):
+            pool._targets = None
+            rebalance_once(pool)
+
+        monkeypatch.setattr(SlotPool, "_rebalance_once", uncached)
+        fresh = server(rate=2.0).run()
+        assert cached.to_json() == fresh.to_json()

@@ -93,6 +93,22 @@ class TestFluidPipe:
         with pytest.raises(ValueError):
             pipe.transfer(-5.0)
 
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -math.inf])
+    def test_non_finite_transfer_rejected_at_the_call(self, size):
+        sim = Simulator()
+        pipe = FluidPipe(sim, capacity=100.0)
+        with pytest.raises(ValueError, match=f"transfer size .* {size}"):
+            pipe.transfer(size)
+        assert not pipe.flows
+
+    @pytest.mark.parametrize("cap", [0, 0.0, -1, -math.inf, math.nan])
+    def test_non_positive_cap_rejected_at_the_call(self, cap):
+        sim = Simulator()
+        pipe = FluidPipe(sim, capacity=100.0)
+        with pytest.raises(ValueError, match=f"rate cap .* {cap}"):
+            pipe.transfer(50.0, cap=cap)
+        assert not pipe.flows
+
     def test_negative_capacity_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
