@@ -487,7 +487,6 @@ def _explain(args) -> int:
         from repro.obs.runlog import load_runlog
         log = load_runlog(args.runlog)
         rec = SpanRecorder.from_runlog(log)
-        records = build_audit(log.events)
         meta = log.meta
     else:
         # Run mode: simulate the job under telemetry.  The trace sink is
@@ -504,14 +503,14 @@ def _explain(args) -> int:
                          speed_model=LognormalSpeed(sigma=args.speed_sigma),
                          telemetry=telemetry)
         rec = SpanRecorder.from_telemetry(telemetry)
-        records = build_audit(telemetry.events)
         meta = telemetry.meta
         if args.json:
             with open(args.json, "w") as fh:
                 fh.write(to_json(result))
     lines = explain_lines(rec, meta, max_segments=args.segments)
     lines.append("")
-    lines.extend(audit_lines(records))
+    # The span pass already normalized the event stream; audit that list.
+    lines.extend(audit_lines(build_audit(rec.events)))
     print("\n".join(lines))
     if args.runlog is None and args.json:
         print(f"wrote job metrics: {args.json}")

@@ -37,6 +37,7 @@ optimized fabric byte-identical.
 from __future__ import annotations
 
 import math
+import operator
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -82,13 +83,17 @@ class NetFlow:
     the completion event and tag.  ``rate`` is *not* mirrored per
     reallocation on the optimized path (that was an O(flows) Python loop
     per flow event); read ``Fabric._tab.col("rate")`` for live rates.
+    ``done`` is cleared once the completion is fired or scheduled, so
+    the event, whose value is this flow, is not reachable from it
+    (DESIGN.md §8, "Garbage-collector cost").
     """
 
     __slots__ = ("src", "dst", "size", "remaining", "rate", "cap", "done",
                  "started_at", "tag", "fid")
 
     def __init__(self, src: int, dst: int, size: float, cap: float,
-                 done: Event, started_at: float, tag: Any) -> None:
+                 done: Optional[Event], started_at: float,
+                 tag: Any) -> None:
         self.src = src
         self.dst = dst
         self.size = float(size)
@@ -201,7 +206,16 @@ class Fabric:
         moves cost memory bandwidth, modelled elsewhere.
         """
         for n in (src, dst):
-            if not 0 <= n < self.n_nodes:
+            # operator.index admits int and NumPy integers (HDFS replica
+            # ids are np.int64) but not 1.5, which the int64 flow table
+            # would silently truncate.  The caller's value is kept as
+            # given, so traces and flow objects print it unchanged.
+            try:
+                i = operator.index(n)
+            except TypeError:
+                raise TypeError(
+                    f"node id must be an integer, got {n!r}") from None
+            if not 0 <= i < self.n_nodes:
                 raise ValueError(f"node {n} outside fabric of {self.n_nodes}")
         if not 0 <= nbytes < math.inf:
             raise ValueError(
@@ -251,7 +265,9 @@ class Fabric:
     def _finish_direct(self, flow: NetFlow) -> None:
         flow.remaining = 0.0
         self.bytes_completed += flow.size
-        flow.done.succeed(flow)
+        done = flow.done
+        flow.done = None
+        done.succeed(flow)
 
     @property
     def n_active(self) -> int:
@@ -324,6 +340,7 @@ class Fabric:
                                nbytes=f.size)
             # Tail latency: the last byte still needs to propagate.
             schedule(latency, f.done.succeed, f)
+            f.done = None
         if len(indices) == len(flows):
             flows.clear()
         else:
@@ -348,6 +365,7 @@ class Fabric:
                                    dst=f.dst, nbytes=f.size)
                 # Tail latency: the last byte still needs to propagate.
                 self.sim.schedule_callback(self.latency, f.done.succeed, f)
+                f.done = None
             else:
                 survivors.append(f)
         self.flows = survivors

@@ -6,9 +6,13 @@ The offer loop already traces its decisions (``decline``, ``throttle``,
 *justifying state* — the node volume vs. the cluster average behind an
 ELB veto, the CAD running mean vs. its trigger threshold behind a
 throttle step, the free heap vs. demand behind a memory decline.  This
-module folds the event stream (live :class:`TraceEvent` objects or
-runlog dicts) into typed :class:`AuditRecord` rows and renders the
-deterministic summaries ``repro explain`` prints.
+module folds the event stream (the telemetry log's ``(t, kind,
+payload)`` tuples, :class:`TraceEvent` objects or runlog dicts; see
+:func:`repro.obs.spans._norm`) into typed :class:`AuditRecord` rows and
+renders the deterministic summaries ``repro explain`` prints.  A record
+keeps the event's payload and derives its justifying :attr:`state` only
+when read: the summaries read it for one example per reason, not for
+every decision.
 
 Actions:
 
@@ -45,23 +49,25 @@ _META_KEYS = frozenset({"t", "kind", "type", "node", "reason"})
 class AuditRecord:
     """One audited scheduler decision."""
 
-    __slots__ = ("t", "action", "node", "reason", "state")
+    __slots__ = ("t", "action", "node", "reason", "_payload")
 
     def __init__(self, t: float, action: str, node: Optional[int],
-                 reason: str, state: Dict[str, Any]):
+                 reason: str, payload: Mapping[str, Any]):
         self.t = t
         self.action = action
         self.node = node
         self.reason = reason
-        self.state = state
+        self._payload = payload
+
+    @property
+    def state(self) -> Dict[str, Any]:
+        """The justifying state: the payload minus its bookkeeping keys."""
+        return {k: v for k, v in self._payload.items()
+                if k not in _META_KEYS}
 
     def __repr__(self) -> str:  # debugging aid only
         return (f"AuditRecord(t={self.t:.3f} {self.action} "
                 f"node={self.node} reason={self.reason!r})")
-
-
-def _state(d: Mapping[str, Any]) -> Dict[str, Any]:
-    return {k: v for k, v in d.items() if k not in _META_KEYS}
 
 
 def build_audit(events: Iterable[Any]) -> List[AuditRecord]:
@@ -73,19 +79,18 @@ def build_audit(events: Iterable[Any]) -> List[AuditRecord]:
             action = {"elb-veto": "elb-veto",
                       "delay-wait": "delay-pass"}.get(reason,
                                                       "policy-decline")
-            out.append(AuditRecord(t, action, d.get("node"), reason,
-                                   _state(d)))
+            out.append(AuditRecord(t, action, d.get("node"), reason, d))
         elif kind == "throttle":
             out.append(AuditRecord(t, "cad-throttle", d.get("node"),
-                                   str(d.get("reason", "?")), _state(d)))
+                                   str(d.get("reason", "?")), d))
         elif kind == "cad-step":
             out.append(AuditRecord(t, "cad-step", d.get("node"),
-                                   str(d.get("step", "?")), _state(d)))
+                                   str(d.get("step", "?")), d))
         elif kind == "mem-decline":
             reason = ("elastic-floor" if d.get("elastic")
                       else "rigid")
             out.append(AuditRecord(t, "mem-decline", d.get("node"),
-                                   reason, _state(d)))
+                                   reason, d))
     return out
 
 

@@ -71,15 +71,15 @@ def _lane(lanes: List[float], start: float) -> int:
 
 def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     """Build the trace-event JSON document from one run's telemetry."""
-    events = telemetry.events
+    events = telemetry.events  # (t, kind, payload) tuples
     out: List[Dict[str, Any]] = []
     pids_seen = set()
-    end_time = events[-1].time if events else 0.0
+    end_time = events[-1][0] if events else 0.0
 
     # pid layout: 0..n-1 real nodes, then two synthetic processes.
     max_node = -1
-    for ev in events:
-        node = ev.data.get("node")
+    for _, _, data in events:
+        node = data.get("node")
         if isinstance(node, int) and node > max_node:
             max_node = node
     engine_pid = max_node + 1
@@ -89,16 +89,15 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     open_attempts: Dict[tuple, List[tuple]] = {}
     node_lanes: Dict[int, List[float]] = {}
     phase = "?"
-    for ev in events:
-        kind = ev.kind
+    for t, kind, data in events:
         if kind == "phase-start":
-            phase = ev.data.get("phase", "?")
+            phase = data.get("phase", "?")
         elif kind == "launch":
-            key = (ev.data["task"], ev.data["node"])
+            key = (data["task"], data["node"])
             open_attempts.setdefault(key, []).append(
-                (ev.time, bool(ev.data.get("speculative")), phase))
+                (t, bool(data.get("speculative")), phase))
         elif kind in _ATTEMPT_END:
-            key = (ev.data.get("task"), ev.data.get("node"))
+            key = (data.get("task"), data.get("node"))
             stack = open_attempts.get(key)
             if not stack:
                 continue
@@ -106,11 +105,11 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
             node = key[1]
             lanes = node_lanes.setdefault(node, [])
             tid = _lane(lanes, started)
-            lanes[tid] = ev.time
+            lanes[tid] = t
             pids_seen.add(node)
             out.append({
                 "ph": "X", "pid": node, "tid": tid,
-                "ts": started * _US, "dur": (ev.time - started) * _US,
+                "ts": started * _US, "dur": (t - started) * _US,
                 "name": f"{launch_phase}#{key[0]}",
                 "cat": "task",
                 "args": {"task": key[0], "outcome": _ATTEMPT_END[kind],
@@ -132,41 +131,40 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
 
     # -- phases, instants, flows ------------------------------------------
     phase_open: Dict[str, float] = {}
-    for ev in events:
-        kind = ev.kind
+    for t, kind, data in events:
         if kind == "phase-start":
-            phase_open[ev.data["phase"]] = ev.time
+            phase_open[data["phase"]] = t
         elif kind == "phase-end":
-            name = ev.data["phase"]
+            name = data["phase"]
             started = phase_open.pop(name, None)
             if started is not None:
                 pids_seen.add(engine_pid)
                 out.append({
                     "ph": "X", "pid": engine_pid, "tid": 0,
-                    "ts": started * _US, "dur": (ev.time - started) * _US,
+                    "ts": started * _US, "dur": (t - started) * _US,
                     "name": name, "cat": "phase", "args": {},
                 })
         elif kind in INSTANT_KINDS:
             pids_seen.add(engine_pid)
             out.append({
                 "ph": "i", "pid": engine_pid, "tid": 1,
-                "ts": ev.time * _US, "name": kind, "cat": "event",
-                "s": "g", "args": dict(ev.data),
+                "ts": t * _US, "name": kind, "cat": "event",
+                "s": "g", "args": dict(data),
             })
         elif kind == "flow-start":
             pids_seen.add(fabric_pid)
             out.append({
                 "ph": "b", "pid": fabric_pid, "tid": 0,
-                "ts": ev.time * _US, "id": ev.data["fid"],
-                "name": f"flow {ev.data.get('src')}->{ev.data.get('dst')}",
-                "cat": "flow", "args": dict(ev.data),
+                "ts": t * _US, "id": data["fid"],
+                "name": f"flow {data.get('src')}->{data.get('dst')}",
+                "cat": "flow", "args": dict(data),
             })
         elif kind == "flow-end":
             pids_seen.add(fabric_pid)
             out.append({
                 "ph": "e", "pid": fabric_pid, "tid": 0,
-                "ts": ev.time * _US, "id": ev.data["fid"],
-                "name": f"flow {ev.data.get('src')}->{ev.data.get('dst')}",
+                "ts": t * _US, "id": data["fid"],
+                "name": f"flow {data.get('src')}->{data.get('dst')}",
                 "cat": "flow", "args": {},
             })
 
@@ -248,12 +246,12 @@ def runlog_lines(telemetry: Telemetry) -> Iterable[str]:
     ei = si = 0
     while ei < len(events) or si < len(times):
         take_event = si >= len(times) or (
-            ei < len(events) and events[ei].time <= times[si])
+            ei < len(events) and events[ei][0] <= times[si])
         if take_event:
-            ev = events[ei]
+            t, kind, data = events[ei]
             ei += 1
-            line = {"type": "event", "t": ev.time, "kind": ev.kind}
-            for k, v in ev.data.items():
+            line = {"type": "event", "t": t, "kind": kind}
+            for k, v in data.items():
                 line[k] = _jsonable(v)
             yield json.dumps(line)
         else:

@@ -27,10 +27,13 @@ edge kind         meaning
 Everything here is *post-hoc*: spans are only built when a caller asks
 (``repro explain``, ``repro report``, the bench spans column), so the
 no-telemetry path stays allocation-free and fingerprints are untouched
-by construction.  Both event representations are accepted — live
-:class:`~repro.sim.trace.TraceEvent` objects from a
-:class:`~repro.obs.telemetry.Telemetry` bundle, and the ``{"t": ...,
-"kind": ..., ...payload}`` dicts read back from a JSONL run log.
+by construction.  Three event representations are accepted, and
+:func:`_norm` turns them all into the run log's ``(t, kind, payload)``
+tuples: those tuples themselves (a
+:class:`~repro.obs.telemetry.Telemetry` bundle's ``events``, passed
+through as they are), :class:`~repro.sim.trace.TraceEvent` objects
+(e.g. the simulator's ring), and the ``{"t": ..., "kind": ...,
+...payload}`` dicts read back from a JSONL run log.
 """
 
 from __future__ import annotations
@@ -107,9 +110,14 @@ class SpanEdge:
 
 
 def _norm(events: Iterable[Any]) -> List[Tuple[float, str, Mapping]]:
-    """Normalize TraceEvent objects / runlog dicts to (t, kind, data)."""
+    """Normalize the event stream to ``(t, kind, data)`` tuples: run-log
+    tuples pass through, TraceEvent objects and runlog dicts are
+    converted."""
     out: List[Tuple[float, str, Mapping]] = []
     for e in events:
+        if type(e) is tuple:
+            out.append(e)
+            continue
         t = getattr(e, "time", None)
         if t is not None:
             out.append((float(t), e.kind, e.data))
@@ -236,7 +244,9 @@ class SpanRecorder:
                 dst = d.get("dst")
                 lst = running.get(dst)
                 if lst:
-                    att = max(lst, key=lambda s: (s.start, s.span_id))
+                    # Appended in launch order and removed in place, so
+                    # the last is the latest (start, span_id).
+                    att = lst[-1]
                     rec.edges.append(SpanEdge(
                         att.span_id, att.span_id, "fetch-source",
                         {"src": d.get("src"), "t": t}))

@@ -15,7 +15,7 @@ with or without a bound Telemetry (asserted in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.obs.probe import Probe
 from repro.obs.registry import MetricsRegistry
@@ -33,13 +33,24 @@ class Telemetry:
     def __init__(self, probe_period: float = 0.25) -> None:
         self.registry = MetricsRegistry(enabled=True)
         self.probe_period = float(probe_period)
-        self.events: List["TraceEvent"] = []
+        #: The run log: one exact ``(t, kind, payload)`` tuple per trace
+        #: event (:attr:`TraceEvent.record`), in emission order.  The
+        #: payload is the dict the tracing call made, shared, so readers
+        #: must not mutate it.  The cyclic collector never tracks a dict
+        #: of atomic values, so each event adds one tracked object, the
+        #: tuple, to what a full collection scans (DESIGN.md §8).
+        self.events: List[Tuple[float, str, Dict[str, Any]]] = []
         self.probe: Optional[Probe] = None
         #: Run identity recorded into exporter headers (workload, nodes,
         #: flags) — filled by whoever constructs the run.
         self.meta: Dict[str, Any] = {}
         self._sim: Optional["Simulator"] = None
-        self._sink = self.events.append
+        append = self.events.append
+
+        def sink(ev: "TraceEvent") -> None:
+            append(ev.record)
+
+        self._sink = sink
 
     @property
     def bound(self) -> bool:

@@ -125,7 +125,8 @@ class Simulator:
         ring = self._trace
         if ring is None and not self._trace_sinks:
             return
-        ev = TraceEvent(self._now, kind, data)
+        # ``data`` is this call's own kwargs dict: the event adopts it.
+        ev = TraceEvent._adopt(self._now, kind, data)
         if ring is not None:
             if ring.maxlen is not None and len(ring) == ring.maxlen:
                 self.trace_evictions += 1

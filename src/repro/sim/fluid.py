@@ -78,13 +78,19 @@ def fair_share(capacity: float, caps: Sequence[float],
 
 
 class Flow:
-    """One transfer through a :class:`FluidPipe`."""
+    """One transfer through a :class:`FluidPipe`.
+
+    ``done`` is the completion event while the flow is in flight.  It is
+    cleared as the event fires with this flow as its value, so a
+    finished flow and its event form no reference cycle and refcounting
+    frees both (DESIGN.md §8, "Garbage-collector cost").
+    """
 
     __slots__ = ("pipe", "size", "remaining", "rate", "cap", "done",
                  "started_at", "tag")
 
     def __init__(self, pipe: "FluidPipe", size: float, cap: float,
-                 done: Event, tag: Any) -> None:
+                 done: Optional[Event], tag: Any) -> None:
         self.pipe = pipe
         self.size = float(size)
         self.remaining = float(size)
@@ -255,10 +261,11 @@ class FluidPipe:
         if not cap > 0:
             raise ValueError(f"rate cap must be positive, got {cap}")
         done = Event(self.sim, name=f"xfer:{self.name}")
-        flow = Flow(self, nbytes, cap, done, tag)
         if nbytes == 0:
-            done.succeed(flow)
+            # Born finished: the flow never holds its own event.
+            done.succeed(Flow(self, nbytes, cap, None, tag))
             return done
+        flow = Flow(self, nbytes, cap, done, tag)
         self._advance()
         if not perfmode.REFERENCE:
             n = len(self.flows)
@@ -345,7 +352,9 @@ class FluidPipe:
         for f in finished:
             f.remaining = 0.0
             self.bytes_completed += f.size
-            f.done.succeed(f)
+            done = f.done
+            f.done = None
+            done.succeed(f)
 
     def _advance_reference(self, dt: float) -> None:
         """The retained pre-optimization advancement (perfmode)."""
@@ -358,7 +367,9 @@ class FluidPipe:
         for f in finished:
             self.flows.remove(f)
             self.bytes_completed += f.size
-            f.done.succeed(f)
+            done = f.done
+            f.done = None
+            done.succeed(f)
 
     def _schedule_realloc(self) -> None:
         """Coalesce all same-timestamp flow changes into one allocation.

@@ -8,7 +8,8 @@ event lands in a bounded deque that tests can query and that the
 deadlock forensics report (:class:`~repro.sim.core.SimulationDeadlock`)
 dumps as its "last N events" tail.  The telemetry layer
 (:mod:`repro.obs`) additionally registers *sinks* that receive every
-event unbounded — the structured run log is exactly this stream.
+event unbounded — the structured run log keeps each event's
+:attr:`TraceEvent.record` tuple.
 
 Event kinds emitted by the stage runner:
 
@@ -49,30 +50,82 @@ scheme; the span/audit consumers are DESIGN.md §15).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Any, Mapping
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 __all__ = ["TraceEvent"]
 
+_new = object.__new__
+_set = object.__setattr__
 
-@dataclass(frozen=True, eq=True)
+
 class TraceEvent:
     """One traced occurrence: a timestamp, a kind tag, and a payload.
 
-    Genuinely immutable: the payload is defensively copied at
-    construction and exposed through a read-only mapping view, so a
-    consumer holding an event from the ring (or a caller reusing the
-    dict it passed in) cannot rewrite history.
+    A ``__slots__`` record over one exact ``(time, kind, payload)``
+    tuple, :attr:`record` — the form the telemetry run log stores.  It
+    is read-only: attributes cannot be assigned, and :attr:`data` is a
+    read-only view of the payload made when read.  The public
+    constructor copies the payload, so a caller reusing the dict it
+    passed in cannot rewrite history; :meth:`Simulator.trace
+    <repro.sim.core.Simulator.trace>` instead hands over the fresh
+    kwargs dict of its own call, which nothing else holds.
     """
 
-    time: float
-    kind: str
-    data: Mapping[str, Any] = field(default_factory=dict)
+    __slots__ = ("record",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "data", MappingProxyType(dict(self.data)))
+    #: The ``(time, kind, payload)`` tuple itself, read as a plain slot
+    #: (the run log takes it once per event).  Its payload dict is
+    #: shared with this event: holders must only read it.
+    record: Tuple[float, str, Dict[str, Any]]
+
+    def __init__(self, time: float, kind: str,
+                 data: Optional[Mapping[str, Any]] = None) -> None:
+        _set(self, "record", (time, kind, dict(data or {})))
+
+    @classmethod
+    def _adopt(cls, time: float, kind: str,
+               data: Dict[str, Any]) -> "TraceEvent":
+        """An event owning ``data`` (no copy): for a caller that made
+        the dict for this event and keeps no reference to it."""
+        ev = _new(cls)
+        _set(ev, "record", (time, kind, data))
+        return ev
+
+    @property
+    def time(self) -> float:
+        return self.record[0]
+
+    @property
+    def kind(self) -> str:
+        return self.record[1]
+
+    @property
+    def data(self) -> Mapping[str, Any]:
+        return MappingProxyType(self.record[2])
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"TraceEvent is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(
+            f"TraceEvent is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.record == other.record
+
+    __hash__ = None  # type: ignore[assignment]  # the payload is a dict
+
+    def __reduce__(self):
+        return (TraceEvent, self.record)
+
+    def __repr__(self) -> str:
+        time, kind, data = self.record
+        return f"TraceEvent(time={time!r}, kind={kind!r}, data={data!r})"
 
     def __str__(self) -> str:
-        fields = " ".join(f"{k}={v!r}" for k, v in self.data.items())
-        return f"[t={self.time:.6f}] {self.kind}" + (f" {fields}" if fields else "")
+        time, kind, data = self.record
+        fields = " ".join(f"{k}={v!r}" for k, v in data.items())
+        return f"[t={time:.6f}] {kind}" + (f" {fields}" if fields else "")

@@ -1,7 +1,9 @@
 """Tests for the flow-level network fabric."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -49,6 +51,27 @@ class TestBasicTransfers:
             fab.transfer(0, 2, 10)
         with pytest.raises(ValueError):
             fab.transfer(-1, 0, 10)
+
+    @pytest.mark.parametrize("bad", [1.5, 1.0, np.float64(1.0), "1", None,
+                                     math.nan])
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    def test_non_integer_node_rejected_at_the_call(self, sim, bad, end):
+        """A float id would be truncated by the int64 flow table while the
+        flow and its trace kept the float."""
+        fab = Fabric(sim, n_nodes=4, nic_bw=1 * GB)
+        ids = {"src": 3, "dst": 0, end: bad}
+        with pytest.raises(TypeError, match=re.escape(f"got {bad!r}")):
+            fab.transfer(ids["src"], ids["dst"], 1e7)
+        assert fab.n_active == 0 and sim.peek() == math.inf
+
+    @pytest.mark.parametrize("node", [np.int64(1), np.int32(1), True])
+    def test_integer_like_node_kept_as_given(self, sim, node):
+        """NumPy integers (HDFS replica ids) are accepted, unconverted."""
+        fab = Fabric(sim, n_nodes=4, nic_bw=1 * GB, latency=0.0)
+        done = fab.transfer(node, 3, 1 * GB)
+        sim.run(until=done)
+        assert done.value.src is node
+        assert sim.now == pytest.approx(1.0)
 
     def test_negative_bytes_rejected(self, sim):
         fab = Fabric(sim, n_nodes=2, nic_bw=1 * GB)

@@ -7,6 +7,7 @@ immutability, the ring-eviction counter, and trace sinks.
 """
 
 import json
+import pickle
 from math import isnan
 
 import pytest
@@ -162,6 +163,18 @@ class TestTraceLayer:
         ev = TraceEvent(time=0.0, kind="k", data=payload)
         payload["nodes"] = 99
         assert ev.data["nodes"] == 3
+
+    def test_trace_event_equality_and_pickle(self):
+        """The slots record keeps the dataclass's value semantics, and a
+        pickled copy (a deadlock report's trace tail crossing a worker
+        process) restores without tripping the immutability guard."""
+        ev = TraceEvent(1.5, "launch", {"task": 2})
+        assert ev == TraceEvent(1.5, "launch", {"task": 2})
+        assert ev != TraceEvent(1.5, "launch", {"task": 3})
+        assert ev.record == (1.5, "launch", {"task": 2})
+        assert pickle.loads(pickle.dumps(ev)) == ev
+        assert repr(ev) == ("TraceEvent(time=1.5, kind='launch', "
+                            "data={'task': 2})")
 
     def test_eviction_counter(self):
         sim = Simulator()

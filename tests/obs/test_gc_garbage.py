@@ -1,0 +1,168 @@
+"""Finished simulation work is freed by refcounting, not the cyclic GC.
+
+A completion event must not be reachable from the object it delivers
+(DESIGN.md §8, "Garbage-collector cost").  Each test here runs with the
+collector disabled and ``gc.DEBUG_SAVEALL`` set, so everything that only
+the cyclic collector could free lands in ``gc.garbage`` on the explicit
+``gc.collect()``; a finished transfer that forms a cycle with its event
+shows up there as an ``Event`` plus a ``Flow``/``NetFlow``.  The
+simulator, pipes and fabric stay referenced through the collection, so
+only per-transfer garbage can appear.
+
+The telemetry half pins the run-log representation: an atomic-payload
+record is one exact tuple over an untracked payload dict, and the tuple
+log exports the same Chrome trace and run log as a run log read back
+from disk.
+"""
+
+import gc
+import json
+from contextlib import contextmanager
+
+import pytest
+
+from repro.cli import main
+from repro.cluster.cluster import Cluster
+from repro.cluster.spec import GB, MB, hyperion
+from repro.core.engine import EngineOptions, run_job
+from repro.net import fastalloc
+from repro.net.fabric import Fabric, NetFlow
+from repro.obs.export import chrome_trace, runlog_lines
+from repro.obs.runlog import load_runlog
+from repro.obs.telemetry import Telemetry
+from repro.sim import fastdrain, perfmode
+from repro.sim.core import Simulator
+from repro.sim.events import Event
+from repro.sim.fluid import Flow, FluidPipe
+from repro.workloads import groupby_spec
+
+_CYCLIC = (Event, Flow, NetFlow)
+
+
+@contextmanager
+def saveall():
+    """Collector off and DEBUG_SAVEALL on; yields the garbage check."""
+    was_enabled = gc.isenabled()
+    flags = gc.get_debug()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    gc.garbage.clear()
+
+    def cyclic_garbage():
+        gc.collect()
+        return [type(o).__name__ for o in gc.garbage
+                if isinstance(o, _CYCLIC)]
+    try:
+        yield cyclic_garbage
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture(params=["c", "numpy", "reference"])
+def kernels(request, monkeypatch):
+    """Every completion site: C kernels, their NumPy fallbacks, and the
+    retained reference paths."""
+    if request.param == "numpy":
+        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
+    elif request.param == "reference":
+        monkeypatch.setattr(perfmode, "REFERENCE", True)
+    return request.param
+
+
+def _waiter(event, seen):
+    seen.append((yield event))
+
+
+class TestTransfersLeaveNoCycles:
+    def test_fluid_pipe(self, kernels):
+        with saveall() as cyclic_garbage:
+            sim = Simulator()
+            pipe = FluidPipe(sim, capacity=100.0, name="disk")
+            seen = []
+            for size in (0.0, 50.0, 0.0, 120.0, 300.0):
+                sim.process(_waiter(pipe.transfer(size), seen))
+            sim.run()
+            assert len(seen) == 5
+            assert all(f.done is None for f in seen)
+            del seen
+            assert cyclic_garbage() == []
+
+    def test_fabric_fluid_small_and_loopback(self, kernels):
+        with saveall() as cyclic_garbage:
+            sim = Simulator()
+            fab = Fabric(sim, 4, nic_bw=1e9, small_flow_bytes=1e3)
+            seen = []
+            for src, dst, size in ((0, 1, 1e7), (2, 1, 2e7),  # fluid
+                                   (1, 3, 10.0),               # small
+                                   (2, 2, 1e7)):               # loopback
+                sim.process(_waiter(fab.transfer(src, dst, size), seen))
+            sim.run()
+            assert len(seen) == 4
+            assert all(f.done is None for f in seen)
+            del seen
+            assert cyclic_garbage() == []
+
+    def test_small_job(self, kernels):
+        with saveall() as cyclic_garbage:
+            cluster = Cluster(hyperion(2))
+            result = run_job(groupby_spec(1 * GB, split_bytes=64 * MB,
+                                          n_reducers=8),
+                             cluster=cluster, options=EngineOptions(seed=1))
+            assert result.job_time > 0
+            assert cyclic_garbage() == []
+
+
+class TestUntrackedRunLog:
+    def test_atomic_record_is_one_tracked_tuple(self):
+        """An atomic payload is never tracked, so the record's exact
+        tuple is the only object per event a collection scans.  (CPython
+        untracks a tuple only when no item is a container, and the
+        payload dict is one, so the tuple itself stays tracked.)"""
+        tele = Telemetry()
+        sim = Simulator()
+        tele.bind(sim)
+        sim.trace("launch", task=3, node=1, phase="compute",
+                  speculative=False, queued=0.5)
+        rec = tele.events[0]
+        assert type(rec) is tuple and rec == (
+            0.0, "launch", {"task": 3, "node": 1, "phase": "compute",
+                            "speculative": False, "queued": 0.5})
+        assert gc.is_tracked(rec[2]) is False
+        gc.collect()
+        assert gc.is_tracked(rec[2]) is False
+        assert [o for o in gc.get_referents(rec) if gc.is_tracked(o)] == []
+
+    def test_exports_match_round_tripped_runlog(self, tmp_path):
+        """The Chrome trace and run log written from the tuple log equal
+        those written from a run log read back from disk."""
+        path = tmp_path / "run.jsonl"
+        trace = tmp_path / "trace.json"
+        code = main(["run", "--workload", "groupby", "--data-gb", "2",
+                     "--nodes", "2", "--store", "ssd", "--cad", "--seed",
+                     "4", "--crash", "1@0.5:1.0",
+                     "--trace-out", str(trace), "--metrics-out", str(path)])
+        assert code == 0
+        log = load_runlog(str(path))
+        # Rebuild a telemetry bundle from the on-disk log: its events as
+        # (t, kind, payload) tuples, and a probe stand-in for the series.
+        replay = Telemetry()
+        replay.meta = log.meta
+        replay.events.extend(
+            (e["t"], e["kind"],
+             {k: v for k, v in e.items() if k not in ("t", "kind")})
+            for e in log.events)
+        series = {"time": log.times, **log.columns}
+        replay.series = lambda: series
+        lines = path.read_text().splitlines()
+        replay_lines = list(runlog_lines(replay))
+        # Header and events/samples agree; the summary footer comes from
+        # the live registry, which the replay does not have.
+        assert replay_lines[:-1] == lines[:-1]
+        assert json.loads(trace.read_text())["traceEvents"] == \
+            json.loads(json.dumps(chrome_trace(replay),
+                                  default=str))["traceEvents"]
