@@ -14,6 +14,8 @@ varies (delay-scheduling wait, fetch concurrency, per-task overhead).
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
@@ -56,6 +58,27 @@ class SparkConf:
     #: Fixed scheduling/launch overhead added to every task (Spark 0.7
     #: dispatch, serialization and JVM launch latency).
     task_overhead: float = 0.05
+
+    def __post_init__(self) -> None:
+        # Fail at construction (``with_`` goes through here too): a zero
+        # fetch window would stall every reducer without an error, and a
+        # zero request size would divide by zero mid-fetch.
+        window = self.max_concurrent_fetches
+        if isinstance(window, bool) \
+                or not isinstance(window, numbers.Integral) or window < 1:
+            raise ValueError(
+                f"max_concurrent_fetches must be an int >= 1, "
+                f"got {window!r}")
+        if not self.fetch_request_bytes > 0:
+            raise ValueError(
+                f"fetch_request_bytes must be > 0, "
+                f"got {self.fetch_request_bytes!r}")
+        for name in ("fetch_request_overhead", "task_overhead",
+                     "locality_wait"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
 
     def table_i(self) -> Dict[str, str]:
         """Render the Table I view of this configuration."""

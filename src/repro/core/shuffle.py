@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.net.request import request_rate_cap
-from repro.sim.events import AllOf
-from repro.sim.resources import Resource
+from repro.sim.events import URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.cluster import Cluster
@@ -132,73 +131,153 @@ def fetch_body(plan: FetchPlan, reducer: int, noise: float):
 
 
 def _run(plan: FetchPlan, reducer: int, node: int, noise: float):
-    sim = plan.cluster.sim
-    sem = Resource(sim, capacity=plan.conf.max_concurrent_fetches,
-                   name=f"fetch-sem:{reducer}")
-    total = 0.0
-    subtasks = []
-    n = plan.cluster.n_nodes
-    # Rotate source order per reducer so sources aren't hit in lockstep.
-    for k in range(n):
-        src = (node + 1 + k + reducer) % n
-        nbytes = plan.slice_bytes(src, reducer)
-        if nbytes <= 0:
-            continue
-        total += nbytes
-        subtasks.append(sim.process(
-            _fetch_one(plan, src, node, reducer, nbytes, sem),
-            name=f"fetch:{reducer}<-{src}"))
-    if subtasks:
-        yield AllOf(sim, subtasks)
+    pump = _FetchPump(plan, reducer, node)
+    if pump.done is not None:
+        yield pump.done
+    total = pump.total
     if total > 0:
         # Reduce-side computation (grouping / aggregation).
         nominal = total / plan.spec.reduce_compute_rate * noise
         yield plan.cluster.nodes[node].compute(nominal)
 
 
-def _fetch_one(plan: FetchPlan, src: int, dst: int, reducer: int,
-               nbytes: float, sem: Resource):
-    cluster = plan.cluster
-    spec = plan.spec
-    with sem.request() as req:
-        yield req
+class _FetchPump:
+    """One reducer's fetch loop, driven by completion callbacks.
+
+    At most ``conf.max_concurrent_fetches`` slices are outstanding; each
+    finished slice issues the next one, and ``done`` succeeds once every
+    slice has arrived.  Equal-timestamp dispatch order is part of the
+    fingerprinted contract, so every hop is its own heap entry with a
+    fixed key (DESIGN.md §8, "Shuffle fetch pump"): one URGENT start
+    entry, one URGENT entry per grant (the first window as one batch),
+    and a NORMAL entry before ``done``.  Per-slice state lives in
+    :class:`_Slice` records, never in closures.
+    """
+
+    __slots__ = ("plan", "reducer", "node", "srcs", "sizes", "total",
+                 "done", "_granted", "_left", "_cap", "_inflation")
+
+    def __init__(self, plan: FetchPlan, reducer: int, node: int) -> None:
+        self.plan = plan
+        self.reducer = reducer
+        self.node = node
+        srcs = []
+        sizes = []
+        total = 0.0
+        n = plan.cluster.n_nodes
+        # Rotate source order per reducer so sources aren't hit in lockstep.
+        for k in range(n):
+            src = (node + 1 + k + reducer) % n
+            nbytes = plan.slice_bytes(src, reducer)
+            if nbytes <= 0:
+                continue
+            total += nbytes
+            srcs.append(src)
+            sizes.append(nbytes)
+        self.srcs = srcs
+        self.sizes = sizes
+        self.total = total
+        self._granted = 0
+        self._left = len(srcs)
+        self.done = None
+        if not srcs:
+            return
+        if plan.spec.fetch_mode != "lustre-shared":
+            self._cap = plan.flow_cap()
+            self._inflation = plan.wire_inflation()
+        sim = plan.cluster.sim
+        self.done = Event(sim, name=f"fetch:{reducer}")
+        sim.schedule_now(self._start, (), URGENT)
+
+    def _start(self) -> None:
+        window = min(self.plan.conf.max_concurrent_fetches, len(self.srcs))
+        self._granted = window
+        self.plan.cluster.sim.schedule_now(self._issue, (0, window), URGENT)
+
+    def _issue(self, lo: int, hi: int) -> None:
+        availability = self.plan.availability
+        for i in range(lo, hi):
+            src = self.srcs[i]
+            rec = _Slice(self, src, self.sizes[i])
+            if availability is not None:
+                # Gate on the logical source: if its output is
+                # mid-recovery, park until the redirect to the
+                # recovered copy is published.
+                gate = availability.available(src)
+                if gate is not None:
+                    gate.callbacks.append(rec.go)
+                    continue
+            rec.go()
+
+    def slice_done(self, _ev: Optional[Event] = None) -> None:
+        """One slice has fully arrived: issue the next, or finish."""
+        self._left -= 1
+        granted = self._granted
+        sim = self.plan.cluster.sim
+        if granted < len(self.srcs):
+            self._granted = granted + 1
+            sim.schedule_now(self._issue, (granted, granted + 1), URGENT)
+        elif self._left == 0:
+            sim.schedule_now(self.done.succeed)
+
+
+class _Slice:
+    """One in-flight (reducer, source) slice of a :class:`_FetchPump`."""
+
+    __slots__ = ("pump", "src", "nbytes", "_wait")
+
+    def __init__(self, pump: _FetchPump, src: int, nbytes: float) -> None:
+        self.pump = pump
+        self.src = src
+        self.nbytes = nbytes
+        self._wait = 0
+
+    def go(self, _gate: Optional[Event] = None) -> None:
+        """Start the slice's reads (and transfer) at its physical source."""
+        pump = self.pump
+        plan = pump.plan
+        cluster = plan.cluster
+        spec = plan.spec
+        src = self.src
+        dst = pump.node
+        nbytes = self.nbytes
         phys = src
         if plan.availability is not None:
-            # Gate on the logical source: if its output is mid-recovery,
-            # park until the redirect to the recovered copy is published.
-            gate = plan.availability.available(src)
-            if gate is not None:
-                yield gate
             phys = plan.availability.physical(src)
         mode = spec.fetch_mode
+        if mode == "lustre-shared":
+            # Direct Lustre read: MDS op + lock revocation + OSS traffic.
+            # ``of_total`` sizes the slice like the other two modes do,
+            # so holder-cache partial reads pipeline consistently.
+            cluster.lustre.read(dst, nbytes,
+                                plan.part_id(phys, pump.reducer),
+                                of_total=nbytes).callbacks.append(
+                                    pump.slice_done)
+            return
         bundle = plan.bundle_id(phys)
         bundle_total = plan.bundle_total(src)
         if mode == "network":
             read_ev = cluster.nodes[phys].volume(spec.shuffle_store).read(
                 nbytes, bundle, of_total=bundle_total)
-            if phys == dst:
-                yield read_ev
-            else:
-                net_ev = cluster.fabric.transfer(
-                    phys, dst, nbytes * plan.wire_inflation(),
-                    cap=plan.flow_cap(), tag=("fetch", reducer, src))
-                yield AllOf(cluster.sim, [read_ev, net_ev])
         elif mode == "lustre-local":
             read_ev = cluster.lustre.read_local(phys, nbytes, bundle,
                                                 of_total=bundle_total)
-            if phys == dst:
-                yield read_ev
-            else:
-                net_ev = cluster.fabric.transfer(
-                    phys, dst, nbytes * plan.wire_inflation(),
-                    cap=plan.flow_cap(), tag=("fetch", reducer, src))
-                yield AllOf(cluster.sim, [read_ev, net_ev])
-        elif mode == "lustre-shared":
-            # Direct Lustre read: MDS op + lock revocation + OSS traffic.
-            # ``of_total`` sizes the slice like the other two modes do,
-            # so holder-cache partial reads pipeline consistently.
-            yield cluster.lustre.read(dst, nbytes,
-                                      plan.part_id(phys, reducer),
-                                      of_total=nbytes)
         else:  # pragma: no cover - JobSpec validates
             raise ValueError(f"unknown fetch mode {mode!r}")
+        if phys == dst:
+            read_ev.callbacks.append(pump.slice_done)
+            return
+        net_ev = cluster.fabric.transfer(
+            phys, dst, nbytes * pump._inflation, cap=pump._cap,
+            tag=("fetch", pump.reducer, src))
+        # Reads and the transfer are pipelined: the slice is done once
+        # both are, one NORMAL entry after the later of the two.
+        self._wait = 2
+        read_ev.callbacks.append(self._part)
+        net_ev.callbacks.append(self._part)
+
+    def _part(self, _ev: Event) -> None:
+        self._wait -= 1
+        if self._wait == 0:
+            pump = self.pump
+            pump.plan.cluster.sim.schedule_now(pump.slice_done)

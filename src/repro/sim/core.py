@@ -206,6 +206,20 @@ class Simulator:
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, fn, args))
 
+    def schedule_now(self, fn, args: tuple = (),
+                     priority: int = NORMAL) -> None:
+        """Run ``fn(*args)`` at the current time, in ``priority`` order.
+
+        The entry has the heap key of an event triggered now with that
+        priority: an URGENT one dispatches where a process start would,
+        a NORMAL one where ``Event.succeed()`` would.  Callback-driven
+        code (the shuffle fetch pump, the page-cache read) uses it to
+        give each hop the key its dispatch order needs without
+        allocating an Event or a Process per hop.
+        """
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self._now, priority, seq, fn, args))
+
     def schedule_daemon(self, delay: float, fn, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay``, as an *observer-only* timer.
 

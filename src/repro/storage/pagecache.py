@@ -11,8 +11,8 @@ The model:
 * ``write(nbytes, file_id)`` — bytes under the dirty headroom are absorbed
   at memory-copy bandwidth; the remainder is written through at device
   speed (sharing the device write channel with background writeback).
-* A background writeback process drains dirty bytes to the device in
-  chunks whenever any are pending.
+* Background writeback drains dirty bytes to the device in chunks
+  whenever any are pending.
 * ``read(nbytes, file_id)`` — cached bytes are served at memory bandwidth,
   the rest from the device; an LRU keyed by ``file_id`` decides residency.
 """
@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Hashable, Optional
 
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 from repro.sim.fluid import FluidPipe
 from repro.storage.device import GB, MB, BlockDevice
 
@@ -58,6 +58,8 @@ class PageCache:
         #: Invariant: ``sum(values) == dirty - claimed-in-flight``.
         self._dirty_of: "OrderedDict[Hashable, float]" = OrderedDict()
         self._wb_active = False
+        #: Bytes of the writeback chunk in flight.
+        self._wb_chunk = 0.0
         self._clean_waiters: list = []
         # LRU of file_id -> cached bytes.
         self._resident: "OrderedDict[Hashable, float]" = OrderedDict()
@@ -166,31 +168,13 @@ class PageCache:
                 f"slice read of {nbytes} bytes exceeds its declared "
                 f"bundle size of_total={of_total}")
 
-        def go():
-            cached = self.cached_bytes_of(file_id)
-            if of_total is not None and of_total > 0:
-                # A slice hits in proportion to the bundle's resident
-                # fraction — but never more than is actually resident
-                # (the unclamped product overstated hits whenever the
-                # slice was larger than the cached remainder).
-                hit = min(nbytes * min(1.0, cached / of_total), cached)
-            else:
-                hit = min(nbytes, cached)
-            miss = nbytes - hit
-            self._touch(file_id)
-            self.read_hits += hit
-            self.read_misses += miss
-            if hit > 0:
-                yield self.mem_pipe.transfer(hit)
-            if miss > 0:
-                yield self.device.read(miss)
-                if of_total is None:
-                    # Slice reads of a bigger bundle are read-once shuffle
-                    # traffic; caching them would overstate residency.
-                    self._insert(file_id, miss)
-            return nbytes
-
-        return self.sim.process(go(), name=f"{self.name}.read")
+        done = Event(self.sim, name=f"{self.name}.read")
+        # The hit/miss split is decided when the URGENT start entry
+        # dispatches, not at the call: that entry's key is part of the
+        # dispatch-order contract (DESIGN.md §8, "Shuffle fetch pump").
+        self.sim.schedule_now(_Read(self, nbytes, file_id, of_total,
+                                    done).start, (), URGENT)
+        return done
 
     # -- background writeback -------------------------------------------------
     def _claim_dirty(self, chunk: float) -> None:
@@ -208,21 +192,33 @@ class PageCache:
     def _kick_writeback(self) -> None:
         if not self._wb_active and self.dirty > 0:
             self._wb_active = True
-            self.sim.process(self._writeback(), name=f"{self.name}.wb")
+            # URGENT: the first chunk is claimed ahead of this instant's
+            # NORMAL work (the dispatch-order contract, DESIGN.md §8).
+            self.sim.schedule_now(self._writeback, (), URGENT)
 
-    def _writeback(self):
-        while self.dirty > 1e-6:
-            chunk = min(self.writeback_chunk, self.dirty)
+    def _writeback(self) -> None:
+        """Write the next dirty chunk back, or go idle once clean.
+
+        A callback chain, not a generator process: a cache torn down
+        mid-writeback (a finished job's cluster) then runs no code when
+        the collector frees it."""
+        if self.dirty > 1e-6:
+            chunk = self._wb_chunk = min(self.writeback_chunk, self.dirty)
             # Claim the chunk's per-file attribution (oldest first)
             # BEFORE issuing the device write: once in flight it cannot
             # be cancelled, so invalidate() must not see these bytes.
             self._claim_dirty(chunk)
-            yield self.device.write(chunk, account=False)
-            self.dirty = max(0.0, self.dirty - chunk)
+            self.device.write(chunk, account=False).callbacks.append(
+                self._chunk_written)
+            return
         self._wb_active = False
         waiters, self._clean_waiters = self._clean_waiters, []
         for ev in waiters:
             ev.succeed()
+
+    def _chunk_written(self, _ev: Event) -> None:
+        self.dirty = max(0.0, self.dirty - self._wb_chunk)
+        self._writeback()
 
     def flush(self) -> Event:
         """Force all dirty bytes to the device; event fires when clean."""
@@ -233,3 +229,62 @@ class PageCache:
         self._clean_waiters.append(ev)
         self._kick_writeback()
         return ev
+
+
+class _Read:
+    """One in-flight :meth:`PageCache.read`, chained by callbacks.
+
+    ``start`` (an URGENT entry) splits the read into cached and missing
+    bytes; the hit goes through the memory pipe, then the miss through
+    the device, then ``done`` succeeds with ``nbytes``.  A record, not a
+    closure: it holds no reference back to its transfer events, so a
+    finished read forms no cycle (DESIGN.md §8).
+    """
+
+    __slots__ = ("cache", "nbytes", "file_id", "of_total", "miss", "done")
+
+    def __init__(self, cache: PageCache, nbytes: float, file_id: Hashable,
+                 of_total: Optional[float], done: Event) -> None:
+        self.cache = cache
+        self.nbytes = nbytes
+        self.file_id = file_id
+        self.of_total = of_total
+        self.miss = 0.0
+        self.done = done
+
+    def start(self) -> None:
+        cache = self.cache
+        nbytes = self.nbytes
+        file_id = self.file_id
+        of_total = self.of_total
+        cached = cache.cached_bytes_of(file_id)
+        if of_total is not None and of_total > 0:
+            # A slice hits in proportion to the bundle's resident
+            # fraction — but never more than is actually resident (the
+            # unclamped product overstated hits whenever the slice was
+            # larger than the cached remainder).
+            hit = min(nbytes * min(1.0, cached / of_total), cached)
+        else:
+            hit = min(nbytes, cached)
+        self.miss = miss = nbytes - hit
+        cache._touch(file_id)
+        cache.read_hits += hit
+        cache.read_misses += miss
+        if hit > 0:
+            cache.mem_pipe.transfer(hit).callbacks.append(self._hit_done)
+        else:
+            self._hit_done()
+
+    def _hit_done(self, _ev: Optional[Event] = None) -> None:
+        if self.miss > 0:
+            self.cache.device.read(self.miss).callbacks.append(
+                self._miss_done)
+        else:
+            self.done.succeed(self.nbytes)
+
+    def _miss_done(self, _ev: Event) -> None:
+        if self.of_total is None:
+            # Slice reads of a bigger bundle are read-once shuffle
+            # traffic; caching them would overstate residency.
+            self.cache._insert(self.file_id, self.miss)
+        self.done.succeed(self.nbytes)

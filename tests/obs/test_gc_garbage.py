@@ -5,9 +5,10 @@ A completion event must not be reachable from the object it delivers
 collector disabled and ``gc.DEBUG_SAVEALL`` set, so everything that only
 the cyclic collector could free lands in ``gc.garbage`` on the explicit
 ``gc.collect()``; a finished transfer that forms a cycle with its event
-shows up there as an ``Event`` plus a ``Flow``/``NetFlow``.  The
-simulator, pipes and fabric stay referenced through the collection, so
-only per-transfer garbage can appear.
+shows up there as an ``Event`` plus a ``Flow``/``NetFlow``, and a fetch
+or page-cache read that closed a cycle as a ``_FetchPump``, ``_Slice``
+or ``_Read`` record.  The simulator, pipes and fabric stay referenced
+through the collection, so only per-transfer garbage can appear.
 
 The telemetry half pins the run-log representation: an atomic-payload
 record is one exact tuple over an untracked payload dict, and the tuple
@@ -25,6 +26,7 @@ from repro.cli import main
 from repro.cluster.cluster import Cluster
 from repro.cluster.spec import GB, MB, hyperion
 from repro.core.engine import EngineOptions, run_job
+from repro.core.shuffle import _FetchPump, _Slice
 from repro.net import fastalloc
 from repro.net.fabric import Fabric, NetFlow
 from repro.obs.export import chrome_trace, runlog_lines
@@ -34,9 +36,10 @@ from repro.sim import fastdrain, perfmode
 from repro.sim.core import Simulator
 from repro.sim.events import Event
 from repro.sim.fluid import Flow, FluidPipe
+from repro.storage.pagecache import _Read
 from repro.workloads import groupby_spec
 
-_CYCLIC = (Event, Flow, NetFlow)
+_CYCLIC = (Event, Flow, NetFlow, _FetchPump, _Slice, _Read)
 
 
 @contextmanager
@@ -112,6 +115,17 @@ class TestTransfersLeaveNoCycles:
             cluster = Cluster(hyperion(2))
             result = run_job(groupby_spec(1 * GB, split_bytes=64 * MB,
                                           n_reducers=8),
+                             cluster=cluster, options=EngineOptions(seed=1))
+            assert result.job_time > 0
+            assert cyclic_garbage() == []
+
+    def test_small_job_page_cache_fetch(self, kernels):
+        """SSD shuffle: every fetch slice reads through the page cache."""
+        with saveall() as cyclic_garbage:
+            cluster = Cluster(hyperion(2))
+            result = run_job(groupby_spec(1 * GB, split_bytes=64 * MB,
+                                          n_reducers=8,
+                                          shuffle_store="ssd"),
                              cluster=cluster, options=EngineOptions(seed=1))
             assert result.job_time > 0
             assert cyclic_garbage() == []

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.sim import Simulator
+from repro.sim.events import URGENT
+from repro.sim.process import Process
 from repro.storage import BlockDevice, LocalVolume, PageCache
 from repro.storage.device import GB, MB
 
@@ -55,6 +57,25 @@ class TestWrites:
         dev, pc = make_pc(sim)
         ev = pc.flush()
         assert ev.triggered
+
+    def test_writeback_runs_without_a_process(self, sim, monkeypatch):
+        """Writeback is a callback chain: a cache freed mid-writeback
+        (a finished job's cluster) has no parked generator to close."""
+        created = []
+        init = Process.__init__
+
+        def counting(self, *args, **kwargs):
+            created.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Process, "__init__", counting)
+        dev, pc = make_pc(sim)
+        sim.run(until=pc.write(100 * MB, "f1"))
+        assert pc._wb_active and pc.dirty > 0
+        assert len(created) == 1  # the write itself
+        sim.run()
+        assert not pc._wb_active and pc.dirty == 0.0
+        assert len(created) == 1
 
     def test_negative_write_rejected(self, sim):
         dev, pc = make_pc(sim)
@@ -122,6 +143,30 @@ class TestReads:
         sim.run(until=pc.read(100 * MB, "bundle", of_total=100 * MB))
         assert pc.read_hits <= pc.cached_bytes_of("bundle") + 1.0
         assert pc.read_hits == pytest.approx(10 * MB)
+
+    @pytest.mark.parametrize("evict,hit_frac", [
+        ("urgent-queued-before", 0),
+        ("normal-queued-before", 1),
+        ("right-after-the-call", 0)])
+    def test_hit_split_taken_in_an_urgent_entry(self, sim, evict,
+                                                hit_frac):
+        """The hit/miss split runs in an URGENT entry queued by the
+        call: after URGENT work already queued at that instant, ahead
+        of all NORMAL work, and not inside the call itself."""
+        dev, pc = make_pc(sim)
+        sim.run(until=pc.write(100 * MB, "f1"))
+        sim.run()
+        if evict == "urgent-queued-before":
+            sim.schedule_now(pc.invalidate, ("f1",), URGENT)
+        elif evict == "normal-queued-before":
+            sim.schedule_now(pc.invalidate, ("f1",))
+        done = pc.read(100 * MB, "f1")
+        if evict == "right-after-the-call":
+            pc.invalidate("f1")
+        sim.run(until=done)
+        assert done.value == 100 * MB
+        assert pc.read_hits == pytest.approx(hit_frac * 100 * MB)
+        assert pc.read_hits + pc.read_misses == pytest.approx(100 * MB)
 
     def test_slice_read_larger_than_bundle_rejected(self, sim):
         dev, pc = make_pc(sim)
