@@ -11,7 +11,6 @@ from repro.analysis.stats import (
 from repro.analysis.tables import ascii_bar_chart, format_table
 from repro.analysis.timeline import (
     gantt,
-    phase_boundaries,
     slot_utilization,
     to_csv,
     to_json,
@@ -26,7 +25,6 @@ __all__ = [
     "median",
     "median_of",
     "percentile_spread",
-    "phase_boundaries",
     "ratio",
     "slot_utilization",
     "speedup",

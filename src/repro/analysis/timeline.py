@@ -28,12 +28,13 @@ import numpy as np
 
 from repro.core.metrics import JobResult, TaskRecord
 from repro.obs.registry import parse_key
+from repro.obs.spans import SpanRecorder
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.runlog import RunLog
 
 __all__ = ["gantt", "slot_utilization", "to_csv", "to_json",
-           "phase_boundaries", "phase_utilization", "phase_report"]
+           "phase_utilization", "phase_report"]
 
 _PHASE_GLYPHS = {"compute": "c", "store": "s", "fetch": "f"}
 
@@ -119,11 +120,6 @@ def slot_utilization(result: JobResult, node: int,
     return out
 
 
-def phase_boundaries(result: JobResult) -> Dict[str, tuple]:
-    """(start, end) per phase, for annotating plots."""
-    return {name: (ph.start, ph.end) for name, ph in result.phases.items()}
-
-
 def to_csv(result: JobResult) -> str:
     """Task trace as CSV (one row per task)."""
     buf = io.StringIO()
@@ -184,14 +180,20 @@ def _window_delta(times: List[float], values: List[float],
     return last - first
 
 
-def phase_utilization(log: "RunLog") -> Dict[str, Dict[str, float]]:
+def phase_utilization(log: "RunLog", rec: Optional[SpanRecorder] = None
+                      ) -> Dict[str, Dict[str, float]]:
     """Per-phase utilization aggregates from a run log's sampled series.
 
-    For each phase window (from ``phase-start``/``phase-end`` events):
-    mean free scheduler slots and pending tasks, mean device queue depth,
-    device read/write and network throughput averaged over the window
-    (deltas of the monotone byte counters divided by the duration).
+    One row per phase span of the run's span tree (``rec``, built from
+    ``log`` when not given), in start order and keyed by the phase's
+    round-qualified name, prefixed ``job:`` when the phase carries a job
+    tag (concurrent jobs of a serve stream).  For each window: mean free
+    scheduler slots and pending tasks, mean device queue depth, device
+    read/write and network throughput averaged over the window (deltas
+    of the monotone byte counters divided by the duration).
     """
+    if rec is None:
+        rec = SpanRecorder.from_runlog(log)
     times = log.times
     free = _summed_series(log, "sched.free_slots")
     pending = _summed_series(log, "sched.pending_tasks")
@@ -201,10 +203,11 @@ def phase_utilization(log: "RunLog") -> Dict[str, Dict[str, float]]:
     net = _summed_series(log, "fabric.bytes_completed")
     tx = _summed_series(log, "fabric.tx_bytes_per_s")
     out: Dict[str, Dict[str, float]] = {}
-    for phase, (t0, t1) in sorted(log.phase_windows().items(),
-                                  key=lambda kv: kv[1][0]):
+    for sp in rec.phases:
+        t0, t1 = sp.start, sp.end
+        job = sp.attrs.get("job")
         dur = max(t1 - t0, 1e-12)
-        out[phase] = {
+        out[f"{job}:{sp.name}" if job else sp.name] = {
             "start": t0,
             "end": t1,
             "duration": t1 - t0,
@@ -230,7 +233,8 @@ def phase_report(log: "RunLog") -> str:
             f" — {meta.get('job_time_s', 0.0):.2f}s, "
             f"{len(log.events)} events, {len(log.times)} samples")
     lines = [head]
-    util = phase_utilization(log)
+    rec = SpanRecorder.from_runlog(log)
+    util = phase_utilization(log, rec)
     if not util:
         lines.append("(no phase windows — was the run traced?)")
         return "\n".join(lines)
@@ -238,13 +242,14 @@ def phase_report(log: "RunLog") -> str:
     def fmt(v: float, scale: float = 1.0) -> str:
         return "-" if isnan(v) else f"{v / scale:8.1f}"
 
-    lines.append(f"{'phase':<10} {'window':<19} {'free':>8} {'pend':>8} "
-                 f"{'dev-qd':>8} {'wr MB/s':>8} {'rd MB/s':>8} "
-                 f"{'net MB/s':>8}")
+    width = max(10, *map(len, util))
+    lines.append(f"{'phase':<{width}} {'window':<19} {'free':>8} "
+                 f"{'pend':>8} {'dev-qd':>8} {'wr MB/s':>8} "
+                 f"{'rd MB/s':>8} {'net MB/s':>8}")
     for phase, u in util.items():
         window = f"{u['start']:7.2f}s–{u['end']:7.2f}s"
         lines.append(
-            f"{phase:<10} {window:<19} {fmt(u['free_slots'])} "
+            f"{phase:<{width}} {window:<19} {fmt(u['free_slots'])} "
             f"{fmt(u['pending_tasks'])} {fmt(u['device_queue_depth'])} "
             f"{fmt(u['device_write_bytes_per_s'], MB)} "
             f"{fmt(u['device_read_bytes_per_s'], MB)} "
@@ -256,8 +261,6 @@ def phase_report(log: "RunLog") -> str:
         from repro.obs.audit import audit_lines, build_audit
         from repro.obs.critpath import (attribution, bottleneck,
                                         critical_path)
-        from repro.obs.spans import SpanRecorder
-        rec = SpanRecorder.from_runlog(log)
         segs = critical_path(rec)
         attr = attribution(segs)
         total = sum(attr.values())

@@ -39,6 +39,7 @@ from repro.core.volumes import NodeVolumes
 from repro.obs import capture as obs_capture
 from repro.obs import wiring as obs_wiring
 from repro.obs.registry import NULL_REGISTRY
+from repro.obs.spans import phase_key
 from repro.obs.telemetry import Telemetry
 from repro.sim.events import AllOf, Event
 from repro.sim.resources import Resource
@@ -452,6 +453,25 @@ class SparkSim:
             data["job"] = self.job_tag
         self.sim.trace(edge, **data)
 
+    def _phase(self, name: str, round_: Optional[int], stage, *args,
+               then=None):
+        """Run one stage as a recorded phase: ``phase-start``, the stage
+        (``stage(*args)`` returns its completion event), ``then`` (if
+        any), :class:`PhaseMetrics` under ``phase_key(name, round_)``,
+        ``phase-end``.  ``then`` runs inside the phase so its trace
+        events (the combiner's ``combine``) land in the open span."""
+        start = self.sim.now
+        if self.sim._tracing:
+            self._phase_trace("phase-start", name, round_)
+        records = yield stage(*args)
+        self._finish_stage()
+        if then is not None:
+            then()
+        key = phase_key(name, round_)
+        self._phases[key] = PhaseMetrics(key, start, self.sim.now, records)
+        if self.sim._tracing:
+            self._phase_trace("phase-end", name, round_)
+
     def _job(self):
         spec = self.spec
         per_iter = self._per_iteration_shuffle()
@@ -470,8 +490,9 @@ class SparkSim:
                 if iteration == 0:
                     yield from self._maybe_combine()
                 yield from self._shuffle_round(iteration)
-        self._phases["compute"] = PhaseMetrics(
-            "compute", compute_start, self.sim.now, compute_records)
+        key = phase_key("compute")
+        self._phases[key] = PhaseMetrics(
+            key, compute_start, self.sim.now, compute_records)
         if self.sim._tracing:
             self._phase_trace("phase-end", "compute")
         if per_iter:
@@ -479,73 +500,33 @@ class SparkSim:
         # Map outputs lost to crashes must be re-materialised before the
         # store stage snapshots per-node intermediates.
         yield from self._recovery_barrier()
-
         if self._shuffling():
             yield from self._maybe_combine()
-            store_start = self.sim.now
-            if self.sim._tracing:
-                self._phase_trace("phase-start", "store")
-            records = yield self._run_store_stage()
-            self._finish_stage()
-            self._phases["store"] = PhaseMetrics(
-                "store", store_start, self.sim.now, records)
-            if self.sim._tracing:
-                self._phase_trace("phase-end", "store")
-            # Shuffle files lost mid-store are restored before reducers
-            # build their fetch plans from the store-bytes arrays.
-            yield from self._recovery_barrier()
-
-            if spec.fetch_mode == "lustre-shared":
-                self._split_lustre_shuffle_files()
-
-            fetch_start = self.sim.now
-            if self.sim._tracing:
-                self._phase_trace("phase-start", "fetch")
-            records = yield self._run_fetch_stage()
-            self._finish_stage()
-            self._phases["fetch"] = PhaseMetrics(
-                "fetch", fetch_start, self.sim.now, records)
-            if self.sim._tracing:
-                self._phase_trace("phase-end", "fetch")
-            self._shuffle_rounds.append(
-                (float(self.node_store_bytes.sum()),
-                 float(self.node_store_bytes.sum())))
+            yield from self._shuffle_round(None)
         return None
 
-    def _shuffle_round(self, iteration: int):
-        """One store + fetch round of a per-iteration shuffle."""
+    def _shuffle_round(self, iteration: Optional[int]):
+        """One store + fetch round: the classic single shuffle
+        (``iteration=None``) or one round of a per-iteration shuffle."""
         spec = self.spec
         self._current_round = iteration
         # Iteration 0 moves the full intermediate volume; with the
         # partition map pinned, later iterations ship only the delta.
-        scale = 1.0 if iteration == 0 or not spec.partition_stable \
-            else spec.delta_ratio
+        scale = spec.delta_ratio if iteration and spec.partition_stable \
+            else 1.0
         self.node_store_bytes[:] = 0.0
         self.source_store_bytes[:] = 0.0
-        store_start = self.sim.now
-        if self.sim._tracing:
-            self._phase_trace("phase-start", "store", round_=iteration)
-        records = yield self._run_store_stage(iteration=iteration,
-                                              scale=scale)
-        self._finish_stage()
-        self._phases[f"store[{iteration}]"] = PhaseMetrics(
-            f"store[{iteration}]", store_start, self.sim.now, records)
-        if self.sim._tracing:
-            self._phase_trace("phase-end", "store", round_=iteration)
+        yield from self._phase("store", iteration, self._run_store_stage,
+                               iteration, scale)
+        # Shuffle files lost mid-store are restored before reducers
+        # build their fetch plans from the store-bytes arrays.
         yield from self._recovery_barrier()
 
         if spec.fetch_mode == "lustre-shared":
             self._split_lustre_shuffle_files(iteration=iteration)
 
-        fetch_start = self.sim.now
-        if self.sim._tracing:
-            self._phase_trace("phase-start", "fetch", round_=iteration)
-        records = yield self._run_fetch_stage(iteration=iteration)
-        self._finish_stage()
-        self._phases[f"fetch[{iteration}]"] = PhaseMetrics(
-            f"fetch[{iteration}]", fetch_start, self.sim.now, records)
-        if self.sim._tracing:
-            self._phase_trace("phase-end", "fetch", round_=iteration)
+        yield from self._phase("fetch", iteration, self._run_fetch_stage,
+                               iteration)
         self._shuffle_rounds.append(
             (float(self.node_store_bytes.sum()),
              float(self.node_store_bytes.sum())))
@@ -662,16 +643,8 @@ class SparkSim:
         if not self.spec.combiner:
             self._post_combine_bytes = self._pre_combine_bytes
             return
-        combine_start = self.sim.now
-        if self.sim._tracing:
-            self._phase_trace("phase-start", "combine")
-        records = yield self._run_combine_stage()
-        self._finish_stage()
-        self._apply_combine()
-        self._phases["combine"] = PhaseMetrics(
-            "combine", combine_start, self.sim.now, records)
-        if self.sim._tracing:
-            self._phase_trace("phase-end", "combine")
+        yield from self._phase("combine", None, self._run_combine_stage,
+                               then=self._apply_combine)
 
     def _run_combine_stage(self):
         """One combine task per map output, pinned where it lives (the

@@ -1,14 +1,20 @@
 """Exporters: Chrome trace-event JSON and the JSONL structured run log.
 
 **Chrome trace** (``write_chrome_trace``) targets the trace-event JSON
-format Perfetto and ``chrome://tracing`` load:
+format Perfetto and ``chrome://tracing`` load.  Phases and task
+attempts come from the run's span tree
+(:class:`~repro.obs.spans.SpanRecorder`), which alone pairs their
+start and end events:
 
 * each cluster node is a *process* (``pid`` = node id) whose *threads*
-  are greedily-packed task lanes — every task attempt (``launch`` →
-  ``complete``/``interrupt``/``failure``) becomes a ``"ph": "X"``
-  complete event with microsecond ``ts``/``dur``;
-* engine phases render as ``X`` spans and fault/recovery/loss events as
-  ``"i"`` instants on a synthetic ``engine`` process;
+  are task lanes packed greedily in start order — every attempt span
+  becomes a ``"ph": "X"`` complete event named ``phase#task`` with
+  microsecond ``ts``/``dur`` and its outcome and speculative flag;
+* engine phases render as ``X`` spans under their round-qualified
+  names (``store[2]``, the job tag in ``args``), packed greedily onto the
+  lanes of a synthetic ``engine`` process so the phases of concurrent
+  jobs never cross, and fault/recovery/loss events as ``"i"``
+  instants there;
 * network flows (``flow-start``/``flow-end``) become ``"b"``/``"e"``
   async spans keyed by flow id on a synthetic ``fabric`` process;
 * unlabeled gauges sampled by the probe become ``"C"`` counter tracks.
@@ -29,8 +35,9 @@ from __future__ import annotations
 import json
 import math
 import os
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
+from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import Telemetry
 
 __all__ = ["RUNLOG_SCHEMA", "chrome_trace", "write_chrome_trace",
@@ -47,9 +54,6 @@ INSTANT_KINDS = frozenset({
     "failure", "mem-decline", "cad-step", "spill-done",
 })
 
-_ATTEMPT_END = {"complete": "complete", "interrupt": "interrupt",
-                "failure": "failure"}
-
 _US = 1e6  # trace-event timestamps are microseconds
 
 
@@ -59,22 +63,23 @@ def _ensure_parent(path: str) -> None:
         os.makedirs(parent, exist_ok=True)
 
 
-def _lane(lanes: List[float], start: float) -> int:
-    """Greedy lane packing: first lane free at ``start``, else a new one."""
+def _lane(lanes: List[float], start: float, end: float) -> int:
+    """Greedy lane packing: first lane free at ``start``, else a new one;
+    the chosen lane is then busy until ``end``."""
     for i, busy_until in enumerate(lanes):
         if busy_until <= start + 1e-12:
-            lanes[i] = start
+            lanes[i] = end
             return i
-    lanes.append(start)
+    lanes.append(end)
     return len(lanes) - 1
 
 
 def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     """Build the trace-event JSON document from one run's telemetry."""
     events = telemetry.events  # (t, kind, payload) tuples
+    rec = SpanRecorder.from_telemetry(telemetry)
     out: List[Dict[str, Any]] = []
     pids_seen = set()
-    end_time = events[-1][0] if events else 0.0
 
     # pid layout: 0..n-1 real nodes, then two synthetic processes.
     max_node = -1
@@ -86,65 +91,35 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     fabric_pid = max_node + 2
 
     # -- task attempts -> per-node duration lanes -------------------------
-    open_attempts: Dict[tuple, List[tuple]] = {}
     node_lanes: Dict[int, List[float]] = {}
-    phase = "?"
-    for t, kind, data in events:
-        if kind == "phase-start":
-            phase = data.get("phase", "?")
-        elif kind == "launch":
-            key = (data["task"], data["node"])
-            open_attempts.setdefault(key, []).append(
-                (t, bool(data.get("speculative")), phase))
-        elif kind in _ATTEMPT_END:
-            key = (data.get("task"), data.get("node"))
-            stack = open_attempts.get(key)
-            if not stack:
-                continue
-            started, speculative, launch_phase = stack.pop(0)
-            node = key[1]
-            lanes = node_lanes.setdefault(node, [])
-            tid = _lane(lanes, started)
-            lanes[tid] = t
-            pids_seen.add(node)
-            out.append({
-                "ph": "X", "pid": node, "tid": tid,
-                "ts": started * _US, "dur": (t - started) * _US,
-                "name": f"{launch_phase}#{key[0]}",
-                "cat": "task",
-                "args": {"task": key[0], "outcome": _ATTEMPT_END[kind],
-                         "speculative": speculative},
-            })
-    # Attempts left open (crash at end of run): close them at end_time.
-    for (task, node), stack in open_attempts.items():
-        for started, speculative, launch_phase in stack:
-            lanes = node_lanes.setdefault(node, [])
-            tid = _lane(lanes, started)
-            pids_seen.add(node)
-            out.append({
-                "ph": "X", "pid": node, "tid": tid,
-                "ts": started * _US, "dur": (end_time - started) * _US,
-                "name": f"{launch_phase}#{task}", "cat": "task",
-                "args": {"task": task, "outcome": "unfinished",
-                         "speculative": speculative},
-            })
+    for sp in rec.attempts:
+        node = sp.node
+        tid = _lane(node_lanes.setdefault(node, []), sp.start, sp.end)
+        pids_seen.add(node)
+        out.append({
+            "ph": "X", "pid": node, "tid": tid,
+            "ts": sp.start * _US, "dur": sp.duration * _US,
+            "name": sp.name, "cat": "task",
+            "args": {"task": sp.attrs["task"],
+                     "outcome": sp.attrs["outcome"],
+                     "speculative": sp.attrs.get("speculative", False)},
+        })
 
-    # -- phases, instants, flows ------------------------------------------
-    phase_open: Dict[str, float] = {}
+    # -- phases -> packed engine lanes (concurrent jobs never cross) ------
+    phase_lanes: List[float] = []
+    for sp in rec.phases:
+        pids_seen.add(engine_pid)
+        out.append({
+            "ph": "X", "pid": engine_pid,
+            "tid": _lane(phase_lanes, sp.start, sp.end),
+            "ts": sp.start * _US, "dur": sp.duration * _US,
+            "name": sp.name, "cat": "phase",
+            "args": dict(sp.attrs),  # the job tag; combine's pre/post
+        })
+
+    # -- instants, flows ---------------------------------------------------
     for t, kind, data in events:
-        if kind == "phase-start":
-            phase_open[data["phase"]] = t
-        elif kind == "phase-end":
-            name = data["phase"]
-            started = phase_open.pop(name, None)
-            if started is not None:
-                pids_seen.add(engine_pid)
-                out.append({
-                    "ph": "X", "pid": engine_pid, "tid": 0,
-                    "ts": started * _US, "dur": (t - started) * _US,
-                    "name": name, "cat": "phase", "args": {},
-                })
-        elif kind in INSTANT_KINDS:
+        if kind in INSTANT_KINDS:
             pids_seen.add(engine_pid)
             out.append({
                 "ph": "i", "pid": engine_pid, "tid": 1,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from math import nan
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 __all__ = ["RunLog", "load_runlog"]
 
@@ -32,51 +32,6 @@ class RunLog:
 
     def events_of(self, kind: str) -> List[Dict[str, Any]]:
         return [e for e in self.events if e.get("kind") == kind]
-
-    def phase_windows(self) -> Dict[str, Tuple[float, float]]:
-        """Phase name -> (start, end) from phase-start/phase-end events;
-        a phase missing its end closes at the last known timestamp.
-
-        Iterative phases carry a ``round`` in their payload; their
-        windows are keyed ``store[2]``-style so rounds do not collide
-        (without the suffix round N's end would close round 0's start).
-        """
-        out: Dict[str, Tuple[float, float]] = {}
-        starts: Dict[str, float] = {}
-        last_t = self.times[-1] if self.times else 0.0
-        for e in self.events:
-            last_t = max(last_t, float(e.get("t", 0.0)))
-        for e in self.events:
-            kind = e.get("kind")
-            if kind not in ("phase-start", "phase-end"):
-                continue
-            name = e["phase"]
-            if e.get("round") is not None:
-                name = f"{name}[{e['round']}]"
-            if kind == "phase-start":
-                starts[name] = float(e["t"])
-            elif name in starts:
-                out[name] = (starts.pop(name), float(e["t"]))
-        for name, t0 in starts.items():
-            out[name] = (t0, last_t)
-        return out
-
-    def column(self, key: str) -> List[float]:
-        return self.columns.get(key, [nan] * len(self.times))
-
-    def window_mean(self, key: str, t0: float, t1: float) -> float:
-        """Mean of a sampled column over ``[t0, t1]`` (NaN-skipping;
-        NaN when the window holds no samples)."""
-        total = 0.0
-        count = 0
-        col = self.columns.get(key)
-        if col is None:
-            return nan
-        for t, v in zip(self.times, col):
-            if t0 <= t <= t1 and v == v:
-                total += v
-                count += 1
-        return total / count if count else nan
 
 
 def load_runlog(path: str) -> RunLog:

@@ -160,6 +160,9 @@ class SpanRecorder:
 
     @classmethod
     def from_runlog(cls, log: Any) -> "SpanRecorder":
+        """The span tree of a loaded run log.  A phase or attempt left
+        open (the run was cut short) ends at the header's
+        ``job_time_s``, else at the log's last event."""
         meta = log.meta
         t_end = meta.get("job_time_s")
         return cls.from_events(

@@ -2,8 +2,9 @@
 
 Checks the Chrome trace-event JSON against the fields Perfetto requires
 (``ph``/``ts``/``pid``/``tid``/``name``, plus ``dur`` on complete
-events) and the JSONL run log against the record shapes
-:mod:`repro.obs.export` emits.  Runnable as a module — the CI
+events, which must not cross another complete event on their lane) and
+the JSONL run log against the record shapes :mod:`repro.obs.export`
+emits.  Runnable as a module — the CI
 ``trace-smoke`` job does exactly that::
 
     python -m repro.obs.validate TRACE.json RUNLOG.jsonl
@@ -18,6 +19,28 @@ from typing import Any, Dict, List
 __all__ = ["validate_chrome_trace", "validate_runlog", "main"]
 
 _KNOWN_PH = {"X", "M", "i", "b", "e", "C"}
+#: Slack for comparing microsecond ``ts``/``dur`` sums: one nanosecond,
+#: the resolution Perfetto imports JSON timestamps at.
+_EPS_US = 1e-3
+
+
+def _crossings(lanes: Dict[tuple, List[tuple]]) -> List[str]:
+    """Complete events on one ``(pid, tid)`` lane, as ``(ts, end,
+    name)``, must be disjoint or nested; two that overlap without
+    nesting render as garbage."""
+    problems: List[str] = []
+    for (pid, tid), spans in lanes.items():
+        spans.sort(key=lambda s: (s[0], -s[1]))  # parents first
+        enclosing: List[tuple] = []
+        for ts, end, name in spans:
+            while enclosing and enclosing[-1][1] <= ts + _EPS_US:
+                enclosing.pop()
+            if enclosing and end > enclosing[-1][1] + _EPS_US:
+                problems.append(
+                    f"pid {pid} tid {tid}: X event {name!r} crosses "
+                    f"{enclosing[-1][2]!r} (overlaps without nesting)")
+            enclosing.append((ts, end, name))
+    return problems
 
 
 def validate_chrome_trace(doc: Any) -> List[str]:
@@ -31,8 +54,10 @@ def validate_chrome_trace(doc: Any) -> List[str]:
     if not events:
         problems.append("traceEvents is empty")
     n_complete = 0
+    lanes: Dict[tuple, List[tuple]] = {}
     for i, ev in enumerate(events):
         where = f"traceEvents[{i}]"
+        n_problems = len(problems)
         if not isinstance(ev, dict):
             problems.append(f"{where}: not an object")
             continue
@@ -54,11 +79,15 @@ def validate_chrome_trace(doc: Any) -> List[str]:
                 problems.append(f"{where}: X event needs dur >= 0")
         if ph in ("b", "e") and "id" not in ev:
             problems.append(f"{where}: async event needs an id")
+        if ph == "X" and len(problems) == n_problems:
+            lanes.setdefault((ev["pid"], ev["tid"]), []).append(
+                (ev["ts"], ev["ts"] + ev["dur"], ev["name"]))
         if len(problems) > 20:
             problems.append("... (truncated)")
             break
     if not n_complete and not problems:
         problems.append("no duration (ph=X) events — no task lanes?")
+    problems.extend(_crossings(lanes)[:20])
     return problems
 
 

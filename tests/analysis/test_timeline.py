@@ -10,7 +10,6 @@ import pytest
 from repro import hyperion, run_job
 from repro.analysis.timeline import (
     gantt,
-    phase_boundaries,
     slot_utilization,
     to_csv,
     to_json,
@@ -86,12 +85,6 @@ class TestUtilization:
         res = synthetic_result()
         u = slot_utilization(res, node=7)
         assert u.sum() == 0.0
-
-    def test_phase_boundaries(self):
-        res = synthetic_result()
-        b = phase_boundaries(res)
-        assert b["compute"] == (0.0, 2.0)
-        assert b["store"] == (2.0, 4.0)
 
 
 class TestExports:

@@ -8,6 +8,8 @@ immutability, the ring-eviction counter, and trace sinks.
 
 import json
 import pickle
+from collections import Counter
+from dataclasses import replace
 from math import isnan
 
 import pytest
@@ -18,7 +20,9 @@ from repro.core.faults import FaultPlan
 from repro.core.metrics import PhaseMetrics, TaskRecord
 from repro.obs.export import (RUNLOG_SCHEMA, chrome_trace, runlog_lines,
                               write_chrome_trace, write_runlog)
+from repro.analysis.timeline import phase_utilization
 from repro.obs.runlog import load_runlog
+from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import Telemetry
 from repro.obs.validate import validate_chrome_trace, validate_runlog
 from repro.sim.core import Simulator
@@ -86,12 +90,128 @@ class TestChromeTrace:
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["job_name"]
 
+    @staticmethod
+    def _lane_doc(*spans):
+        return {"traceEvents": [
+            {"ph": "X", "pid": 0, "tid": 0, "ts": ts, "dur": dur,
+             "name": f"s{i}"} for i, (ts, dur) in enumerate(spans)]}
+
+    def test_validator_accepts_disjoint_lane_events(self):
+        assert validate_chrome_trace(self._lane_doc((0, 5), (5, 5),
+                                                    (20, 1))) == []
+
+    def test_validator_accepts_nested_lane_events(self):
+        assert validate_chrome_trace(self._lane_doc((0, 10), (2, 3),
+                                                    (5, 5))) == []
+
+    def test_validator_rejects_crossing_lane_events(self):
+        problems = validate_chrome_trace(self._lane_doc((0, 10), (5, 10)))
+        assert len(problems) == 1 and "crosses" in problems[0]
+        # The same pair on two lanes is fine.
+        doc = self._lane_doc((0, 10), (5, 10))
+        doc["traceEvents"][1]["tid"] = 1
+        assert validate_chrome_trace(doc) == []
+
     def test_validator_flags_garbage(self):
         assert validate_chrome_trace({"traceEvents": "nope"})
         assert validate_chrome_trace(
             {"traceEvents": [{"ph": "X", "pid": 0, "tid": 0,
                               "ts": 0.0, "name": "x"}]})  # missing dur
         assert validate_chrome_trace({"traceEvents": []})  # no X at all
+
+
+def _x_events(doc, cat):
+    return [e for e in doc["traceEvents"]
+            if e["ph"] == "X" and e.get("cat") == cat]
+
+
+def _launch_phases(tele):
+    return Counter(d["phase"] for _, kind, d in tele.events
+                   if kind == "launch")
+
+
+class TestIterativeRounds:
+    """M3R-style partition-stable rounds: every attempt and phase keeps
+    the name the span tree gives it."""
+
+    @pytest.fixture(scope="class")
+    def rounds(self):
+        from repro.workloads import groupby_spec
+        spec = replace(groupby_spec(4 * GB, shuffle_store="ssd",
+                                    combiner=True),
+                       iterations=3, partition_stable=True)
+        tele = Telemetry()
+        run_job(spec, cluster_spec=hyperion(4),
+                options=EngineOptions(seed=3), telemetry=tele)
+        return tele, chrome_trace(tele)
+
+    def test_task_names_follow_launch_phase(self, rounds):
+        tele, doc = rounds
+        names = Counter(e["name"].partition("#")[0]
+                        for e in _x_events(doc, "task"))
+        assert names == _launch_phases(tele)
+        assert names["compute"] == 48
+
+    def test_phase_spans_are_round_qualified(self, rounds):
+        _, doc = rounds
+        names = [e["name"] for e in _x_events(doc, "phase")]
+        assert sorted(n for n in names if n[:5] in ("store", "fetch")) == \
+            ["fetch[0]", "fetch[1]", "fetch[2]",
+             "store[0]", "store[1]", "store[2]"]
+        assert validate_chrome_trace(doc) == []
+
+
+class TestConcurrentJobs:
+    """A serve stream's interleaved jobs (``stream_sustained``, quick):
+    one phase span and one report row per (job, phase), and no two
+    complete events crossing on a lane."""
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        from repro.bench.scenarios import run_scenario
+        tele = Telemetry(probe_period=0.25)
+        run_scenario("stream_sustained", quick=True, telemetry=tele)
+        return tele, chrome_trace(tele)
+
+    def test_one_phase_event_per_span(self, stream):
+        tele, doc = stream
+        phases = SpanRecorder.from_telemetry(tele).phases
+        assert len(phases) == 18
+        got = [(e["name"], e["args"]["job"], e["ts"])
+               for e in _x_events(doc, "phase")]
+        assert got == [(sp.name, sp.attrs["job"], sp.start * 1e6)
+                       for sp in phases]
+
+    def test_no_lane_has_crossing_events(self, stream):
+        _, doc = stream
+        lanes = {}
+        for e in doc["traceEvents"]:
+            if e["ph"] == "X":
+                lanes.setdefault((e["pid"], e["tid"]), []).append(
+                    (e["ts"], e["ts"] + e["dur"]))
+        for spans in lanes.values():
+            spans.sort(key=lambda s: (s[0], -s[1]))
+            enclosing = []  # ends of the spans still open, innermost last
+            for ts, end in spans:
+                while enclosing and enclosing[-1] <= ts + 1e-3:
+                    enclosing.pop()
+                assert not enclosing or end <= enclosing[-1] + 1e-3
+                enclosing.append(end)
+        assert validate_chrome_trace(doc) == []
+
+    def test_task_names_follow_launch_phase(self, stream):
+        tele, doc = stream
+        names = Counter(e["name"].partition("#")[0]
+                        for e in _x_events(doc, "task"))
+        assert names == _launch_phases(tele)
+
+    def test_report_has_a_row_per_job_phase(self, stream, tmp_path):
+        tele, _ = stream
+        path = tmp_path / "run.jsonl"
+        write_runlog(str(path), tele)
+        util = phase_utilization(load_runlog(str(path)))
+        assert len(util) == 18
+        assert all(":" in label for label in util)
 
 
 class TestRunLog:
@@ -130,13 +250,13 @@ class TestRunLog:
         path = tmp_path / "run.jsonl"
         write_runlog(str(path), tele)
         log = load_runlog(str(path))
-        windows = log.phase_windows()
+        windows = {sp.name: (sp.start, sp.end)
+                   for sp in SpanRecorder.from_runlog(log).phases}
         # "recovery" is derived post-run from task records, not from
         # live phase markers, so it appears in result.phases only.
-        assert set(windows) == set(result.phases) - {"recovery"}
-        for name, (t0, t1) in windows.items():
-            assert t0 == result.phases[name].start
-            assert t1 == result.phases[name].end
+        assert windows == {name: (ph.start, ph.end)
+                           for name, ph in result.phases.items()
+                           if name != "recovery"}
 
     def test_validator_flags_garbage(self):
         assert validate_runlog([])  # empty

@@ -1,12 +1,15 @@
-"""RunLog edge cases: degenerate windows, iteration-suffixed phases,
-and torn trailing lines (a run killed mid-write must still load)."""
+"""RunLog edge cases: degenerate windows, iteration-suffixed and
+unclosed phases, and torn trailing lines (a run killed mid-write must
+still load)."""
 
 import json
 from math import isnan
 
 import pytest
 
+from repro.analysis.timeline import phase_utilization
 from repro.obs.runlog import RunLog, load_runlog
+from repro.obs.spans import SpanRecorder
 
 
 def _log_with(events=(), times=(), columns=None):
@@ -17,31 +20,47 @@ def _log_with(events=(), times=(), columns=None):
     return log
 
 
+def _phase(t0, t1, phase="compute", **extra):
+    return [{"t": t0, "kind": "phase-start", "phase": phase, **extra},
+            {"t": t1, "kind": "phase-end", "phase": phase, **extra}]
+
+
 class TestWindowMean:
+    """Window means as ``repro report`` takes them: over a phase span,
+    both bounds inclusive, NaN samples skipped."""
+
+    def _free_slots(self, t0, t1, times, column=None):
+        columns = {} if column is None else {"sched.free_slots": column}
+        log = _log_with(events=_phase(t0, t1), times=times,
+                        columns=columns)
+        return phase_utilization(log)["compute"]["free_slots"]
+
     def test_empty_window_is_nan(self):
-        log = _log_with(times=[0.0, 1.0],
-                        columns={"g": [1.0, 2.0]})
-        assert isnan(log.window_mean("g", 5.0, 6.0))
+        assert isnan(self._free_slots(5.0, 6.0, [0.0, 1.0], [1.0, 2.0]))
 
     def test_degenerate_window_t0_equals_t1(self):
         # A zero-width window still includes a sample landing exactly
         # on it (both bounds are inclusive).
-        log = _log_with(times=[0.0, 1.0, 2.0],
-                        columns={"g": [1.0, 4.0, 9.0]})
-        assert log.window_mean("g", 1.0, 1.0) == 4.0
-        assert isnan(log.window_mean("g", 1.5, 1.5))
+        times, column = [0.0, 1.0, 2.0], [1.0, 4.0, 9.0]
+        assert self._free_slots(1.0, 1.0, times, column) == 4.0
+        assert isnan(self._free_slots(1.5, 1.5, times, column))
 
     def test_missing_column_is_nan(self):
-        log = _log_with(times=[0.0], columns={})
-        assert isnan(log.window_mean("nope", 0.0, 1.0))
+        assert isnan(self._free_slots(0.0, 1.0, [0.0]))
 
     def test_nan_samples_skipped(self):
-        log = _log_with(times=[0.0, 1.0],
-                        columns={"g": [float("nan"), 3.0]})
-        assert log.window_mean("g", 0.0, 1.0) == 3.0
+        assert self._free_slots(0.0, 1.0, [0.0, 1.0],
+                                [float("nan"), 3.0]) == 3.0
 
 
 class TestPhaseWindows:
+    """A run log's phase windows are the phase spans of its span tree."""
+
+    @staticmethod
+    def _windows(log):
+        return {sp.name: (sp.start, sp.end)
+                for sp in SpanRecorder.from_runlog(log).phases}
+
     def test_iteration_rounds_do_not_collide(self):
         # Three store rounds share the phase name; the round suffix must
         # keep their windows apart (round 2's end must not close round
@@ -49,27 +68,44 @@ class TestPhaseWindows:
         events = []
         for i, (t0, t1) in enumerate([(0.0, 1.0), (2.0, 3.0),
                                       (4.0, 5.0)]):
-            events.append({"t": t0, "kind": "phase-start",
-                           "phase": "store", "round": i})
-            events.append({"t": t1, "kind": "phase-end",
-                           "phase": "store", "round": i})
-        log = _log_with(events=events)
-        windows = log.phase_windows()
+            events += _phase(t0, t1, "store", round=i)
+        windows = self._windows(_log_with(events=events))
         assert windows == {"store[0]": (0.0, 1.0), "store[1]": (2.0, 3.0),
                            "store[2]": (4.0, 5.0)}
 
     def test_unsuffixed_phase_unchanged(self):
-        log = _log_with(events=[
-            {"t": 0.0, "kind": "phase-start", "phase": "compute"},
-            {"t": 2.5, "kind": "phase-end", "phase": "compute"}])
-        assert log.phase_windows() == {"compute": (0.0, 2.5)}
+        log = _log_with(events=_phase(0.0, 2.5))
+        assert self._windows(log) == {"compute": (0.0, 2.5)}
 
     def test_unclosed_phase_ends_at_last_timestamp(self):
         log = _log_with(events=[
             {"t": 1.0, "kind": "phase-start", "phase": "store",
              "round": 2},
             {"t": 7.0, "kind": "launch", "task": 0, "node": 0}])
-        assert log.phase_windows() == {"store[2]": (1.0, 7.0)}
+        assert self._windows(log) == {"store[2]": (1.0, 7.0)}
+
+    def test_unclosed_phase_ends_at_header_job_time(self):
+        log = _log_with(events=[
+            {"t": 1.0, "kind": "phase-start", "phase": "fetch"},
+            {"t": 7.0, "kind": "launch", "task": 0, "node": 0}])
+        log.meta = {"job_time_s": 9.0}
+        assert self._windows(log) == {"fetch": (1.0, 9.0)}
+
+    def test_concurrent_jobs_keep_their_own_rows(self):
+        # Two serve-stream jobs run the same phase at once: each gets a
+        # span, and the report labels the rows with the job tag.
+        log = _log_with(events=[
+            {"t": 0.0, "kind": "phase-start", "phase": "compute",
+             "job": "a/0"},
+            {"t": 1.0, "kind": "phase-start", "phase": "compute",
+             "job": "b/0"},
+            {"t": 2.0, "kind": "phase-end", "phase": "compute",
+             "job": "a/0"},
+            {"t": 3.0, "kind": "phase-end", "phase": "compute",
+             "job": "b/0"}])
+        util = phase_utilization(log)
+        assert {k: (u["start"], u["end"]) for k, u in util.items()} == \
+            {"a/0:compute": (0.0, 2.0), "b/0:compute": (1.0, 3.0)}
 
 
 class TestLoadRunlogTornTail:
