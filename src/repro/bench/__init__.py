@@ -1,16 +1,17 @@
-"""Tracked performance benchmarks for the simulation engine.
+"""Fingerprint-identity check for the simulation engine.
 
-``repro bench`` runs macro scenarios over the engine's measured hot
+``repro bench`` runs macro scenarios over the engine's optimized hot
 paths (fabric shuffle waves, FluidPipe spill storms, an end-to-end
-Fig-8-style job, event-loop timer churn), reports wall time and
-events/sec, and emits one ``BENCH_<name>.json`` per scenario so the
-perf trajectory accumulates across commits.  ``--check`` additionally
-re-runs every scenario under the retained pre-optimization reference
-paths and asserts byte-identical simulation results.
+Fig-8-style job, event-loop timer churn, ...) and asserts that every
+run that must not change the simulation — the retained reference
+engine under ``--check``, a telemetry-instrumented run and a
+span-assembly run — reproduces the optimized run's fingerprint byte
+for byte.  It prints no timing; the performance trajectory is
+``perfbench/`` (``BENCHMARK.json``).
 
 See :mod:`repro.bench.scenarios` for the workloads,
-:mod:`repro.bench.harness` for the JSON schema, and ``benchmarks/perf/``
-for usage documentation.
+:mod:`repro.bench.harness` for the output line, and
+``benchmarks/perf/README.md`` for usage documentation.
 """
 
 from repro.bench.harness import (BenchReport, bench_scenario, main,

@@ -19,8 +19,9 @@ Subcommands::
     python -m repro explain [RUNLOG.jsonl]   (critical path + attribution
         + scheduler decision audit; without a runlog it simulates the
         job itself, taking the same flags as `run`)
-    python -m repro bench [--quick] [--check] [--baseline]
-        [--scenario NAME]... [--out-dir DIR] [--profile] [--compare OLD]
+    python -m repro bench [--quick] [--check] [--scenario NAME]...
+        [--jobs N] [--capture-dir DIR]   (fingerprint identity of the
+        optimized, reference, telemetry and spans runs; no timing)
     python -m repro experiments ...      (alias of repro.experiments CLI)
 """
 
@@ -216,40 +217,23 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               "`run --json` for the same flags)")
 
     bench = sub.add_parser(
-        "bench", help="run the tracked perf benchmarks (BENCH_*.json)")
+        "bench", help="check that every engine path reproduces the "
+                      "macro scenarios' fingerprints")
     bench.add_argument("--quick", action="store_true",
                        help="small scenario sizes (CI smoke)")
     bench.add_argument("--check", action="store_true",
                        help="also run the retained reference engine and "
                             "assert byte-identical simulation results")
-    bench.add_argument("--baseline", action="store_true",
-                       help="also time the reference engine (speedup "
-                            "column) without the identity check")
     bench.add_argument("--scenario", action="append", default=[],
                        metavar="NAME",
                        help="run only this scenario (repeatable); "
                             "default: all")
-    bench.add_argument("--out-dir", default=".",
-                       help="directory for BENCH_<name>.json (default: .)")
     bench.add_argument("--jobs", "-j", type=int, default=1,
                        help="run scenarios in parallel worker processes; "
-                            "results stay identical but wall-clock "
-                            "timings share the machine (default: 1)")
-    bench.add_argument("--no-telemetry", action="store_true",
-                       help="skip the instrumented third run (telemetry "
-                            "overhead + fingerprint-match columns)")
+                            "the output is identical (default: 1)")
     bench.add_argument("--capture-dir", default=None, metavar="DIR",
                        help="also export each scenario's instrumented run "
                             "as TRACE_<name>.json + LOG_<name>.jsonl here")
-    bench.add_argument("--profile", action="store_true",
-                       help="also cProfile one extra optimized run per "
-                            "scenario, writing PROFILE_<name>.pstats + a "
-                            "top-N JSON hot-function table to --out-dir")
-    bench.add_argument("--compare", default=None, metavar="OLD",
-                       help="print events/s deltas against a previous "
-                            "BENCH_<name>.json (or a directory of them); "
-                            ">5%% drops are flagged REGRESSION "
-                            "(informational, never changes the exit code)")
 
     sub.add_parser("experiments",
                    help="regenerate paper tables/figures "

@@ -604,9 +604,6 @@ class SparkSim:
         spec = self.spec
         cluster = self.cluster
 
-        def factory(node: int):
-            return body(node)
-
         def body(node: int):
             node_obj = cluster.nodes[node]
             nominal = size / spec.map_compute_rate * noise
@@ -629,7 +626,7 @@ class SparkSim:
             else:
                 yield compute_ev
 
-        return factory
+        return body
 
     # -- combine stage -------------------------------------------------------------
     def _maybe_combine(self):
@@ -681,16 +678,13 @@ class SparkSim:
         spec = self.spec
         cluster = self.cluster
 
-        def factory(assigned: int):
-            return body(assigned)
-
         def body(assigned: int):
             # An in-memory hash merge: pure compute, no I/O — the saved
             # store/fetch bytes are where the mechanism pays off.
             nominal = nbytes / spec.combine_compute_rate * noise
             yield cluster.nodes[node].compute(nominal)
 
-        return factory
+        return body
 
     def _apply_combine(self) -> None:
         """Shrink the per-node intermediates by the skew-derived
@@ -777,9 +771,6 @@ class SparkSim:
         spec = self.spec
         cluster = self.cluster
 
-        def factory(assigned: int):
-            return body(assigned)
-
         def body(assigned: int):
             start = self.sim.now
             file_id = self._shuffle_id(node, iteration)
@@ -799,7 +790,7 @@ class SparkSim:
                 # without perturbing byte accounting.
                 yield self.sim.timeout((self.sim.now - start) * (noise - 1.0))
 
-        return factory
+        return body
 
     def _split_lustre_shuffle_files(self,
                                     iteration: Optional[int] = None) -> None:
@@ -1156,9 +1147,6 @@ class SparkSim:
                            gamma=cfg.spill_gamma)
         cluster = self.cluster
 
-        def factory(node: int):
-            return body(node)
-
         def body(node: int):
             inner = body_factory(node)
             frac = gate.frac_of(task_id, node)
@@ -1203,7 +1191,7 @@ class SparkSim:
             else:
                 self._vol_files.pop(key, None)
 
-        return factory
+        return body
 
     def _with_failures(self, body_factory, stream: str, task_id: int):
         """Wrap a task body factory with attempt-failure injection.

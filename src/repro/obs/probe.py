@@ -5,8 +5,8 @@ period, storing readings column-per-gauge (``array('d')``).  It rides
 the simulator's *daemon* timers (:meth:`Simulator.schedule_daemon`), so
 
 * sampling cannot keep ``run(until=None)`` alive or mask a deadlock;
-* ``events_dispatched`` — the bench harness's events/sec numerator —
-  is untouched;
+* ``events_dispatched`` — the numerator of perfbench's
+  ``sim.core.events_per_s`` — is untouched;
 * the simulation's own heap ordering is unchanged for real entries
   (daemons consume sequence numbers but relative FIFO order of
   non-daemon entries is preserved).

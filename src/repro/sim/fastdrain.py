@@ -5,9 +5,9 @@ counter at each flow event; on busy pipes (spill storms, hundreds of
 concurrent writers) that decrement-and-compact loop is one of the two
 remaining pure-Python inner loops in the simulator (the other is the
 timer drain, batched in :meth:`~repro.sim.core.Simulator.run`).  This
-module compiles ``_fastdrain.c`` once per machine (cached by source
-hash under the user's temp directory), loads it with :mod:`ctypes`, and
-exposes :func:`drain`.
+module compiles ``_fastdrain.c`` once per machine and loads it with
+:mod:`ctypes` (:func:`repro.sim.perfmode.load_kernel`), and exposes
+:func:`drain`.
 
 The kernel is bit-for-bit equivalent to both the NumPy fallback and the
 retained reference loop — see the header comment in ``_fastdrain.c``
@@ -24,66 +24,30 @@ third-party packages are involved (ctypes is stdlib).
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import os
-import subprocess
-import tempfile
-from typing import Optional
 
 import numpy as np
 
+from repro.sim.perfmode import load_kernel
+
 __all__ = ["AVAILABLE", "drain", "fair_share_into", "RAW_DRAIN", "RAW_FAIR"]
 
-_SRC = os.path.join(os.path.dirname(__file__), "_fastdrain.c")
-# Strict IEEE-754 only: never -ffast-math, and -ffp-contract=off so FMA
-# contraction cannot change rounding vs. the NumPy/Python references.
-_CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
+
+def _bind(lib: ctypes.CDLL) -> None:
+    fn = lib.repro_fluid_drain
+    fn.restype = ctypes.c_int64
+    fn.argtypes = [ctypes.c_int64, ctypes.c_double,  # n, dt
+                   ctypes.c_void_p, ctypes.c_void_p,  # remaining, rate
+                   ctypes.c_void_p]                   # finished (out)
+    fs = lib.repro_fair_share
+    fs.restype = ctypes.c_double                      # horizon
+    fs.argtypes = [ctypes.c_double, ctypes.c_int64,   # capacity, n
+                   ctypes.c_void_p, ctypes.c_void_p,  # caps, order
+                   ctypes.c_void_p, ctypes.c_void_p]  # remaining, rates
 
 
-def _build() -> Optional[str]:
-    """Compile (or reuse) the kernel; return the .so path or ``None``."""
-    try:
-        with open(_SRC, "rb") as fh:
-            source = fh.read()
-        tag = hashlib.sha256(source).hexdigest()[:16]
-        cache = os.path.join(tempfile.gettempdir(),
-                             f"repro-fastdrain-{os.getuid()}")
-        os.makedirs(cache, exist_ok=True)
-        so_path = os.path.join(cache, f"_fastdrain-{tag}.so")
-        if not os.path.exists(so_path):
-            tmp = f"{so_path}.tmp.{os.getpid()}"
-            subprocess.run(["cc", *_CFLAGS, "-o", tmp, _SRC],
-                           check=True, capture_output=True, timeout=120)
-            os.replace(tmp, so_path)  # atomic: concurrent builds race safely
-        return so_path
-    except Exception:
-        return None
-
-
-def _load() -> Optional[ctypes.CDLL]:
-    if os.environ.get("REPRO_NO_CKERNEL") == "1":
-        return None
-    so_path = _build()
-    if so_path is None:
-        return None
-    try:
-        lib = ctypes.CDLL(so_path)
-        fn = lib.repro_fluid_drain
-        fn.restype = ctypes.c_int64
-        fn.argtypes = [ctypes.c_int64, ctypes.c_double,  # n, dt
-                       ctypes.c_void_p, ctypes.c_void_p,  # remaining, rate
-                       ctypes.c_void_p]                   # finished (out)
-        fs = lib.repro_fair_share
-        fs.restype = ctypes.c_double                      # horizon
-        fs.argtypes = [ctypes.c_double, ctypes.c_int64,   # capacity, n
-                       ctypes.c_void_p, ctypes.c_void_p,  # caps, order
-                       ctypes.c_void_p, ctypes.c_void_p]  # remaining, rates
-        return lib
-    except Exception:
-        return None
-
-
-_LIB = _load()
+_LIB = load_kernel(os.path.join(os.path.dirname(__file__), "_fastdrain.c"),
+                   "fastdrain", _bind)
 
 #: True when the compiled kernel is loaded and usable.
 AVAILABLE = _LIB is not None

@@ -1,17 +1,21 @@
-"""Benchmark harness: scenarios run, the JSON schema holds, check passes.
+"""Fingerprint-identity check: scenarios run, every comparison holds.
 
 Uses ``quick=True`` scenario scales throughout so the whole module stays
-inside normal test-suite budgets; the full-scale numbers live in
-``repro bench`` runs and CI's bench-smoke job.
+inside normal test-suite budgets; the full-scale check lives in
+``repro bench`` runs.
 """
 
+import dataclasses
 import json
+import os
 
 import pytest
 
+from repro.bench import harness
 from repro.bench.harness import (BenchReport, bench_scenario,
-                                 fingerprint_digest, run_bench, write_report)
+                                 fingerprint_digest, run_bench)
 from repro.bench.scenarios import SCENARIOS, run_scenario
+from repro.cli import main as cli_main
 
 
 class TestScenarios:
@@ -44,30 +48,17 @@ class TestCheck:
     @pytest.mark.parametrize("name", ["timer_churn", "ssd_spill"])
     def test_optimized_matches_reference(self, name):
         report = bench_scenario(name, quick=True, check=True)
-        assert report.check_ran
-        assert report.check_passed is True
-        assert report.speedup is not None
+        assert report.matches["reference"] is True
 
     def test_no_baseline_means_no_reference(self):
         report = bench_scenario("timer_churn", quick=True)
-        assert report.reference is None
-        assert report.speedup is None
-        assert not report.check_ran
+        assert "reference" not in report.matches
+        assert "reference" not in report.line()
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_telemetry_run_matches_bare_fingerprint(self, name):
         report = bench_scenario(name, quick=True)
-        assert report.telemetry is not None
-        assert report.telemetry_matches is True
-        assert report.telemetry_overhead_pct is not None
-
-    def test_no_telemetry_skips_third_run(self):
-        report = bench_scenario("timer_churn", quick=True, telemetry=False)
-        assert report.telemetry is None
-        assert report.telemetry_matches is None
-        assert report.to_json()["telemetry"] is None
-        assert report.spans is None
-        assert report.to_json()["spans"] is None
+        assert report.matches == {"telemetry": True, "spans": True}
 
     def test_capture_dir_exports_trace_and_runlog(self, tmp_path):
         from repro.obs.validate import (validate_chrome_trace,
@@ -83,36 +74,14 @@ class TestCheck:
 
 
 class TestReportSchema:
-    def test_json_fields(self, tmp_path):
+    def test_report_fields(self):
         report = bench_scenario("timer_churn", quick=True, check=True)
-        path = write_report(report, str(tmp_path))
-        assert path.endswith("BENCH_timer_churn.json")
-        with open(path) as fh:
-            doc = json.load(fh)
-        assert doc["schema"] == 4
-        assert doc["name"] == "timer_churn"
-        assert doc["quick"] is True
-        for mode in ("optimized", "reference"):
-            run = doc[mode]
-            assert run["events"] > 0
-            assert run["wall_s"] >= 0
-            assert run["events_per_s"] >= 0
-            assert len(run["fingerprint_sha256"]) == 64
-        assert doc["optimized"]["kernel_mode"] in ("c", "numpy")
-        assert doc["reference"]["kernel_mode"] == "python"
-        assert doc["optimized"]["fingerprint_sha256"] == \
-            doc["reference"]["fingerprint_sha256"]
-        assert doc["check"] == {"ran": True, "passed": True}
-        assert isinstance(doc["speedup_events_per_s"], float)
-        tele = doc["telemetry"]
-        assert tele["fingerprint_matches"] is True
-        assert tele["wall_s"] >= 0
-        assert isinstance(tele["overhead_pct"], float)
-        spans = doc["spans"]
-        assert spans["fingerprint_matches"] is True
-        assert spans["wall_s"] >= 0
-        assert spans["n_spans"] > 0
-        assert isinstance(spans["overhead_pct"], float)
+        assert report.events > 0
+        assert len(report.digest) == 64
+        assert report.matches == {"reference": True, "telemetry": True,
+                                  "spans": True}
+        assert report.diverged == []
+        assert report.n_spans > 0
 
     def test_fingerprint_digest_stable(self):
         fp = [("a", 1.0), ("b", 2.0)]
@@ -121,11 +90,35 @@ class TestReportSchema:
 
 
 class TestRunBench:
-    def test_writes_one_report_per_scenario(self, tmp_path, capsys):
-        reports = run_bench(scenarios=["timer_churn"], quick=True,
-                            out_dir=str(tmp_path))
+    def test_prints_one_line_per_scenario(self, tmp_path, monkeypatch,
+                                          capsys):
+        monkeypatch.chdir(tmp_path)
+        reports = run_bench(scenarios=["timer_churn"], quick=True)
         assert [r.name for r in reports] == ["timer_churn"]
         assert isinstance(reports[0], BenchReport)
-        assert (tmp_path / "BENCH_timer_churn.json").exists()
+        assert capsys.readouterr().out == reports[0].line() + "\n"
+        assert os.listdir(tmp_path) == []  # prints, writes nothing
+
+    @pytest.mark.parametrize("kind", ["reference", "telemetry", "spans"])
+    def test_divergence_exits_1_and_names_scenario(self, kind, monkeypatch,
+                                                   capsys):
+        # bench_scenario runs the optimized engine, then the reference
+        # engine (--check), then the telemetry run, then the spans run.
+        runs = iter(["optimized", "reference", "telemetry", "spans"])
+
+        def perturbed(name, quick=False, telemetry=None):
+            result = run_scenario(name, quick=quick, telemetry=telemetry)
+            if next(runs) != kind:
+                return result
+            return dataclasses.replace(
+                result, fingerprint=("perturbed", result.fingerprint))
+
+        monkeypatch.setattr(harness, "run_scenario", perturbed)
+        rc = cli_main(["bench", "--quick", "--check",
+                       "--scenario", "timer_churn"])
         out = capsys.readouterr().out
-        assert "timer_churn" in out and "events/s" in out
+        assert rc == 1
+        assert f"{kind} DIVERGED" in out
+        assert out.count("DIVERGED") == 1
+        assert out.splitlines()[-1] == (
+            f"CHECK FAILED: fingerprints diverged on: timer_churn ({kind})")

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from repro.bench.harness import fingerprint_digest
+from repro.bench.scenarios import run_scenario
 from repro.cli import main
 
 
@@ -222,3 +224,30 @@ class TestServe:
             main(["serve", "--handoff-delay=-1"])
         with pytest.raises(SystemExit, match="bad --tenants"):
             main(["serve", "--tenants", "a,a"])
+
+
+class TestBench:
+    SCENARIOS = ["--scenario", "idle_giant", "--scenario", "fig08_job"]
+
+    def test_output_independent_of_jobs(self, capsys):
+        argv = ["bench", "--quick", "--check", *self.SCENARIOS]
+        assert main(argv + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        lines = serial.splitlines()
+        assert [line.split()[0] for line in lines] == ["idle_giant",
+                                                       "fig08_job"]
+        for line in lines:
+            name, *fields = line.split()
+            digest = dict(zip(fields[::2], fields[1::2]))["fingerprint"]
+            assert digest == fingerprint_digest(
+                run_scenario(name, quick=True).fingerprint)
+
+    @pytest.mark.parametrize("flag", ["--baseline", "--out-dir=x",
+                                      "--no-telemetry", "--profile",
+                                      "--compare=x"])
+    def test_removed_timing_flags_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--quick", flag])
+        assert exc.value.code == 2
