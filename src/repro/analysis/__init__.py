@@ -14,6 +14,7 @@ from repro.analysis.timeline import (
     slot_utilization,
     to_csv,
     to_json,
+    write_json,
 )
 
 __all__ = [
@@ -30,4 +31,5 @@ __all__ = [
     "speedup",
     "to_csv",
     "to_json",
+    "write_json",
 ]

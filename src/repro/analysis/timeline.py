@@ -6,7 +6,9 @@ traces.  This module turns a :class:`~repro.core.metrics.JobResult` into:
 * an ASCII Gantt chart of task execution per node (quick diagnosis of
   stragglers, idle slots, and phase boundaries in a terminal);
 * per-node slot-utilization series;
-* CSV/JSON exports for external plotting.
+* CSV/JSON exports for external plotting (:func:`write_json` streams
+  the JSON document into a file; :func:`to_json` returns the same bytes
+  as a string).
 
 With the telemetry layer (PR 5), timeline analysis additionally works
 from the *sampled* series of a structured run log
@@ -22,7 +24,7 @@ import csv
 import io
 import json
 from math import isnan, nan
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -34,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.runlog import RunLog
 
 __all__ = ["gantt", "slot_utilization", "to_csv", "to_json",
-           "phase_utilization", "phase_report"]
+           "write_json", "phase_utilization", "phase_report"]
 
 _PHASE_GLYPHS = {"compute": "c", "store": "s", "fetch": "f"}
 
@@ -258,7 +260,7 @@ def phase_report(log: "RunLog") -> str:
         # Job runs carry the full attempt stream: replace the flat
         # counter dump with the critical-path attribution (where the
         # wall-clock actually went) and the decision audit.
-        from repro.obs.audit import audit_lines, build_audit
+        from repro.obs.audit import audit_lines, iter_audit
         from repro.obs.critpath import (attribution, bottleneck,
                                         critical_path)
         segs = critical_path(rec)
@@ -272,7 +274,7 @@ def phase_report(log: "RunLog") -> str:
         if node is not None:
             lines.append(f"  bottleneck: node {node} ({node_s:.3f}s), "
                          f"device {dev} ({dev_s:.3f}s)")
-        lines.extend(audit_lines(build_audit(log.events)))
+        lines.extend(audit_lines(iter_audit(log.events)))
         return "\n".join(lines)
     summary = log.summary
     if summary:
@@ -287,9 +289,9 @@ def phase_report(log: "RunLog") -> str:
     return "\n".join(lines)
 
 
-def to_json(result: JobResult) -> str:
-    """Full job result as JSON (metrics + per-task trace)."""
-    payload = {
+def _json_payload(result: JobResult) -> dict:
+    """The ``--json`` document: job metrics plus the per-task trace."""
+    return {
         "job_name": result.job_name,
         "job_time": result.job_time,
         "seed": result.seed,
@@ -308,4 +310,17 @@ def to_json(result: JobResult) -> str:
             for t in result.all_tasks()
         ],
     }
-    return json.dumps(payload, indent=2)
+
+
+def write_json(result: JobResult, fh: IO[str]) -> None:
+    """Stream the full job result as indented JSON into ``fh``.
+
+    ``json.dump`` writes the encoder's chunks as they come, so the
+    document never exists as one string; the bytes equal
+    :func:`to_json`'s."""
+    json.dump(_json_payload(result), fh, indent=2)
+
+
+def to_json(result: JobResult) -> str:
+    """Full job result as JSON (metrics + per-task trace)."""
+    return json.dumps(_json_payload(result), indent=2)

@@ -4,10 +4,11 @@
 paths (fabric shuffle waves, FluidPipe spill storms, an end-to-end
 Fig-8-style job, event-loop timer churn, ...) and asserts that every
 run that must not change the simulation — the retained reference
-engine under ``--check``, a telemetry-instrumented run and a
-span-assembly run — reproduces the optimized run's fingerprint byte
-for byte.  It prints no timing; the performance trajectory is
-``perfbench/`` (``BENCHMARK.json``).
+engine under ``--check`` and a telemetry-instrumented run — reproduces
+the optimized run's fingerprint byte for byte, and that the
+instrumented run's critical-path attribution sums to its wall-clock.
+It prints no timing; the performance trajectory is ``perfbench/``
+(``BENCHMARK.json``).
 
 See :mod:`repro.bench.scenarios` for the workloads,
 :mod:`repro.bench.harness` for the output line, and

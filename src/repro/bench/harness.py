@@ -9,13 +9,14 @@ simulation:
   flow arrays and timer heap must reproduce them byte for byte;
 * ``telemetry`` — with a full observation bundle attached (gauges,
   run-log sink, probe sampling), whose trace and run log ``--capture-dir``
-  exports;
-* ``spans`` — the same bundle folded into the span tree and critical
-  path, as ``repro explain`` does.
+  exports.
 
-Each comparison is ``==`` on the scenario fingerprints.  One line per
+Each of those comparisons is ``==`` on the scenario fingerprints.  The
+``spans`` verdict checks the telemetry run's span tree instead: folded
+into the critical path as ``repro explain`` does, its attribution must
+sum to the job span's wall-clock (DESIGN.md §15).  One line per
 scenario carries the event count, the fingerprint digest, one
-``OK``/``DIVERGED`` verdict per comparison and the span count, and no
+``OK``/``DIVERGED`` verdict per check and the span count, and no
 timing, so the output is byte-deterministic across reruns, ``--jobs``
 and kernel modes.  Timing is ``perfbench/``'s job (``BENCHMARK.json``).
 """
@@ -30,6 +31,9 @@ from typing import Any, Dict, List, Optional
 
 from repro.bench.scenarios import SCENARIOS, run_scenario
 from repro.experiments.runner import map_parallel
+from repro.obs.critpath import attribution, critical_path
+from repro.obs.spans import SpanRecorder
+from repro.obs.telemetry import Telemetry
 from repro.sim import perfmode
 
 __all__ = ["BenchReport", "bench_scenario", "fingerprint_digest",
@@ -37,6 +41,10 @@ __all__ = ["BenchReport", "bench_scenario", "fingerprint_digest",
 
 #: Probe sampling period of the instrumented runs (simulated seconds).
 PROBE_PERIOD = 0.25
+
+#: How far the critical path's attribution may miss the job span's
+#: wall-clock (seconds) before the ``spans`` check fails.
+ATTRIBUTION_TOLERANCE = 1e-6
 
 
 def fingerprint_digest(fingerprint: Any) -> str:
@@ -51,14 +59,15 @@ class BenchReport:
     name: str
     events: int
     digest: str
-    #: Comparison name -> whether that run's fingerprint equals the
-    #: optimized run's, in run order; ``reference`` only under --check.
+    #: Check name -> whether it held, in run order: ``reference`` (only
+    #: under --check) and ``telemetry`` compare fingerprints with the
+    #: optimized run's, ``spans`` checks the attribution sum.
     matches: Dict[str, bool]
     n_spans: int
 
     @property
     def diverged(self) -> List[str]:
-        """The comparisons whose fingerprint differs."""
+        """The checks that failed."""
         return [kind for kind, ok in self.matches.items() if not ok]
 
     def line(self) -> str:
@@ -79,16 +88,22 @@ def _capture(name: str, telemetry, capture_dir: str) -> None:
     write_runlog(os.path.join(capture_dir, f"LOG_{name}.jsonl"), telemetry)
 
 
+def _attribution_sums(spans: SpanRecorder) -> bool:
+    """Whether the critical path's attribution sums to the job span's
+    wall-clock within :data:`ATTRIBUTION_TOLERANCE`."""
+    job = spans.job
+    wall = job.end - job.start
+    return abs(sum(attribution(critical_path(spans)).values()) - wall) \
+        <= ATTRIBUTION_TOLERANCE
+
+
 def bench_scenario(name: str, quick: bool = False, check: bool = False,
                    capture_dir: Optional[str] = None) -> BenchReport:
-    """Run one scenario every way and compare the fingerprints.
+    """Run one scenario every way and check every verdict.
 
     With ``capture_dir``, the telemetry run's trace and run log are
     written there as ``TRACE_<name>.json`` / ``LOG_<name>.jsonl``.
     """
-    from repro.obs.critpath import critical_path
-    from repro.obs.spans import SpanRecorder
-    from repro.obs.telemetry import Telemetry
     optimized = run_scenario(name, quick=quick)
     matches: Dict[str, bool] = {}
     if check:
@@ -100,11 +115,8 @@ def bench_scenario(name: str, quick: bool = False, check: bool = False,
     matches["telemetry"] = result.fingerprint == optimized.fingerprint
     if capture_dir is not None:
         _capture(name, telemetry, capture_dir)
-    telemetry = Telemetry(probe_period=PROBE_PERIOD)
-    result = run_scenario(name, quick=quick, telemetry=telemetry)
-    matches["spans"] = result.fingerprint == optimized.fingerprint
     spans = SpanRecorder.from_telemetry(telemetry)
-    critical_path(spans)
+    matches["spans"] = _attribution_sums(spans)
     return BenchReport(name=name, events=optimized.events,
                        digest=fingerprint_digest(optimized.fingerprint),
                        matches=matches, n_spans=len(spans.spans))
@@ -130,10 +142,16 @@ def run_bench(scenarios: Optional[List[str]] = None, quick: bool = False,
 def main(args) -> int:
     """Entry point for ``repro bench`` (argparse namespace from the CLI).
 
-    Exits 1 and names each scenario where any run diverged.
+    Exits 1 and names each scenario where any check failed, 2 on bad
+    arguments.
     """
     if args.jobs < 1:
         print(f"--jobs must be >= 1, got {args.jobs}")
+        return 2
+    unknown = [name for name in args.scenario if name not in SCENARIOS]
+    if unknown:
+        print(f"unknown --scenario {', '.join(unknown)}; "
+              f"choose from {', '.join(SCENARIOS)}")
         return 2
     reports = run_bench(scenarios=args.scenario or None, quick=args.quick,
                         check=args.check, jobs=args.jobs,
@@ -141,6 +159,6 @@ def main(args) -> int:
     failed = [f"{r.name} ({', '.join(r.diverged)})"
               for r in reports if r.diverged]
     if failed:
-        print(f"CHECK FAILED: fingerprints diverged on: {', '.join(failed)}")
+        print(f"CHECK FAILED: diverged on: {', '.join(failed)}")
         return 1
     return 0

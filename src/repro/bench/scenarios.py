@@ -1,9 +1,9 @@
-"""Benchmark scenarios for the simulation engine's measured hot paths.
+"""Scenarios for the fingerprint-identity check over the engine's hot paths.
 
 Each scenario is a self-contained function that builds a fresh
 :class:`~repro.sim.core.Simulator`, drives one hot-path-heavy workload
-to completion, and returns a :class:`ScenarioResult` holding throughput
-inputs (dispatched events, final sim time) plus a *fingerprint* — the
+to completion, and returns a :class:`ScenarioResult` holding the
+dispatched event count, the final sim time and a *fingerprint* — the
 exact simulation outcome (completion times, bytes completed) used by
 ``repro bench --check`` to prove the optimized engine byte-identical to
 the retained reference paths.
@@ -18,7 +18,7 @@ job, and pure event-loop timer churn.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.cluster import Cluster
@@ -40,7 +40,7 @@ MB = 1024.0 ** 2
 
 @dataclass
 class ScenarioResult:
-    """One scenario execution's outcome and throughput inputs."""
+    """One scenario execution's outcome."""
 
     #: Events + timers dispatched by the simulator during the scenario.
     events: int
@@ -48,8 +48,6 @@ class ScenarioResult:
     sim_time: float
     #: Exact simulation outcome; compared with ``==`` across engine modes.
     fingerprint: Any
-    #: Scenario-specific scalar metrics for the JSON report.
-    metrics: Dict[str, float] = field(default_factory=dict)
 
 
 def _shuffle_wave(quick: bool,
@@ -98,9 +96,7 @@ def _shuffle_wave(quick: bool,
     return ScenarioResult(
         events=sim.events_dispatched,
         sim_time=sim.now,
-        fingerprint=(tuple(completions), fab.bytes_completed),
-        metrics={"n_flows": float(n_nodes * (n_nodes - 1)),
-                 "bytes_completed": fab.bytes_completed})
+        fingerprint=(tuple(completions), fab.bytes_completed))
 
 
 def _shuffle_wave_10x(quick: bool,
@@ -152,10 +148,7 @@ def _shuffle_wave_10x(quick: bool,
     return ScenarioResult(
         events=sim.events_dispatched,
         sim_time=sim.now,
-        fingerprint=(tuple(completions), fab.bytes_completed),
-        metrics={"n_flows": float(n_nodes * fan),
-                 "n_nodes": float(n_nodes),
-                 "bytes_completed": fab.bytes_completed})
+        fingerprint=(tuple(completions), fab.bytes_completed))
 
 
 def _idle_giant(quick: bool,
@@ -165,9 +158,7 @@ def _idle_giant(quick: bool,
     A small shuffle wave (first 101 nodes) plus one sparse ELB-scheduled
     stage run across the *entire* cluster — so the frontier, the cached
     cluster average, and the compressed fabric channel set all face four
-    orders of magnitude more nodes than active work.  The acceptance bar
-    (ISSUE 7): per-event wall cost within 2x of the 101-node scenario,
-    i.e. the 9,899 idle nodes cost nothing per event.
+    orders of magnitude more nodes than active work.
     """
     from repro.core.elb import EnhancedLoadBalancer
     from repro.core.policies import LocalityFirstPolicy
@@ -236,12 +227,7 @@ def _idle_giant(quick: bool,
         events=sim.events_dispatched,
         sim_time=sim.now,
         fingerprint=(tuple(completions), fab.bytes_completed, records,
-                     tuple(float(v) for v in vols)),
-        metrics={"n_nodes": float(n_nodes),
-                 "n_flows": float(active * fan),
-                 "n_tasks": float(n_tasks),
-                 "elb_vetoes": float(policy.vetoes),
-                 "bytes_completed": fab.bytes_completed})
+                     tuple(float(v) for v in vols)))
 
 
 def _ssd_spill(quick: bool,
@@ -281,9 +267,7 @@ def _ssd_spill(quick: bool,
     return ScenarioResult(
         events=sim.events_dispatched,
         sim_time=sim.now,
-        fingerprint=(tuple(completions), pipe.bytes_completed),
-        metrics={"n_flows": float(writers * blocks),
-                 "bytes_completed": pipe.bytes_completed})
+        fingerprint=(tuple(completions), pipe.bytes_completed))
 
 
 def _fig08_job(quick: bool,
@@ -308,9 +292,7 @@ def _fig08_job(quick: bool,
     return ScenarioResult(
         events=cluster.sim.events_dispatched,
         sim_time=result.job_time,
-        fingerprint=fingerprint,
-        metrics={"job_time_s": result.job_time,
-                 "n_tasks": float(len(tasks))})
+        fingerprint=fingerprint)
 
 
 def _spill_pressure(quick: bool,
@@ -352,10 +334,7 @@ def _spill_pressure(quick: bool,
     return ScenarioResult(
         events=cluster.sim.events_dispatched,
         sim_time=result.job_time,
-        fingerprint=fingerprint,
-        metrics={"job_time_s": result.job_time,
-                 "tasks_shrunk": float(mem.tasks_shrunk),
-                 "spill_gb": mem.spill_bytes_written / GB})
+        fingerprint=fingerprint)
 
 
 def _node_crash(quick: bool,
@@ -393,11 +372,7 @@ def _node_crash(quick: bool,
     return ScenarioResult(
         events=cluster.sim.events_dispatched,
         sim_time=result.job_time,
-        fingerprint=fingerprint,
-        metrics={"job_time_s": result.job_time,
-                 "tasks_recomputed": float(rec.tasks_recomputed),
-                 "bytes_recomputed": rec.bytes_recomputed,
-                 "recovery_time_s": rec.recovery_time})
+        fingerprint=fingerprint)
 
 
 def _stream_sustained(quick: bool,
@@ -432,22 +407,18 @@ def _stream_sustained(quick: bool,
          o.arrived_at, o.first_grant_at, o.finished_at)
         for o in result.outcomes))
     fingerprint = (result.makespan, outcomes)
-    lats = [o.latency for o in result.outcomes]
     return ScenarioResult(
         events=server.last_events_dispatched,
         sim_time=result.makespan,
-        fingerprint=fingerprint,
-        metrics={"n_jobs": float(len(result.outcomes)),
-                 "makespan_s": result.makespan,
-                 "latency_mean_s": sum(lats) / len(lats)})
+        fingerprint=fingerprint)
 
 
 def _timer_churn(quick: bool,
                  telemetry: Optional[Telemetry] = None) -> ScenarioResult:
     """Pure event-loop churn: chained lightweight timers.
 
-    Measures the per-dispatch cost of ``schedule_callback`` — the single
-    most-allocated operation in a run — with no fluid machinery attached.
+    Drives ``schedule_callback`` — the single most-allocated operation
+    in a run — with no fluid machinery attached.
     """
     chains = 200 if quick else 1000
     depth = 100 if quick else 400
@@ -471,8 +442,7 @@ def _timer_churn(quick: bool,
     return ScenarioResult(
         events=sim.events_dispatched,
         sim_time=sim.now,
-        fingerprint=(tuple(ticks), sim.events_dispatched),
-        metrics={"n_timers": float(chains * depth)})
+        fingerprint=(tuple(ticks), sim.events_dispatched))
 
 
 SCENARIOS: Dict[str, Callable[[bool], ScenarioResult]] = {
@@ -494,8 +464,7 @@ def run_scenario(name: str, quick: bool = False,
 
     With a ``telemetry`` bundle attached, the scenario's simulator is
     instrumented (gauges + run-log sink + probe) — the harness uses this
-    to measure instrumentation overhead and assert the fingerprint is
-    unchanged by observation.
+    to assert the fingerprint is unchanged by observation.
     """
     try:
         fn = SCENARIOS[name]

@@ -21,7 +21,8 @@ Subcommands::
         job itself, taking the same flags as `run`)
     python -m repro bench [--quick] [--check] [--scenario NAME]...
         [--jobs N] [--capture-dir DIR]   (fingerprint identity of the
-        optimized, reference, telemetry and spans runs; no timing)
+        optimized, reference and telemetry runs, and the critical-path
+        attribution sum; no timing)
     python -m repro experiments ...      (alias of repro.experiments CLI)
 """
 
@@ -31,7 +32,7 @@ import argparse
 import sys
 from typing import Optional, Sequence
 
-from repro.analysis.timeline import gantt, to_csv, to_json
+from repro.analysis.timeline import gantt, to_csv, write_json
 from repro.cluster.spec import GB, MB, hyperion
 from repro.cluster.variability import LognormalSpeed
 from repro.core.engine import EngineOptions, run_job
@@ -369,11 +370,11 @@ def _serve(args) -> int:
     result = server.run()
     print("\n".join(result.summary_lines()))
     if telemetry is not None:
-        from repro.obs.audit import audit_lines, build_audit
+        from repro.obs.audit import audit_lines, iter_audit
         telemetry.finish()
         print()
         print("\n".join(_tenant_attribution_lines(result)))
-        print("\n".join(audit_lines(build_audit(telemetry.events))))
+        print("\n".join(audit_lines(iter_audit(telemetry.events))))
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(result.to_json())
@@ -431,7 +432,7 @@ def _run(args) -> int:
         print(f"wrote task trace: {args.csv}")
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(to_json(result))
+            write_json(result, fh)
         print(f"wrote job metrics: {args.json}")
     if args.trace_out:
         from repro.obs.export import write_chrome_trace
@@ -456,7 +457,7 @@ def _report(args) -> int:
 
 
 def _explain(args) -> int:
-    from repro.obs.audit import audit_lines, build_audit
+    from repro.obs.audit import audit_lines, iter_audit
     from repro.obs.critpath import explain_lines
     from repro.obs.spans import SpanRecorder
     if args.segments < 1:
@@ -471,7 +472,7 @@ def _explain(args) -> int:
         from repro.obs.runlog import load_runlog
         log = load_runlog(args.runlog)
         rec = SpanRecorder.from_runlog(log)
-        meta = log.meta
+        meta, events = log.meta, log.events
     else:
         # Run mode: simulate the job under telemetry.  The trace sink is
         # observation-only, so the result (and `--json`) is
@@ -486,15 +487,16 @@ def _explain(args) -> int:
                          options=options,
                          speed_model=LognormalSpeed(sigma=args.speed_sigma),
                          telemetry=telemetry)
-        rec = SpanRecorder.from_telemetry(telemetry)
-        meta = telemetry.meta
+        # Export before the span fold, so that the two never hold their
+        # working memory at the same time.
         if args.json:
             with open(args.json, "w") as fh:
-                fh.write(to_json(result))
+                write_json(result, fh)
+        rec = SpanRecorder.from_telemetry(telemetry)
+        meta, events = telemetry.meta, telemetry.events
     lines = explain_lines(rec, meta, max_segments=args.segments)
     lines.append("")
-    # The span pass already normalized the event stream; audit that list.
-    lines.extend(audit_lines(build_audit(rec.events)))
+    lines.extend(audit_lines(iter_audit(events)))
     print("\n".join(lines))
     if args.runlog is None and args.json:
         print(f"wrote job metrics: {args.json}")

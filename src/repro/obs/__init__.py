@@ -10,7 +10,7 @@ stack (DESIGN.md §15) folds traces into a span tree
 (:class:`SpanRecorder`), extracts the critical path and its wall-clock
 attribution (:func:`critical_path` / :func:`attribution`), and audits
 every scheduler decision with its justifying state
-(:func:`build_audit`).
+(:func:`iter_audit`).
 
 Non-negotiable invariant: telemetry observes, never perturbs — a run's
 result fingerprint is byte-identical with telemetry on or off
@@ -26,7 +26,8 @@ from repro.obs.capture import CaptureSession
 from repro.obs.spans import Span, SpanEdge, SpanRecorder
 from repro.obs.critpath import (attribution, bottleneck, critical_path,
                                 device_blame, explain_lines, node_blame)
-from repro.obs.audit import AuditRecord, audit_lines, build_audit
+from repro.obs.audit import (AuditRecord, audit_lines, build_audit,
+                              iter_audit)
 
 __all__ = [
     "MetricsRegistry", "NULL_INSTRUMENT", "NULL_REGISTRY",
@@ -34,5 +35,5 @@ __all__ = [
     "Span", "SpanEdge", "SpanRecorder",
     "attribution", "bottleneck", "critical_path", "device_blame",
     "explain_lines", "node_blame",
-    "AuditRecord", "audit_lines", "build_audit",
+    "AuditRecord", "audit_lines", "build_audit", "iter_audit",
 ]

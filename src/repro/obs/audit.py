@@ -12,7 +12,10 @@ payload)`` tuples, :class:`TraceEvent` objects or runlog dicts; see
 renders the deterministic summaries ``repro explain`` prints.  A record
 keeps the event's payload and derives its justifying :attr:`state` only
 when read: the summaries read it for one example per reason, not for
-every decision.
+every decision.  :func:`iter_audit` yields the records one at a time and
+:func:`audit_lines` folds them in one pass into counts plus the first
+record of each reason, so a summary holds one record per reason, not one
+per decision; :func:`build_audit` is the same stream as a list.
 
 Actions:
 
@@ -36,11 +39,13 @@ action             emitted when / state recorded
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 from repro.obs.spans import _norm
 
-__all__ = ["AuditRecord", "build_audit", "audit_counts", "audit_lines"]
+__all__ = ["AuditRecord", "iter_audit", "build_audit", "audit_counts",
+           "audit_lines"]
 
 #: Payload keys that are bookkeeping, not justifying state.
 _META_KEYS = frozenset({"t", "kind", "type", "node", "reason"})
@@ -70,28 +75,41 @@ class AuditRecord:
                 f"node={self.node} reason={self.reason!r})")
 
 
-def build_audit(events: Iterable[Any]) -> List[AuditRecord]:
-    """Fold the trace-event stream into audit records, in event order."""
-    out: List[AuditRecord] = []
+#: ``decline`` reason -> audit action (any other reason is a
+#: ``policy-decline``).
+_DECLINE_ACTIONS = {"elb-veto": "elb-veto", "delay-wait": "delay-pass"}
+
+
+def iter_audit(events: Iterable[Any]) -> Iterator[AuditRecord]:
+    """Fold the trace-event stream into audit records, lazily and in
+    event order."""
     for t, kind, d in _norm(events):
         if kind == "decline":
             reason = str(d.get("reason", "no-task"))
-            action = {"elb-veto": "elb-veto",
-                      "delay-wait": "delay-pass"}.get(reason,
-                                                      "policy-decline")
-            out.append(AuditRecord(t, action, d.get("node"), reason, d))
+            yield AuditRecord(t, _DECLINE_ACTIONS.get(reason,
+                                                      "policy-decline"),
+                              d.get("node"), reason, d)
         elif kind == "throttle":
-            out.append(AuditRecord(t, "cad-throttle", d.get("node"),
-                                   str(d.get("reason", "?")), d))
+            yield AuditRecord(t, "cad-throttle", d.get("node"),
+                              str(d.get("reason", "?")), d)
         elif kind == "cad-step":
-            out.append(AuditRecord(t, "cad-step", d.get("node"),
-                                   str(d.get("step", "?")), d))
+            yield AuditRecord(t, "cad-step", d.get("node"),
+                              str(d.get("step", "?")), d)
         elif kind == "mem-decline":
             reason = ("elastic-floor" if d.get("elastic")
                       else "rigid")
-            out.append(AuditRecord(t, "mem-decline", d.get("node"),
-                                   reason, d))
-    return out
+            yield AuditRecord(t, "mem-decline", d.get("node"), reason, d)
+
+
+def build_audit(events: Iterable[Any]) -> List[AuditRecord]:
+    """:func:`iter_audit` as a list."""
+    return list(iter_audit(events))
+
+
+def _ranked(counts: Mapping[Tuple[str, str], int]
+            ) -> List[Tuple[str, str, int]]:
+    return sorted(((a, re, n) for (a, re), n in counts.items()),
+                  key=lambda x: (-x[2], x[0], x[1]))
 
 
 def audit_counts(records: Iterable[AuditRecord]
@@ -101,8 +119,7 @@ def audit_counts(records: Iterable[AuditRecord]
     for r in records:
         key = (r.action, r.reason)
         counts[key] = counts.get(key, 0) + 1
-    return sorted(((a, re, n) for (a, re), n in counts.items()),
-                  key=lambda x: (-x[2], x[0], x[1]))
+    return _ranked(counts)
 
 
 def _fmt_state(state: Mapping[str, Any]) -> str:
@@ -116,27 +133,33 @@ def _fmt_state(state: Mapping[str, Any]) -> str:
     return " ".join(parts)
 
 
-def audit_lines(records: List[AuditRecord], limit: int = 8,
+def audit_lines(records: Iterable[AuditRecord], limit: int = 8,
                 skip_uninteresting: bool = True) -> List[str]:
     """Deterministic "top decision reasons" rendering: counts plus the
-    first occurrence's justifying state as the example."""
-    if skip_uninteresting:
-        interesting = [r for r in records
-                       if r.action != "policy-decline"]
-    else:
-        interesting = list(records)
-    lines = [f"scheduler decisions: {len(records)} audited, "
-             f"{len(interesting)} consequential"]
+    first occurrence's justifying state as the example.
+
+    One pass over any iterable (a list or :func:`iter_audit`'s stream),
+    keeping the total, a count per ``(action, reason)`` and the first
+    record of each."""
+    total = 0
+    counts: Dict[Tuple[str, str], int] = {}
     first: Dict[Tuple[str, str], AuditRecord] = {}
-    for r in interesting:
-        first.setdefault((r.action, r.reason), r)
-    for action, reason, n in audit_counts(interesting)[:limit]:
+    for r in records:
+        total += 1
+        if skip_uninteresting and r.action == "policy-decline":
+            continue
+        key = (r.action, r.reason)
+        counts[key] = counts.get(key, 0) + 1
+        first.setdefault(key, r)
+    lines = [f"scheduler decisions: {total} audited, "
+             f"{sum(counts.values())} consequential"]
+    for action, reason, n in _ranked(counts)[:limit]:
         ex = first[(action, reason)]
         where = f" node {ex.node}" if ex.node is not None else ""
         state = _fmt_state(ex.state)
         suffix = f" [t={ex.t:.3f}{where} {state}]" if state else ""
         lines.append(f"  {action:<14s} {reason:<14s} x{n:<6d}"
                      f" e.g.{suffix}")
-    if not interesting:
+    if not counts:
         lines.append("  (none)")
     return lines

@@ -32,7 +32,8 @@ fixed precision, and no wall-clock or RNG is consulted.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from math import inf, nextafter
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.spans import PHASE_CATEGORY, SpanRecorder, base_phase
@@ -219,14 +220,19 @@ def _work_segments(cur, s: float, e: float, cat: str) -> List[Segment]:
 def _wait_segment(rec: SpanRecorder, w0: float, w1: float,
                   cur) -> Segment:
     """Idle window before ``cur`` launched: blame the proximate recorded
-    decision on its node, else queueing."""
-    cat = "queueing"
-    for t, wcat, node in rec.wait_events:  # time-sorted; last one wins
-        if t > w1 + _EPS:
-            break
-        if t >= w0 - _EPS and node == cur.node:
-            cat = wcat
-    return Segment(w0, w1, cat, cur.node, f"wait {cur.name}")
+    decision on its node, else queueing.
+
+    ``wait_events`` is sorted, so two bisections bound the decisions
+    inside ``[w0 - eps, w1 + eps]``; the last of them on ``cur``'s node
+    wins.  A one-element tuple sorts before every event at its time."""
+    events = rec.wait_events
+    lo = bisect_left(events, (w0 - _EPS,))
+    hi = bisect_left(events, (nextafter(w1 + _EPS, inf),))
+    for i in range(hi - 1, lo - 1, -1):
+        _, wcat, node = events[i]
+        if node == cur.node:
+            return Segment(w0, w1, wcat, cur.node, f"wait {cur.name}")
+    return Segment(w0, w1, "queueing", cur.node, f"wait {cur.name}")
 
 
 def _gap_category(rec: SpanRecorder, upto: float) -> str:

@@ -11,10 +11,12 @@ edge kind         meaning
 ================  ====================================================
 ``queued-at``     the attempt's task entered the queue at ``t``; the
                   gap to launch is scheduler time, not work
-``throttle-wait`` a CAD pacing/concurrency gate held the attempt's
-                  node back in the window before this launch
-``mem-wait``      the memory gate declined the node's offer in the
-                  same window
+``throttle-wait`` CAD pacing/concurrency gates held the attempt's
+                  node back in the window before this launch; one
+                  edge per attempt: ``t`` / ``last`` are the first and
+                  last such decline, ``n`` their count
+``mem-wait``      the memory gate declined the node's offers in the
+                  same window (same ``t`` / ``last`` / ``n`` tally)
 ``fetch-source``  a shuffle flow terminated on the attempt's node
                   while it ran (``src`` = serving node)
 ``spill``         the attempt spilled; once the write+read-back
@@ -34,12 +36,18 @@ tuples: those tuples themselves (a
 through as they are), :class:`~repro.sim.trace.TraceEvent` objects
 (e.g. the simulator's ring), and the ``{"t": ..., "kind": ...,
 ...payload}`` dicts read back from a JSONL run log.
+
+The fold is one streaming pass that keeps per-task state, not
+per-event state: the scheduler declines between two launches on a node
+(tens of thousands in a large CAD run) become one tally per wait
+category, and only :attr:`SpanRecorder.wait_events` keeps each
+decline's ``(t, category, node)`` for the critical-path walk.
 """
 
 from __future__ import annotations
 
-from typing import (Any, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Tuple)
 
 __all__ = ["Span", "SpanEdge", "SpanRecorder", "PHASE_CATEGORY",
            "phase_key", "base_phase"]
@@ -52,6 +60,10 @@ PHASE_CATEGORY = {"compute": "compute", "combine": "combine",
 #: Decision-event kind -> wait category it justifies.
 WAIT_KINDS = {"throttle": "scheduler-throttle",
               "mem-decline": "memory-wait"}
+
+#: Wait category -> the edge kind that tallies it on the next launch.
+WAIT_EDGES = {"scheduler-throttle": "throttle-wait",
+              "memory-wait": "mem-wait"}
 
 _ATTEMPT_END = ("complete", "interrupt", "failure")
 
@@ -109,21 +121,19 @@ class SpanEdge:
         self.attrs = attrs if attrs is not None else {}
 
 
-def _norm(events: Iterable[Any]) -> List[Tuple[float, str, Mapping]]:
-    """Normalize the event stream to ``(t, kind, data)`` tuples: run-log
-    tuples pass through, TraceEvent objects and runlog dicts are
-    converted."""
-    out: List[Tuple[float, str, Mapping]] = []
+def _norm(events: Iterable[Any]) -> Iterator[Tuple[float, str, Mapping]]:
+    """Normalize the event stream to ``(t, kind, data)`` tuples, lazily:
+    run-log tuples pass through, TraceEvent objects and runlog dicts are
+    converted one at a time."""
     for e in events:
         if type(e) is tuple:
-            out.append(e)
+            yield e
             continue
         t = getattr(e, "time", None)
         if t is not None:
-            out.append((float(t), e.kind, e.data))
+            yield float(t), e.kind, e.data
         else:
-            out.append((float(e.get("t", 0.0)), str(e.get("kind", "")), e))
-    return out
+            yield float(e.get("t", 0.0)), str(e.get("kind", "")), e
 
 
 class SpanRecorder:
@@ -146,7 +156,6 @@ class SpanRecorder:
         self.wait_events: List[Tuple[float, str, Optional[int]]] = []
         #: Timestamps of fault-* / task-lost events.
         self.fault_times: List[float] = []
-        self.events: List[Tuple[float, str, Mapping]] = []
 
     # -- constructors -----------------------------------------------------
 
@@ -174,10 +183,6 @@ class SpanRecorder:
                     t_end: Optional[float] = None,
                     job_name: str = "job") -> "SpanRecorder":
         rec = cls()
-        evs = _norm(events)
-        if t_end is None:
-            t_end = max((t for t, _, _ in evs), default=t0)
-        rec.events = evs
         job = rec._new_span(None, "job", job_name, t0)
         rec.job = job
 
@@ -185,10 +190,14 @@ class SpanRecorder:
         open_attempts: Dict[Tuple[Any, Any], List[Span]] = {}
         #: node -> spans of attempts currently running there.
         running: Dict[Any, List[Span]] = {}
-        #: node -> decision events since the last launch on that node.
-        waits: Dict[Any, List[Tuple[str, float, Mapping]]] = {}
+        #: node -> {wait category: [first t, last t, count]} of the
+        #: decision events since the last launch on that node.
+        waits: Dict[Any, Dict[str, List[Any]]] = {}
+        t_max = t0
 
-        for t, kind, d in evs:
+        for t, kind, d in _norm(events):
+            if t > t_max:
+                t_max = t
             if kind == "phase-start":
                 name = phase_key(d.get("phase", "?"), d.get("round"))
                 key = (d.get("job"), name)
@@ -221,11 +230,10 @@ class SpanRecorder:
                     rec.edges.append(SpanEdge(
                         parent.span_id, sp.span_id, "queued-at",
                         {"t": float(queued)}))
-                for wcat, wt, wd in waits.pop(node, ()):  # noqa: B020
+                for wcat, (first, last, n) in waits.pop(node, {}).items():
                     rec.edges.append(SpanEdge(
-                        parent.span_id, sp.span_id,
-                        "throttle-wait" if wcat == "scheduler-throttle"
-                        else "mem-wait", {"t": wt}))
+                        parent.span_id, sp.span_id, WAIT_EDGES[wcat],
+                        {"t": first, "last": last, "n": n}))
                 open_attempts.setdefault((task, node), []).append(sp)
                 running.setdefault(node, []).append(sp)
                 rec.attempts.append(sp)
@@ -240,9 +248,14 @@ class SpanRecorder:
                     if lst and sp in lst:
                         lst.remove(sp)
             elif kind in WAIT_KINDS:
-                node = d.get("node")
-                rec.wait_events.append((t, WAIT_KINDS[kind], node))
-                waits.setdefault(node, []).append((WAIT_KINDS[kind], t, d))
+                node, wcat = d.get("node"), WAIT_KINDS[kind]
+                rec.wait_events.append((t, wcat, node))
+                tally = waits.setdefault(node, {}).get(wcat)
+                if tally is None:
+                    waits[node][wcat] = [t, t, 1]
+                else:
+                    tally[1] = t
+                    tally[2] += 1
             elif kind == "flow-end":
                 dst = d.get("dst")
                 lst = running.get(dst)
@@ -285,7 +298,7 @@ class SpanRecorder:
                     job.span_id, job.span_id, "recovery",
                     {"t": t, "kind": kind}))
 
-        job.end = max(t_end, job.start)
+        job.end = max(t_end if t_end is not None else t_max, job.start)
         for sp in open_phases.values():
             sp.end = job.end
         for stack in open_attempts.values():

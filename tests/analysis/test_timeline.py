@@ -13,6 +13,7 @@ from repro.analysis.timeline import (
     slot_utilization,
     to_csv,
     to_json,
+    write_json,
 )
 from repro.core.metrics import JobResult, PhaseMetrics, TaskRecord
 from repro.workloads import groupby_spec
@@ -103,6 +104,12 @@ class TestExports:
         assert set(payload["phases"]) == {"compute", "store", "fetch"}
         assert len(payload["tasks"]) == len(result.all_tasks())
         assert len(payload["node_intermediate"]) == 4
+
+    def test_write_json_streams_the_same_bytes(self, result, tmp_path):
+        path = tmp_path / "job.json"
+        with open(path, "w") as fh:
+            write_json(result, fh)
+        assert path.read_bytes() == to_json(result).encode()
 
     def test_csv_sorted_by_start(self, result):
         rows = list(csv.DictReader(io.StringIO(to_csv(result))))

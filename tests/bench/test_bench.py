@@ -16,6 +16,7 @@ from repro.bench.harness import (BenchReport, bench_scenario,
                                  fingerprint_digest, run_bench)
 from repro.bench.scenarios import SCENARIOS, run_scenario
 from repro.cli import main as cli_main
+from repro.obs.critpath import critical_path
 
 
 class TestScenarios:
@@ -102,23 +103,45 @@ class TestRunBench:
     @pytest.mark.parametrize("kind", ["reference", "telemetry", "spans"])
     def test_divergence_exits_1_and_names_scenario(self, kind, monkeypatch,
                                                    capsys):
-        # bench_scenario runs the optimized engine, then the reference
-        # engine (--check), then the telemetry run, then the spans run.
-        runs = iter(["optimized", "reference", "telemetry", "spans"])
+        if kind == "spans":
+            # A critical path that lost its last segment no longer sums
+            # to the job's wall-clock.
+            def perturbed(spans):
+                return critical_path(spans)[:-1]
 
-        def perturbed(name, quick=False, telemetry=None):
-            result = run_scenario(name, quick=quick, telemetry=telemetry)
-            if next(runs) != kind:
-                return result
-            return dataclasses.replace(
-                result, fingerprint=("perturbed", result.fingerprint))
+            monkeypatch.setattr(harness, "critical_path", perturbed)
+        else:
+            # bench_scenario runs the optimized engine, then the
+            # reference engine (--check), then the telemetry run.
+            runs = iter(["optimized", "reference", "telemetry"])
 
-        monkeypatch.setattr(harness, "run_scenario", perturbed)
+            def perturbed(name, quick=False, telemetry=None):
+                result = run_scenario(name, quick=quick,
+                                      telemetry=telemetry)
+                if next(runs) != kind:
+                    return result
+                return dataclasses.replace(
+                    result, fingerprint=("perturbed", result.fingerprint))
+
+            monkeypatch.setattr(harness, "run_scenario", perturbed)
         rc = cli_main(["bench", "--quick", "--check",
-                       "--scenario", "timer_churn"])
+                       "--scenario", "fig08_job"])
         out = capsys.readouterr().out
         assert rc == 1
         assert f"{kind} DIVERGED" in out
         assert out.count("DIVERGED") == 1
         assert out.splitlines()[-1] == (
-            f"CHECK FAILED: fingerprints diverged on: timer_churn ({kind})")
+            f"CHECK FAILED: diverged on: fig08_job ({kind})")
+
+    def test_spans_check_runs_no_extra_simulation(self, monkeypatch):
+        calls = []
+
+        def counted(name, quick=False, telemetry=None):
+            calls.append(telemetry is not None)
+            return run_scenario(name, quick=quick, telemetry=telemetry)
+
+        monkeypatch.setattr(harness, "run_scenario", counted)
+        report = bench_scenario("fig08_job", quick=True, check=True)
+        assert report.matches == {"reference": True, "telemetry": True,
+                                  "spans": True}
+        assert calls == [False, False, True]

@@ -13,7 +13,7 @@ from repro.core.engine import EngineOptions, run_job
 from repro.core.memory import MemoryConfig
 from repro.cluster.variability import UniformSpeed
 from repro.obs.audit import (AuditRecord, audit_counts, audit_lines,
-                             build_audit)
+                             build_audit, iter_audit)
 from repro.obs.telemetry import Telemetry
 from repro.workloads import grep_spec, groupby_spec
 
@@ -144,6 +144,16 @@ class TestRendering:
         assert lines == audit_lines(list(records))
         assert lines[0].startswith("scheduler decisions:")
         assert any("mem-decline" in ln for ln in lines)
+
+    def test_streamed_fold_renders_like_the_list(self, congested_run,
+                                                 elb_run):
+        for tele, records in (congested_run, elb_run):
+            stream = iter_audit(tele.events)
+            assert not isinstance(stream, list)
+            assert audit_lines(stream) == audit_lines(records)
+            assert audit_lines(iter_audit(tele.events), limit=2,
+                               skip_uninteresting=False) == \
+                audit_lines(records, limit=2, skip_uninteresting=False)
 
     def test_empty_stream(self):
         assert build_audit([]) == []

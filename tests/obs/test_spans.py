@@ -9,13 +9,16 @@ round trip and that assembling spans never perturbs the simulation.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.spec import GB, hyperion
 from repro.core.engine import EngineOptions, JobSpec, run_job
 from repro.core.memory import MemoryConfig
-from repro.obs.critpath import (CATEGORIES, attribution, bottleneck,
-                                critical_path, explain_lines, node_blame)
-from repro.obs.spans import SpanRecorder, base_phase, phase_key
+from repro.obs.critpath import (CATEGORIES, _wait_segment, attribution,
+                                bottleneck, critical_path, explain_lines,
+                                node_blame)
+from repro.obs.spans import Span, SpanRecorder, base_phase, phase_key
 from repro.obs.telemetry import Telemetry
 from repro.workloads import groupby_spec
 
@@ -62,6 +65,39 @@ class TestSpanTree:
         kinds = {e.kind for e in rec.edges}
         assert "throttle-wait" in kinds or "mem-wait" in kinds
         assert rec.wait_events == sorted(rec.wait_events)
+
+    def test_at_most_one_wait_edge_per_kind_per_attempt(self, heavy):
+        _, _, rec = heavy
+        seen = set()
+        for e in rec.edges:
+            if e.kind in ("throttle-wait", "mem-wait"):
+                assert (e.dst, e.kind) not in seen
+                seen.add((e.dst, e.kind))
+                assert e.attrs["t"] <= e.attrs["last"]
+                assert e.attrs["n"] >= 1
+
+    def test_wait_tallies_count_every_consumed_decline(self, heavy):
+        # A decline is consumed by the next launch on its node; the
+        # declines after a node's last launch explain nothing.
+        tele, _, rec = heavy
+        pending, consumed = {}, {"throttle": 0, "mem-decline": 0}
+        for _, kind, d in tele.events:
+            if kind in consumed:
+                pending.setdefault(d["node"], []).append(kind)
+            elif kind == "launch":
+                for k in pending.pop(d["node"], ()):
+                    consumed[k] += 1
+        tallied = {kind: sum(e.attrs["n"] for e in rec.edges_of(kind))
+                   for kind in ("throttle-wait", "mem-wait")}
+        assert tallied == {"throttle-wait": consumed["throttle"],
+                           "mem-wait": consumed["mem-decline"]}
+        assert sum(tallied.values()) > len(rec.attempts)
+
+    def test_edge_count_does_not_grow_with_declines(self, heavy):
+        # 980 declines; one wait edge per decline made this 1,234.
+        _, _, rec = heavy
+        assert len(rec.wait_events) == 980
+        assert len(rec.edges) == 448
 
     def test_phase_key_round_trip(self):
         assert phase_key("store") == "store"
@@ -128,6 +164,51 @@ class TestCriticalPath:
         rec2 = SpanRecorder.from_telemetry(again)
         assert explain_lines(rec, tele.meta) == \
             explain_lines(rec2, again.meta)
+
+
+def _linear_wait_category(events, w0, w1, node, eps=1e-9):
+    """The rule as DESIGN.md §15 states it: the last decision on the
+    node inside ``[w0 - eps, w1 + eps]`` names the wait."""
+    cat = "queueing"
+    for t, wcat, n in events:
+        if w0 - eps <= t <= w1 + eps and n == node:
+            cat = wcat
+    return cat
+
+
+# Times on a coarse grid, some nudged by about the tolerance, so window
+# edges and ties land exactly on or just beside decision times.
+_TIMES = st.builds(lambda k, d: k * 0.5 + d, st.integers(0, 8),
+                   st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 2e-9]))
+
+
+class TestWaitSegment:
+    def _segment(self, events, w0, w1, node):
+        rec = SpanRecorder()
+        rec.wait_events = sorted(events)
+        cur = Span(0, None, "attempt", "fetch#1", w1, node=node)
+        return _wait_segment(rec, w0, w1, cur)
+
+    def test_last_decision_on_the_node_wins(self):
+        events = [(1.0, "scheduler-throttle", 0), (2.0, "memory-wait", 0),
+                  (2.5, "scheduler-throttle", 1),
+                  (3.5, "scheduler-throttle", 0)]
+        seg = self._segment(events, 0.5, 3.0, 0)
+        assert (seg.start, seg.end, seg.category, seg.node) == \
+            (0.5, 3.0, "memory-wait", 0)
+        assert self._segment(events, 0.5, 3.0, 2).category == "queueing"
+
+    @settings(max_examples=300, deadline=None)
+    @given(events=st.lists(st.tuples(
+               _TIMES, st.sampled_from(["memory-wait",
+                                        "scheduler-throttle"]),
+               st.integers(0, 2)), max_size=12),
+           w0=_TIMES, span=_TIMES, node=st.integers(0, 2))
+    def test_bisection_matches_the_linear_rule(self, events, w0, span,
+                                               node):
+        w1 = w0 + span
+        assert self._segment(events, w0, w1, node).category == \
+            _linear_wait_category(sorted(events), w0, w1, node)
 
 
 class TestRoundTripAndInvariance:

@@ -244,6 +244,14 @@ class TestBench:
             assert digest == fingerprint_digest(
                 run_scenario(name, quick=True).fingerprint)
 
+    def test_unknown_scenario_exits_2_and_lists_names(self, capsys):
+        from repro.bench.scenarios import SCENARIOS
+        assert main(["bench", "--quick", "--scenario", "fig08_job",
+                     "--scenario", "nope"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("unknown --scenario nope; choose from ")
+        assert all(name in out for name in SCENARIOS)
+
     @pytest.mark.parametrize("flag", ["--baseline", "--out-dir=x",
                                       "--no-telemetry", "--profile",
                                       "--compare=x"])

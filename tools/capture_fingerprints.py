@@ -1,6 +1,6 @@
 """Capture reference job fingerprints for the byte-identity regressions.
 
-Two case lists, one data file each:
+Two case lists, one data file each, and one directory of CLI outputs:
 
 * ``CASES`` → ``tests/data/fingerprints_head.json``:
   ``tests/core/test_mechanism_identity.py`` asserts that runs with both
@@ -10,18 +10,26 @@ Two case lists, one data file each:
   the first list does not reach (recovery gates and redirects, orphaned
   reducer bodies, speculation, attempt failures, per-round shuffles,
   spill around the fetch body, Lustre-local with ELB).
+* ``EXPLAIN_CASES`` → ``tests/data/explain_golden/``: the stdout of
+  ``repro explain`` (simulated and post mortem), ``repro report`` and
+  ``repro serve --explain``, which ``tests/obs/test_explain_identity.py``
+  compares byte for byte.
 
-Run on a known-good tree to (re)generate one file:
+Run on a known-good tree to (re)generate one target:
 
     PYTHONPATH=src python tools/capture_fingerprints.py            # head
     PYTHONPATH=src python tools/capture_fingerprints.py fetch-paths
+    PYTHONPATH=src python tools/capture_fingerprints.py explain
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 from repro.cluster.spec import hyperion
 from repro.core.engine import EngineOptions, run_job
@@ -107,6 +115,51 @@ FETCH_PATH_CASES = [
      lambda: EngineOptions(seed=3, elb=True)),
 ]
 
+#: Run logs the post-mortem cases read: name -> ``repro run`` argv
+#: (``--metrics-out`` is appended).  ``trace`` is CI trace-smoke's run:
+#: CAD and a mid-job crash; ``pressure`` adds a tight managed heap, so
+#: its log carries CAD throttles and memory declines.
+EXPLAIN_RUNLOGS = {
+    "trace": ["run", "--workload", "groupby", "--data-gb", "8",
+              "--nodes", "4", "--store", "ssd", "--cad", "--seed", "11",
+              "--crash", "1@1.0:3.0", "--probe-period", "0.1"],
+    "pressure": ["run", "--workload", "groupby", "--data-gb", "24",
+                 "--nodes", "2", "--store", "ssd", "--cad",
+                 "--mem-frac", "0.4", "--seed", "0"],
+}
+
+#: (golden file, CLI argv); ``{trace}`` / ``{pressure}`` name the run
+#: logs above.
+EXPLAIN_CASES = [
+    # CI explain-smoke's job, simulated by `repro explain` itself.
+    ("explain_job.txt",
+     ["explain", "--workload", "groupby", "--data-gb", "8", "--nodes",
+      "4", "--store", "ssd", "--elb", "--cad", "--seed", "11"]),
+    ("explain_trace_runlog.txt", ["explain", "{trace}"]),
+    ("report_trace_runlog.txt", ["report", "{trace}"]),
+    # CI explain-smoke's serve stream.
+    ("serve_explain.txt",
+     ["serve", "--nodes", "4", "--jobs", "8", "--base-gb", "1",
+      "--arrival-rate", "0.5", "--policy", "fair", "--seed", "7",
+      "--explain"]),
+    # Throttle waits, memory declines and CAD steps in the audit.
+    ("explain_pressure.txt",
+     ["explain", "--workload", "groupby", "--data-gb", "24", "--nodes",
+      "2", "--store", "ssd", "--cad", "--mem-frac", "0.4", "--seed", "0",
+      "--segments", "12"]),
+    ("explain_pressure_runlog.txt",
+     ["explain", "{pressure}", "--segments", "12"]),
+    ("report_pressure_runlog.txt", ["report", "{pressure}"]),
+    # Memory waits on the critical path, ELB vetoes, delay passes.
+    ("explain_elastic.txt",
+     ["explain", "--workload", "groupby", "--data-gb", "16", "--nodes",
+      "4", "--store", "ssd", "--elb", "--cad", "--mem-frac", "0.5",
+      "--mem-elastic", "--delay-scheduling", "--seed", "3",
+      "--segments", "8"]),
+]
+
+EXPLAIN_DIR = "explain_golden"
+
 #: Case list and data file per capture target.
 TARGETS = {
     "head": (CASES, "fingerprints_head.json"),
@@ -139,16 +192,50 @@ def capture(cases=CASES) -> dict:
     return out
 
 
+def _cli_stdout(argv) -> str:
+    from repro.cli import main as cli_main
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(argv)
+    if code != 0:
+        raise RuntimeError(f"repro {' '.join(argv)} exited {code}")
+    return buf.getvalue()
+
+
+def explain_outputs(workdir: str) -> dict:
+    """Golden file name -> stdout of its ``EXPLAIN_CASES`` command; the
+    run logs are written into ``workdir``."""
+    logs = {}
+    for name, argv in EXPLAIN_RUNLOGS.items():
+        logs[name] = os.path.join(workdir, f"{name}.jsonl")
+        _cli_stdout(argv + ["--metrics-out", logs[name]])
+    return {name: _cli_stdout([a.format(**logs) for a in argv])
+            for name, argv in EXPLAIN_CASES}
+
+
+def _data_path(name: str) -> str:
+    return os.path.normpath(os.path.join(
+        os.path.dirname(__file__), "..", "tests", "data", name))
+
+
 def main(argv=None) -> None:
     args = sys.argv[1:] if argv is None else argv
     target = args[0] if args else "head"
+    if target == "explain":
+        out_dir = _data_path(EXPLAIN_DIR)
+        os.makedirs(out_dir, exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            outputs = explain_outputs(tmp)
+        for name, text in outputs.items():
+            with open(os.path.join(out_dir, name), "w") as fh:
+                fh.write(text)
+        print(f"wrote {len(outputs)} files to {out_dir}")
+        return
     if target not in TARGETS:
         raise SystemExit(f"unknown target {target!r}; "
-                         f"choose from {sorted(TARGETS)}")
+                         f"choose from {sorted(TARGETS) + ['explain']}")
     cases, name = TARGETS[target]
-    path = os.path.join(os.path.dirname(__file__), "..",
-                        "tests", "data", name)
-    path = os.path.normpath(path)
+    path = _data_path(name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fh:
         json.dump(capture(cases), fh, indent=1, sort_keys=True)
