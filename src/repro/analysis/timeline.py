@@ -31,6 +31,7 @@ import numpy as np
 from repro.core.metrics import JobResult, TaskRecord
 from repro.obs.registry import parse_key
 from repro.obs.spans import SpanRecorder
+from repro.obs.telemetry import traced_count
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs.runlog import RunLog
@@ -233,7 +234,7 @@ def phase_report(log: "RunLog") -> str:
     head = (f"run: {meta.get('job_name', meta.get('workload', '?'))} "
             f"({meta.get('nodes', '?')} nodes, seed {meta.get('seed', '?')})"
             f" — {meta.get('job_time_s', 0.0):.2f}s, "
-            f"{len(log.events)} events, {len(log.times)} samples")
+            f"{traced_count(log.events)} events, {len(log.times)} samples")
     lines = [head]
     rec = SpanRecorder.from_runlog(log)
     util = phase_utilization(log, rec)

@@ -441,9 +441,10 @@ def _run(args) -> int:
               f"(open in https://ui.perfetto.dev)")
     if args.metrics_out:
         from repro.obs.export import write_runlog
+        from repro.obs.telemetry import traced_count
         write_runlog(args.metrics_out, telemetry)
         print(f"wrote run log: {args.metrics_out} "
-              f"({len(telemetry.events)} events, "
+              f"({traced_count(telemetry.events)} events, "
               f"{telemetry.probe.samples_taken} samples)")
     return 0
 

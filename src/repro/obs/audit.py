@@ -17,6 +17,14 @@ every decision.  :func:`iter_audit` yields the records one at a time and
 record of each reason, so a summary holds one record per reason, not one
 per decision; :func:`build_audit` is the same stream as a list.
 
+A telemetry run log records a decision that repeats on its node once
+and closes the repeats with a ``block-end`` record
+(:mod:`repro.obs.telemetry`).  Its ``n - 1`` repeats become one
+:attr:`AuditRecord.repeat` record of weight :attr:`AuditRecord.n` for
+the block's ``(action, reason)``, with no state of its own, so totals
+and counts are those of the per-decision stream, and the first record
+of each reason, the example, is still a traced decision.
+
 Actions:
 
 =================  =====================================================
@@ -43,6 +51,7 @@ from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
 from repro.obs.spans import _norm
+from repro.obs.telemetry import BLOCK_END
 
 __all__ = ["AuditRecord", "iter_audit", "build_audit", "audit_counts",
            "audit_lines"]
@@ -52,21 +61,35 @@ _META_KEYS = frozenset({"t", "kind", "type", "node", "reason"})
 
 
 class AuditRecord:
-    """One audited scheduler decision."""
+    """One audited scheduler decision, or the repeats of one.
 
-    __slots__ = ("t", "action", "node", "reason", "_payload")
+    A record with a payload is one traced decision (``n == 1``); a
+    :attr:`repeat` record, made from a ``block-end``, stands for the
+    ``n`` repeats of its node's decision and keeps no state."""
+
+    __slots__ = ("t", "action", "node", "reason", "_payload", "n")
 
     def __init__(self, t: float, action: str, node: Optional[int],
-                 reason: str, payload: Mapping[str, Any]):
+                 reason: str, payload: Optional[Mapping[str, Any]],
+                 n: int = 1):
         self.t = t
         self.action = action
         self.node = node
         self.reason = reason
         self._payload = payload
+        self.n = n
+
+    @property
+    def repeat(self) -> bool:
+        """True for the repeats folded by a ``block-end``."""
+        return self._payload is None
 
     @property
     def state(self) -> Dict[str, Any]:
-        """The justifying state: the payload minus its bookkeeping keys."""
+        """The justifying state: the payload minus its bookkeeping keys
+        (empty for a :attr:`repeat` record)."""
+        if self._payload is None:
+            return {}
         return {k: v for k, v in self._payload.items()
                 if k not in _META_KEYS}
 
@@ -80,25 +103,35 @@ class AuditRecord:
 _DECLINE_ACTIONS = {"elb-veto": "elb-veto", "delay-wait": "delay-pass"}
 
 
+def _decision(kind: str, d: Mapping[str, Any]
+              ) -> Optional[Tuple[str, str]]:
+    """(action, reason) of a decision payload, None for other kinds."""
+    if kind == "decline":
+        reason = str(d.get("reason", "no-task"))
+        return _DECLINE_ACTIONS.get(reason, "policy-decline"), reason
+    if kind == "throttle":
+        return "cad-throttle", str(d.get("reason", "?"))
+    if kind == "cad-step":
+        return "cad-step", str(d.get("step", "?"))
+    if kind == "mem-decline":
+        return "mem-decline", ("elastic-floor" if d.get("elastic")
+                               else "rigid")
+    return None
+
+
 def iter_audit(events: Iterable[Any]) -> Iterator[AuditRecord]:
     """Fold the trace-event stream into audit records, lazily and in
     event order."""
     for t, kind, d in _norm(events):
-        if kind == "decline":
-            reason = str(d.get("reason", "no-task"))
-            yield AuditRecord(t, _DECLINE_ACTIONS.get(reason,
-                                                      "policy-decline"),
-                              d.get("node"), reason, d)
-        elif kind == "throttle":
-            yield AuditRecord(t, "cad-throttle", d.get("node"),
-                              str(d.get("reason", "?")), d)
-        elif kind == "cad-step":
-            yield AuditRecord(t, "cad-step", d.get("node"),
-                              str(d.get("step", "?")), d)
-        elif kind == "mem-decline":
-            reason = ("elastic-floor" if d.get("elastic")
-                      else "rigid")
-            yield AuditRecord(t, "mem-decline", d.get("node"), reason, d)
+        repeats = kind == BLOCK_END
+        decision = _decision(d.get("of", "") if repeats else kind, d)
+        if decision is not None:
+            action, reason = decision
+            if repeats:
+                yield AuditRecord(t, action, d.get("node"), reason, None,
+                                  d["n"] - 1)
+            else:
+                yield AuditRecord(t, action, d.get("node"), reason, d)
 
 
 def build_audit(events: Iterable[Any]) -> List[AuditRecord]:
@@ -118,7 +151,7 @@ def audit_counts(records: Iterable[AuditRecord]
     counts: Dict[Tuple[str, str], int] = {}
     for r in records:
         key = (r.action, r.reason)
-        counts[key] = counts.get(key, 0) + 1
+        counts[key] = counts.get(key, 0) + r.n
     return _ranked(counts)
 
 
@@ -140,21 +173,25 @@ def audit_lines(records: Iterable[AuditRecord], limit: int = 8,
 
     One pass over any iterable (a list or :func:`iter_audit`'s stream),
     keeping the total, a count per ``(action, reason)`` and the first
-    record of each."""
+    traced record of each."""
     total = 0
     counts: Dict[Tuple[str, str], int] = {}
     first: Dict[Tuple[str, str], AuditRecord] = {}
     for r in records:
-        total += 1
+        total += r.n
         if skip_uninteresting and r.action == "policy-decline":
             continue
         key = (r.action, r.reason)
-        counts[key] = counts.get(key, 0) + 1
-        first.setdefault(key, r)
+        counts[key] = counts.get(key, 0) + r.n
+        if not r.repeat:
+            first.setdefault(key, r)
     lines = [f"scheduler decisions: {total} audited, "
              f"{sum(counts.values())} consequential"]
     for action, reason, n in _ranked(counts)[:limit]:
-        ex = first[(action, reason)]
+        ex = first.get((action, reason))
+        if ex is None:  # a block-end whose opening is not in the stream
+            lines.append(f"  {action:<14s} {reason:<14s} x{n:<6d} e.g.")
+            continue
         where = f" node {ex.node}" if ex.node is not None else ""
         state = _fmt_state(ex.state)
         suffix = f" [t={ex.t:.3f}{where} {state}]" if state else ""

@@ -32,8 +32,7 @@ fixed precision, and no wall-clock or RNG is consulted.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from math import inf, nextafter
+from bisect import bisect_right
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.obs.spans import PHASE_CATEGORY, SpanRecorder, base_phase
@@ -222,17 +221,11 @@ def _wait_segment(rec: SpanRecorder, w0: float, w1: float,
     """Idle window before ``cur`` launched: blame the proximate recorded
     decision on its node, else queueing.
 
-    ``wait_events`` is sorted, so two bisections bound the decisions
-    inside ``[w0 - eps, w1 + eps]``; the last of them on ``cur``'s node
-    wins.  A one-element tuple sorts before every event at its time."""
-    events = rec.wait_events
-    lo = bisect_left(events, (w0 - _EPS,))
-    hi = bisect_left(events, (nextafter(w1 + _EPS, inf),))
-    for i in range(hi - 1, lo - 1, -1):
-        _, wcat, node = events[i]
-        if node == cur.node:
-            return Segment(w0, w1, wcat, cur.node, f"wait {cur.name}")
-    return Segment(w0, w1, "queueing", cur.node, f"wait {cur.name}")
+    The last wait decision on ``cur``'s node inside ``[w0 - eps, w1 +
+    eps]`` wins; at equal times the larger category string does."""
+    wcat = rec.last_wait(cur.node, w0 - _EPS, w1 + _EPS)
+    return Segment(w0, w1, wcat or "queueing", cur.node,
+                   f"wait {cur.name}")
 
 
 def _gap_category(rec: SpanRecorder, upto: float) -> str:

@@ -17,14 +17,25 @@ start and end events:
   instants there;
 * network flows (``flow-start``/``flow-end``) become ``"b"``/``"e"``
   async spans keyed by flow id on a synthetic ``fabric`` process;
+* the audited decisions ride along as instants on the engine lane: a
+  ``throttle`` or ``mem-decline`` that opened a block as it was traced,
+  and the block's ``block-end`` with ``n`` and ``last`` in ``args`` (its
+  ``times`` are left out);
 * unlabeled gauges sampled by the probe become ``"C"`` counter tracks.
 
 **Run log** (``write_runlog``) is one JSON object per line unifying the
 trace-event stream with the sampled metric series:
 
-* ``{"type": "meta", ...}`` header (run identity, schema version);
-* ``{"type": "event", "t": ..., "kind": ..., ...payload}`` per trace
-  event, in emission order;
+* ``{"type": "meta", ...}`` header (run identity, ``schema``: 2);
+* ``{"type": "event", "t": ..., "kind": ..., ...payload}`` per record
+  of :attr:`Telemetry.events`, in emission order, which is time order.
+  Schema 2 added the ``block-end`` record: a scheduler decision that
+  repeats on its node is logged once, and ``{"kind": "block-end",
+  "node", "of", "reason" | "elastic", "n", "last"[, "times"]}`` closes
+  the ``n`` decisions (``times``: the ``n - 1`` repeats' times, for
+  ``throttle`` and ``mem-decline``) before the node's next launch or
+  other decision (:mod:`repro.obs.telemetry`).  Schema 1 logs one
+  record per decision;
 * ``{"type": "sample", "t": ..., "values": {...}}`` per probe row;
 * ``{"type": "summary", "counters": ..., "gauges": ..., "histograms":
   ...}`` footer with instrument endpoints.
@@ -35,23 +46,25 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from typing import Any, Dict, Iterable, List
 
 from repro.obs.spans import SpanRecorder
-from repro.obs.telemetry import Telemetry
+from repro.obs.telemetry import BLOCK_END, Telemetry
 
 __all__ = ["RUNLOG_SCHEMA", "chrome_trace", "write_chrome_trace",
            "runlog_lines", "write_runlog", "INSTANT_KINDS"]
 
-RUNLOG_SCHEMA = 1
+RUNLOG_SCHEMA = 2
 
 #: Trace kinds exported as zero-duration instants on the engine lane.
-#: The PR-10 decision events (mem-decline, cad-step, spill-done) ride
-#: along so a Perfetto view shows the audited decisions in place.
+#: The decision events (throttle, mem-decline, cad-step, spill-done,
+#: and the block-end that closes a repeated decision) ride along so a
+#: Perfetto view shows the audited decisions in place.
 INSTANT_KINDS = frozenset({
     "fault-crash", "fault-restart", "fault-executor-loss",
     "fault-degrade", "fault-shuffle-loss", "task-lost", "throttle",
-    "failure", "mem-decline", "cad-step", "spill-done",
+    "failure", "mem-decline", "cad-step", "spill-done", BLOCK_END,
 })
 
 _US = 1e6  # trace-event timestamps are microseconds
@@ -124,7 +137,8 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
             out.append({
                 "ph": "i", "pid": engine_pid, "tid": 1,
                 "ts": t * _US, "name": kind, "cat": "event",
-                "s": "g", "args": dict(data),
+                "s": "g",
+                "args": {k: v for k, v in data.items() if k != "times"},
             })
         elif kind == "flow-start":
             pids_seen.add(fabric_pid)
@@ -195,7 +209,7 @@ def _jsonable(value: Any) -> Any:
         return value
     if isinstance(value, float):
         return None if math.isnan(value) else value
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple, array)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}

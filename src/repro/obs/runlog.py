@@ -4,6 +4,11 @@ Loads the log back into columnar form for analysis
 (:mod:`repro.analysis.timeline`) and the ``repro report`` summary:
 ``meta`` header, the ordered event list, the sampled series as a time
 axis plus one column per gauge key, and the instrument-endpoint summary.
+
+Schemas 1 and 2 are read (a header without ``schema`` is schema 1);
+schema 2 logs a repeated scheduler decision once, closed by a
+``block-end`` record that the span fold and the audit expand
+(:mod:`repro.obs.export`).  Any other schema is an error.
 """
 
 from __future__ import annotations
@@ -13,7 +18,10 @@ from dataclasses import dataclass, field
 from math import nan
 from typing import Any, Dict, List
 
-__all__ = ["RunLog", "load_runlog"]
+__all__ = ["RunLog", "load_runlog", "READ_SCHEMAS"]
+
+#: Run-log schema versions this reader understands.
+READ_SCHEMAS = (1, 2)
 
 
 @dataclass
@@ -21,7 +29,9 @@ class RunLog:
     """One parsed run log."""
 
     meta: Dict[str, Any] = field(default_factory=dict)
-    #: ``{"t": ..., "kind": ..., ...payload}`` dicts in log order.
+    #: ``{"t": ..., "kind": ..., ...payload}`` dicts in log order
+    #: (``block-end`` records included; see :func:`traced_count
+    #: <repro.obs.telemetry.traced_count>`).
     events: List[Dict[str, Any]] = field(default_factory=list)
     #: Sample time axis.
     times: List[float] = field(default_factory=list)
@@ -51,6 +61,12 @@ def load_runlog(path: str) -> RunLog:
             raise
         typ = rec.get("type")
         if typ == "meta":
+            schema = rec.get("schema", 1)
+            if schema not in READ_SCHEMAS:
+                raise ValueError(
+                    f"{path}: run-log schema {schema!r} is not supported "
+                    f"(this reader reads schemas "
+                    f"{', '.join(map(str, READ_SCHEMAS))})")
             log.meta = {k: v for k, v in rec.items() if k != "type"}
         elif typ == "event":
             log.events.append(

@@ -17,8 +17,6 @@ edge kind         meaning
                   last such decline, ``n`` their count
 ``mem-wait``      the memory gate declined the node's offers in the
                   same window (same ``t`` / ``last`` / ``n`` tally)
-``fetch-source``  a shuffle flow terminated on the attempt's node
-                  while it ran (``src`` = serving node)
 ``spill``         the attempt spilled; once the write+read-back
                   finishes the measured seconds land in the attempt's
                   ``spill_elapsed`` attr
@@ -40,17 +38,26 @@ through as they are), :class:`~repro.sim.trace.TraceEvent` objects
 The fold is one streaming pass that keeps per-task state, not
 per-event state: the scheduler declines between two launches on a node
 (tens of thousands in a large CAD run) become one tally per wait
-category, and only :attr:`SpanRecorder.wait_events` keeps each
-decline's ``(t, category, node)`` for the critical-path walk.
+category, and :attr:`SpanRecorder.wait_index` keeps each wait
+decision's time and category per node, in two arrays, for the
+critical-path walk.  A telemetry run log records a repeated decision
+once and closes the repeats with a ``block-end`` record
+(:mod:`repro.obs.telemetry`); the fold adds its ``n - 1`` repeats to the
+tally and its exact ``times`` to the index, so a coalesced log and the
+per-decision stream of the simulator's ring fold to the same tree.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_right
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
+from repro.obs.telemetry import BLOCK_END
+
 __all__ = ["Span", "SpanEdge", "SpanRecorder", "PHASE_CATEGORY",
-           "phase_key", "base_phase"]
+           "WAIT_CATEGORIES", "phase_key", "base_phase"]
 
 #: Engine phase -> attribution category (see obs/critpath.py).
 PHASE_CATEGORY = {"compute": "compute", "combine": "combine",
@@ -64,6 +71,12 @@ WAIT_KINDS = {"throttle": "scheduler-throttle",
 #: Wait category -> the edge kind that tallies it on the next launch.
 WAIT_EDGES = {"scheduler-throttle": "throttle-wait",
               "memory-wait": "mem-wait"}
+
+#: Wait categories by code, in string order: at equal times the larger
+#: code, like the larger string, wins (:meth:`SpanRecorder.last_wait`).
+WAIT_CATEGORIES = tuple(sorted(WAIT_EDGES))
+_WAIT_CODE = {kind: WAIT_CATEGORIES.index(wcat)
+              for kind, wcat in WAIT_KINDS.items()}
 
 _ATTEMPT_END = ("complete", "interrupt", "failure")
 
@@ -141,8 +154,8 @@ class SpanRecorder:
 
     Use the classmethod constructors; the instance exposes ``job`` (the
     root span), ``phases`` and ``attempts`` (start-ordered), ``edges``,
-    plus the normalized decision/fault event lists
-    (:attr:`wait_events`, :attr:`fault_times`) that
+    plus the wait decisions and fault times (:attr:`wait_index`,
+    :meth:`last_wait`, :attr:`fault_times`) that
     :mod:`repro.obs.critpath` uses to categorize idle gaps.
     """
 
@@ -152,8 +165,10 @@ class SpanRecorder:
         self.job: Optional[Span] = None
         self.phases: List[Span] = []
         self.attempts: List[Span] = []
-        #: (t, wait-category, node) for throttle / mem-decline events.
-        self.wait_events: List[Tuple[float, str, Optional[int]]] = []
+        #: node -> (times, codes) of its throttle / mem-decline decisions,
+        #: one entry per decision (a ``block-end``'s repeats included),
+        #: times ascending; a code indexes :data:`WAIT_CATEGORIES`.
+        self.wait_index: Dict[Any, Tuple[array, array]] = {}
         #: Timestamps of fault-* / task-lost events.
         self.fault_times: List[float] = []
 
@@ -188,8 +203,6 @@ class SpanRecorder:
 
         open_phases: Dict[Tuple[Any, str], Span] = {}
         open_attempts: Dict[Tuple[Any, Any], List[Span]] = {}
-        #: node -> spans of attempts currently running there.
-        running: Dict[Any, List[Span]] = {}
         #: node -> {wait category: [first t, last t, count]} of the
         #: decision events since the last launch on that node.
         waits: Dict[Any, Dict[str, List[Any]]] = {}
@@ -235,37 +248,38 @@ class SpanRecorder:
                         parent.span_id, sp.span_id, WAIT_EDGES[wcat],
                         {"t": first, "last": last, "n": n}))
                 open_attempts.setdefault((task, node), []).append(sp)
-                running.setdefault(node, []).append(sp)
                 rec.attempts.append(sp)
             elif kind in _ATTEMPT_END:
-                key = (d.get("task"), d.get("node"))
-                stack = open_attempts.get(key)
+                stack = open_attempts.get((d.get("task"), d.get("node")))
                 if stack:
                     sp = stack.pop()
                     sp.end = t
                     sp.attrs["outcome"] = kind
-                    lst = running.get(key[1])
-                    if lst and sp in lst:
-                        lst.remove(sp)
             elif kind in WAIT_KINDS:
                 node, wcat = d.get("node"), WAIT_KINDS[kind]
-                rec.wait_events.append((t, wcat, node))
+                times, codes = rec._wait_arrays(node)
+                times.append(t)
+                codes.append(_WAIT_CODE[kind])
                 tally = waits.setdefault(node, {}).get(wcat)
                 if tally is None:
                     waits[node][wcat] = [t, t, 1]
                 else:
                     tally[1] = t
                     tally[2] += 1
-            elif kind == "flow-end":
-                dst = d.get("dst")
-                lst = running.get(dst)
-                if lst:
-                    # Appended in launch order and removed in place, so
-                    # the last is the latest (start, span_id).
-                    att = lst[-1]
-                    rec.edges.append(SpanEdge(
-                        att.span_id, att.span_id, "fetch-source",
-                        {"src": d.get("src"), "t": t}))
+            elif kind == BLOCK_END:
+                of = d.get("of")
+                if of in WAIT_KINDS:
+                    # The block's opening decision was tallied and
+                    # indexed above; add its n - 1 repeats.
+                    node, last = d.get("node"), d["last"]
+                    repeats = d.get("times", ())
+                    times, codes = rec._wait_arrays(node)
+                    times.extend(repeats)
+                    codes.extend([_WAIT_CODE[of]] * len(repeats))
+                    tally = waits.setdefault(node, {}).setdefault(
+                        WAIT_KINDS[of], [last, last, 0])
+                    tally[1] = last
+                    tally[2] += d["n"] - 1
             elif kind == "spill":
                 sp = rec._open_attempt(open_attempts, d)
                 if sp is not None:
@@ -307,7 +321,13 @@ class SpanRecorder:
                 sp.attrs["outcome"] = "unfinished"
         rec.phases.sort(key=lambda s: (s.start, s.span_id))
         rec.attempts.sort(key=lambda s: (s.start, s.span_id))
-        rec.wait_events.sort()
+        for node, (times, codes) in rec.wait_index.items():
+            if any(b < a for a, b in zip(times, times[1:])):
+                # Out-of-order input: a run log is in time order, but
+                # from_events takes any stream.
+                pairs = sorted(zip(times, codes))
+                rec.wait_index[node] = (array("d", [p[0] for p in pairs]),
+                                        array("b", [p[1] for p in pairs]))
         rec.fault_times.sort()
         return rec
 
@@ -320,6 +340,12 @@ class SpanRecorder:
         self.spans.append(sp)
         return sp
 
+    def _wait_arrays(self, node: Any) -> Tuple[array, array]:
+        idx = self.wait_index.get(node)
+        if idx is None:
+            idx = self.wait_index[node] = (array("d"), array("b"))
+        return idx
+
     @staticmethod
     def _open_attempt(open_attempts, d) -> Optional[Span]:
         stack = open_attempts.get((d.get("task"), d.get("node")))
@@ -329,6 +355,26 @@ class SpanRecorder:
 
     def span(self, span_id: int) -> Span:
         return self.spans[span_id]
+
+    def last_wait(self, node: Any, lo: float, hi: float) -> Optional[str]:
+        """Category of the latest wait decision on ``node`` with ``lo <=
+        t <= hi`` (at equal times the larger category wins), or None.
+
+        One bisection of the node's times finds the latest; the scan
+        back covers only the decisions at exactly that time."""
+        idx = self.wait_index.get(node)
+        if idx is None:
+            return None
+        times, codes = idx
+        i = bisect_right(times, hi) - 1
+        if i < 0 or times[i] < lo:
+            return None
+        t, code = times[i], codes[i]
+        i -= 1
+        while i >= 0 and times[i] == t:
+            code = max(code, codes[i])
+            i -= 1
+        return WAIT_CATEGORIES[code]
 
     def edges_of(self, kind: str) -> List[SpanEdge]:
         return [e for e in self.edges if e.kind == kind]

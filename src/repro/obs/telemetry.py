@@ -5,7 +5,23 @@ engine (or a raw-sim bench scenario) calls :meth:`bind` once the
 simulator exists; components register instruments against
 ``telemetry.registry``; ``bind`` installs an unbounded trace sink (the
 run log) and starts the gauge probe.  :meth:`finish` closes the probe
-with a final sample and detaches the sink.
+with a final sample, closes the open decision blocks and detaches the
+sink.
+
+The sink records the offer loop's repeated decisions once (DESIGN.md
+§10).  The scheduler re-states an unchanged gate on every offer pass:
+a throttled node is declined again each time anything re-offers, so a
+large CAD run traces hundreds of thousands of identical ``throttle``
+events.  The sink keeps one open *block* per node, keyed by the
+decision's ``(kind, reason)`` (``elastic`` stands in for the reason of a
+``mem-decline``).  The first decision of a block is appended as traced;
+repeats only count, and for the wait kinds keep their times.  A launch
+on the node, a decision with another key, or :meth:`Telemetry.finish`
+closes the block: if it repeated, one ``block-end`` record ``{node, of,
+reason|elastic, n, last[, times]}`` is appended, so the run log stays in
+time order.  Readers (:mod:`repro.obs.spans`, :mod:`repro.obs.audit`,
+:func:`traced_count`) expand the count back into the decisions it
+stands for.
 
 Everything here is observation: no RNG, no simulated-state mutation,
 no non-daemon scheduling — the run's result fingerprint is identical
@@ -15,7 +31,9 @@ with or without a bound Telemetry (asserted in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from array import array
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.obs.probe import Probe
 from repro.obs.registry import MetricsRegistry
@@ -24,7 +42,33 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
     from repro.sim.trace import TraceEvent
 
-__all__ = ["Telemetry"]
+__all__ = ["Telemetry", "BLOCK_END", "BLOCK_KEYS", "traced_count"]
+
+#: Kind of the record that closes a repeated decision block.
+BLOCK_END = "block-end"
+
+#: Decision kind -> the payload field that, with the kind, keys a block.
+BLOCK_KEYS = {"throttle": "reason", "decline": "reason",
+              "mem-decline": "elastic"}
+
+#: Decision kinds whose repeats keep their times: the waits that
+#: :mod:`repro.obs.critpath` puts on the critical path.
+_TIMED = frozenset({"throttle", "mem-decline"})
+
+
+def traced_count(events: Iterable[Any]) -> int:
+    """The number of traced occurrences a run log stands for: each
+    record counts one, except a ``block-end``, which counts the ``n - 1``
+    repeats it folded.  Accepts the telemetry's ``(t, kind, payload)``
+    tuples and a loaded run log's dicts."""
+    total = 0
+    for e in events:
+        if type(e) is tuple:
+            kind, d = e[1], e[2]
+        else:
+            kind, d = e.get("kind"), e
+        total += d["n"] - 1 if kind == BLOCK_END else 1
+    return total
 
 
 class Telemetry:
@@ -34,7 +78,10 @@ class Telemetry:
         self.registry = MetricsRegistry(enabled=True)
         self.probe_period = float(probe_period)
         #: The run log: one exact ``(t, kind, payload)`` tuple per trace
-        #: event (:attr:`TraceEvent.record`), in emission order.  The
+        #: event (:attr:`TraceEvent.record`), in emission order, except
+        #: that a decision repeating its node's open block is folded
+        #: into the block's ``block-end`` record (see the module
+        #: docstring; :func:`traced_count` gives the traced total).  The
         #: payload is the dict the tracing call made, shared, so readers
         #: must not mutate it.  The cyclic collector never tracks a dict
         #: of atomic values, so each event adds one tracked object, the
@@ -45,12 +92,53 @@ class Telemetry:
         #: flags) — filled by whoever constructs the run.
         self.meta: Dict[str, Any] = {}
         self._sim: Optional["Simulator"] = None
-        append = self.events.append
+        events = self.events
+        append = events.append
+        #: node -> its open decision block: [kind, key, n, last, times]
+        #: (``times`` holds the repeats' times, for the wait kinds only).
+        blocks: Dict[Any, list] = {}
+
+        def close(node: Any, b: list, t: float) -> None:
+            kind, key, n, last, times = b
+            if n > 1:
+                d = {"node": node, "of": kind, BLOCK_KEYS[kind]: key,
+                     "n": n, "last": last}
+                if times is not None:
+                    d["times"] = times
+                append((t, BLOCK_END, d))
 
         def sink(ev: "TraceEvent") -> None:
-            append(ev.record)
+            rec = ev.record
+            t, kind, d = rec
+            field = BLOCK_KEYS.get(kind)
+            if field is not None:
+                node, key = d.get("node"), d.get(field)
+                b = blocks.get(node)
+                if b is not None:
+                    if b[0] == kind and b[1] == key:
+                        b[2] += 1
+                        b[3] = t
+                        if b[4] is not None:
+                            b[4].append(t)
+                        return
+                    close(node, b, t)
+                blocks[node] = [kind, key, 1, t,
+                                array("d") if kind in _TIMED else None]
+            elif kind == "launch":
+                b = blocks.pop(d.get("node"), None)
+                if b is not None:
+                    close(d.get("node"), b, t)
+            append(rec)
+
+        def close_all() -> None:
+            if events:
+                t = events[-1][0]
+                for node, b in blocks.items():
+                    close(node, b, t)
+            blocks.clear()
 
         self._sink = sink
+        self._close_blocks = close_all
 
     @property
     def bound(self) -> bool:
@@ -70,13 +158,15 @@ class Telemetry:
         self.probe.start()
 
     def finish(self, result: Any = None) -> None:
-        """Close out the run: final gauge sample, detach the sink, and
-        record the result's headline numbers into :attr:`meta`."""
+        """Close out the run: final gauge sample, close the open decision
+        blocks, detach the sink, and record the result's headline
+        numbers into :attr:`meta`."""
         if self.probe is not None:
             self.probe.stop(final=True)
         if self._sim is not None:
             self._sim.remove_trace_sink(self._sink)
             self.meta.setdefault("trace_evictions", self._sim.trace_evictions)
+        self._close_blocks()
         if result is not None and hasattr(result, "job_name"):
             self.meta.setdefault("job_name", result.job_name)
             self.meta.setdefault("job_time_s", result.job_time)

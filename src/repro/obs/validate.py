@@ -4,7 +4,8 @@ Checks the Chrome trace-event JSON against the fields Perfetto requires
 (``ph``/``ts``/``pid``/``tid``/``name``, plus ``dur`` on complete
 events, which must not cross another complete event on their lane) and
 the JSONL run log against the record shapes :mod:`repro.obs.export`
-emits.  Runnable as a module — the CI
+emits: events in time order, and every ``block-end`` closing the open
+decision block of its node and kind.  Runnable as a module — the CI
 ``trace-smoke`` job does exactly that::
 
     python -m repro.obs.validate TRACE.json RUNLOG.jsonl
@@ -15,6 +16,8 @@ from __future__ import annotations
 import json
 import sys
 from typing import Any, Dict, List
+
+from repro.obs.telemetry import BLOCK_END, BLOCK_KEYS
 
 __all__ = ["validate_chrome_trace", "validate_runlog", "main"]
 
@@ -97,6 +100,9 @@ def validate_runlog(lines: List[str]) -> List[str]:
     if not lines:
         return ["empty run log"]
     types_seen = set()
+    t_event = None
+    #: node -> (kind, key) of the decision block open on it.
+    blocks: Dict[Any, tuple] = {}
     for i, raw in enumerate(lines):
         raw = raw.strip()
         if not raw:
@@ -118,6 +124,13 @@ def validate_runlog(lines: List[str]) -> List[str]:
             problems.append(f"{where}: event needs a kind")
         if typ == "sample" and not isinstance(rec.get("values"), dict):
             problems.append(f"{where}: sample needs a values object")
+        if typ == "event" and isinstance(rec.get("t"), (int, float)):
+            if t_event is not None and rec["t"] < t_event:
+                problems.append(f"{where}: event at t={rec['t']} is "
+                                f"before the previous one (t={t_event})")
+            t_event = rec["t"]
+            problems.extend(f"{where}: {p}" for p in _block_check(rec,
+                                                                  blocks))
         if typ not in ("meta", "event", "sample", "summary"):
             problems.append(f"{where}: unknown record type {typ!r}")
         if len(problems) > 20:
@@ -126,6 +139,31 @@ def validate_runlog(lines: List[str]) -> List[str]:
     if "summary" not in types_seen:
         problems.append("missing summary footer")
     return problems
+
+
+def _block_check(rec: Dict[str, Any], blocks: Dict[Any, tuple]
+                 ) -> List[str]:
+    """Track the decision block open on each node; a ``block-end`` must
+    close the open block of its node, kind and key."""
+    kind, node = rec.get("kind"), rec.get("node")
+    field = BLOCK_KEYS.get(kind)
+    if field is not None:
+        blocks[node] = (kind, rec.get(field))
+    elif kind == "launch":
+        blocks.pop(node, None)
+    elif kind == BLOCK_END:
+        of = rec.get("of")
+        opened = blocks.pop(node, None)
+        if of not in BLOCK_KEYS or opened != (of, rec.get(BLOCK_KEYS[of])):
+            return [f"block-end of {of!r} on node {node} closes no open "
+                    f"block of that kind (open: {opened})"]
+        n, times = rec.get("n"), rec.get("times")
+        if not isinstance(n, int) or n < 2:
+            return [f"block-end needs an int n >= 2, got {n!r}"]
+        if times is not None and len(times) != n - 1:
+            return [f"block-end of {n} decisions lists {len(times)} "
+                    f"repeat times, not {n - 1}"]
+    return []
 
 
 def main(argv: List[str]) -> int:

@@ -46,6 +46,12 @@ The engine adds ``phase-start``/``phase-end`` (``phase``, optional
 ``elapsed``), the fault injector ``fault-*``, and the fabric
 ``flow-start``/``flow-end`` (see DESIGN.md §10 for the full naming
 scheme; the span/audit consumers are DESIGN.md §15).
+
+``decline``, ``throttle`` and ``mem-decline`` are traced once per offer
+pass that reaches the node, so an unchanged gate repeats on every pass.
+The ring and every sink receive each of them; it is the telemetry run
+log (:mod:`repro.obs.telemetry`) that records a node's repeated
+decision once and closes it with a ``block-end`` record.
 """
 
 from __future__ import annotations

@@ -42,6 +42,21 @@ def traced_run():
     return tele, result
 
 
+@pytest.fixture(scope="module")
+def pressure_run():
+    """A tight heap on two nodes: memory declines repeat on every offer
+    pass, so the log has block-end records."""
+    from repro.core.memory import MemoryConfig
+    from repro.workloads import groupby_spec
+    tele = Telemetry(probe_period=0.25)
+    run_job(groupby_spec(4 * GB, shuffle_store="ssd"),
+            cluster_spec=hyperion(2),
+            options=EngineOptions(cad=True, seed=0,
+                                  memory=MemoryConfig(mem_frac=0.4)),
+            telemetry=tele)
+    return tele
+
+
 class TestChromeTrace:
     def test_document_validates(self, traced_run):
         tele, _ = traced_run
@@ -73,6 +88,19 @@ class TestChromeTrace:
         assert "flow" in cats
         assert "i" in phs  # the crash/restart instants
         assert {"b", "e"} <= phs
+
+    def test_block_ends_are_engine_instants_without_times(self,
+                                                          pressure_run):
+        tele = pressure_run
+        doc = chrome_trace(tele)
+        assert validate_chrome_trace(doc) == []
+        ends = [e for e in doc["traceEvents"] if e["name"] == "block-end"]
+        assert len(ends) == sum(1 for _, kind, _ in tele.events
+                                if kind == "block-end") > 0
+        for e in ends:
+            assert e["ph"] == "i" and e["cat"] == "event"
+            assert e["args"]["n"] >= 2 and "last" in e["args"]
+            assert "times" not in e["args"]
 
     def test_counts_balance(self, traced_run):
         tele, _ = traced_run
@@ -257,6 +285,51 @@ class TestRunLog:
         assert windows == {name: (ph.start, ph.end)
                            for name, ph in result.phases.items()
                            if name != "recovery"}
+
+    def test_coalesced_log_validates_with_block_ends(self, pressure_run):
+        lines = list(runlog_lines(pressure_run))
+        kinds = Counter(json.loads(line).get("kind") for line in lines)
+        assert kinds["block-end"] > 0
+        assert validate_runlog(lines) == []
+
+    @staticmethod
+    def _log(*events):
+        return ([json.dumps({"type": "meta", "schema": RUNLOG_SCHEMA})]
+                + [json.dumps({"type": "event", **e}) for e in events]
+                + [json.dumps({"type": "summary"})])
+
+    _THROTTLE = {"t": 1.0, "kind": "throttle", "node": 0,
+                 "reason": "pacing"}
+    _END = {"t": 2.0, "kind": "block-end", "node": 0, "of": "throttle",
+            "reason": "pacing", "n": 2, "last": 1.5, "times": [1.5]}
+
+    def test_validator_accepts_a_closed_block(self):
+        assert validate_runlog(self._log(self._THROTTLE, self._END)) == []
+
+    def test_validator_flags_orphan_block_end(self):
+        problems = validate_runlog(self._log(self._END))
+        assert len(problems) == 1 and "closes no open block" in problems[0]
+        # Closed already by a launch on the node, or open on another
+        # node, kind or reason: still an orphan.
+        for opener in (
+                [self._THROTTLE, {"t": 1.0, "kind": "launch", "node": 0}],
+                [dict(self._THROTTLE, node=1)],
+                [dict(self._THROTTLE, kind="decline")],
+                [dict(self._THROTTLE, reason="concurrency")]):
+            problems = validate_runlog(self._log(*opener, self._END))
+            assert len(problems) == 1, opener
+            assert "closes no open block" in problems[0]
+
+    def test_validator_flags_a_bad_repeat_count(self):
+        for bad in ({"n": 1, "times": []}, {"times": [1.2, 1.5]}):
+            problems = validate_runlog(
+                self._log(self._THROTTLE, dict(self._END, **bad)))
+            assert len(problems) == 1, bad
+
+    def test_validator_flags_events_out_of_time_order(self):
+        problems = validate_runlog(self._log(
+            {"t": 2.0, "kind": "offer"}, {"t": 1.0, "kind": "offer"}))
+        assert len(problems) == 1 and "before the previous" in problems[0]
 
     def test_validator_flags_garbage(self):
         assert validate_runlog([])  # empty

@@ -145,3 +145,27 @@ class TestLoadRunlogTornTail:
             json.dumps({"type": "event", "t": 1.0, "kind": "launch"}),
             "", "", ""])
         assert len(load_runlog(path).events) == 1
+
+
+class TestLoadRunlogSchema:
+    """Schemas 1 and 2 load; any other version fails by name."""
+
+    def _write(self, tmp_path, meta):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([
+            json.dumps({"type": "meta", **meta}),
+            json.dumps({"type": "event", "t": 1.0, "kind": "launch"})]))
+        return str(path)
+
+    @pytest.mark.parametrize("meta", [{}, {"schema": 1}, {"schema": 2}])
+    def test_known_schemas_load(self, tmp_path, meta):
+        assert len(load_runlog(self._write(tmp_path, meta)).events) == 1
+
+    @pytest.mark.parametrize("schema", [0, 3, "2"])
+    def test_unknown_schema_names_version_and_path(self, tmp_path,
+                                                   schema):
+        path = self._write(tmp_path, {"schema": schema})
+        with pytest.raises(ValueError) as exc:
+            load_runlog(path)
+        assert f"schema {schema!r}" in str(exc.value)
+        assert path in str(exc.value)

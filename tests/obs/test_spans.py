@@ -18,8 +18,10 @@ from repro.core.memory import MemoryConfig
 from repro.obs.critpath import (CATEGORIES, _wait_segment, attribution,
                                 bottleneck, critical_path, explain_lines,
                                 node_blame)
-from repro.obs.spans import Span, SpanRecorder, base_phase, phase_key
-from repro.obs.telemetry import Telemetry
+from repro.obs.spans import (WAIT_KINDS, Span, SpanRecorder, base_phase,
+                             phase_key)
+from repro.obs.telemetry import Telemetry, traced_count
+from repro.sim.trace import TraceEvent
 from repro.workloads import groupby_spec
 
 _EPS = 1e-6
@@ -64,7 +66,10 @@ class TestSpanTree:
         _, _, rec = heavy
         kinds = {e.kind for e in rec.edges}
         assert "throttle-wait" in kinds or "mem-wait" in kinds
-        assert rec.wait_events == sorted(rec.wait_events)
+        assert rec.wait_index
+        for times, codes in rec.wait_index.values():
+            assert len(times) == len(codes)
+            assert list(times) == sorted(times)
 
     def test_at_most_one_wait_edge_per_kind_per_attempt(self, heavy):
         _, _, rec = heavy
@@ -78,12 +83,15 @@ class TestSpanTree:
 
     def test_wait_tallies_count_every_consumed_decline(self, heavy):
         # A decline is consumed by the next launch on its node; the
-        # declines after a node's last launch explain nothing.
+        # declines after a node's last launch explain nothing.  A
+        # block-end stands for the n - 1 repeats of its decision.
         tele, _, rec = heavy
         pending, consumed = {}, {"throttle": 0, "mem-decline": 0}
         for _, kind, d in tele.events:
             if kind in consumed:
                 pending.setdefault(d["node"], []).append(kind)
+            elif kind == "block-end" and d["of"] in consumed:
+                pending[d["node"]].extend([d["of"]] * (d["n"] - 1))
             elif kind == "launch":
                 for k in pending.pop(d["node"], ()):
                     consumed[k] += 1
@@ -94,10 +102,15 @@ class TestSpanTree:
         assert sum(tallied.values()) > len(rec.attempts)
 
     def test_edge_count_does_not_grow_with_declines(self, heavy):
-        # 980 declines; one wait edge per decline made this 1,234.
-        _, _, rec = heavy
-        assert len(rec.wait_events) == 980
-        assert len(rec.edges) == 448
+        # 980 declines; one wait edge per decline made this 1,234, and
+        # the fetch-source edges (one per shuffle flow) 448.
+        tele, _, rec = heavy
+        assert sum(len(times) for times, _ in
+                   rec.wait_index.values()) == 980
+        assert len(rec.edges) == 416
+        # The log keeps each block's opening and one block-end.
+        assert sum(1 for _, kind, _ in tele.events
+                   if kind in ("throttle", "mem-decline")) == 202
 
     def test_phase_key_round_trip(self):
         assert phase_key("store") == "store"
@@ -167,14 +180,19 @@ class TestCriticalPath:
 
 
 def _linear_wait_category(events, w0, w1, node, eps=1e-9):
-    """The rule as DESIGN.md §15 states it: the last decision on the
-    node inside ``[w0 - eps, w1 + eps]`` names the wait."""
+    """The rule as DESIGN.md §15 states it, over one ``(t, category,
+    node)`` tuple per decision in sorted order: the last decision on the
+    node inside ``[w0 - eps, w1 + eps]`` names the wait, so at equal
+    times the larger category string wins."""
     cat = "queueing"
-    for t, wcat, n in events:
+    for t, wcat, n in sorted(events):
         if w0 - eps <= t <= w1 + eps and n == node:
             cat = wcat
     return cat
 
+
+#: Wait category -> the decision kind that records it.
+_KIND_OF = {"scheduler-throttle": "throttle", "memory-wait": "mem-decline"}
 
 # Times on a coarse grid, some nudged by about the tolerance, so window
 # edges and ties land exactly on or just beside decision times.
@@ -182,10 +200,17 @@ _TIMES = st.builds(lambda k, d: k * 0.5 + d, st.integers(0, 8),
                    st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 2e-9]))
 
 
+def _decision_events(events):
+    """``(t, category, node)`` tuples as the per-decision trace stream
+    the scheduler emits, in the given order."""
+    return [(t, _KIND_OF[wcat], {"node": node, "reason": "pacing",
+                                 "elastic": False})
+            for t, wcat, node in events]
+
+
 class TestWaitSegment:
     def _segment(self, events, w0, w1, node):
-        rec = SpanRecorder()
-        rec.wait_events = sorted(events)
+        rec = SpanRecorder.from_events(_decision_events(events))
         cur = Span(0, None, "attempt", "fetch#1", w1, node=node)
         return _wait_segment(rec, w0, w1, cur)
 
@@ -208,7 +233,50 @@ class TestWaitSegment:
                                                node):
         w1 = w0 + span
         assert self._segment(events, w0, w1, node).category == \
-            _linear_wait_category(sorted(events), w0, w1, node)
+            _linear_wait_category(events, w0, w1, node)
+
+    @settings(max_examples=300, deadline=None)
+    @given(passes=st.lists(st.tuples(
+               _TIMES,
+               st.lists(st.tuples(st.integers(0, 2), st.sampled_from(
+                   ["throttle-pacing", "throttle-concurrency",
+                    "mem-rigid", "decline", "launch"])),
+                        max_size=4)),
+               max_size=10),
+           w0=_TIMES, span=_TIMES, node=st.integers(0, 2))
+    def test_coalesced_index_matches_the_per_pass_rule(self, passes, w0,
+                                                       span, node):
+        """Offer passes at sorted times (several at one time give
+        equal-time ties across categories), each visiting some nodes;
+        the per-pass stream goes through the telemetry sink, whose
+        coalesced log must fold to the per-pass rule's categories and
+        the same wait tallies."""
+        stream = []
+        for t, visits in sorted(passes, key=lambda p: p[0]):
+            for n, what in visits:
+                kind, _, reason = what.partition("-")
+                kind = {"mem": "mem-decline"}.get(kind, kind)
+                stream.append((t, kind, {"node": n, "reason": reason,
+                                         "elastic": False, "task": 0}))
+        tele = Telemetry()
+        for t, kind, d in stream:
+            tele._sink(TraceEvent(t, kind, d))
+        tele.finish()
+        assert traced_count(tele.events) == len(stream)
+        oracle = [(t, WAIT_KINDS[kind], d["node"])
+                  for t, kind, d in stream if kind in WAIT_KINDS]
+        rec = SpanRecorder.from_events(tele.events)
+        per_pass = SpanRecorder.from_events(stream)
+        w1 = w0 + span
+        cur = Span(0, None, "attempt", "fetch#1", w1, node=node)
+        assert _wait_segment(rec, w0, w1, cur).category == \
+            _linear_wait_category(oracle, w0, w1, node)
+        assert [(e.dst, e.kind, e.attrs) for e in rec.edges] == \
+            [(e.dst, e.kind, e.attrs) for e in per_pass.edges]
+        assert {k: (list(a), list(b)) for k, (a, b) in
+                rec.wait_index.items()} == \
+            {k: (list(a), list(b)) for k, (a, b) in
+             per_pass.wait_index.items()}
 
 
 class TestRoundTripAndInvariance:
@@ -223,6 +291,16 @@ class TestRoundTripAndInvariance:
         rec2 = SpanRecorder.from_runlog(log)
         assert explain_lines(rec, tele.meta) == \
             explain_lines(rec2, log.meta)
+        # The block-ends' exact repeat times survive the trip, so the
+        # wait index and the critical path are the same.
+        assert [(s.start, s.end, s.category, s.node, s.detail)
+                for s in critical_path(rec2)] == \
+            [(s.start, s.end, s.category, s.node, s.detail)
+             for s in critical_path(rec)]
+        assert {k: (list(a), list(b)) for k, (a, b) in
+                rec2.wait_index.items()} == \
+            {k: (list(a), list(b)) for k, (a, b) in
+             rec.wait_index.items()}
 
     def test_spans_never_perturb_the_simulation(self, heavy):
         _, observed, rec = heavy
