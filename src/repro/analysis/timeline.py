@@ -257,7 +257,7 @@ def phase_report(log: "RunLog") -> str:
             f"{fmt(u['device_write_bytes_per_s'], MB)} "
             f"{fmt(u['device_read_bytes_per_s'], MB)} "
             f"{fmt(u['net_bytes_per_s'], MB)}")
-    if log.events_of("launch"):
+    if log.events.count("launch"):
         # Job runs carry the full attempt stream: replace the flat
         # counter dump with the critical-path attribution (where the
         # wall-clock actually went) and the decision audit.
@@ -286,7 +286,7 @@ def phase_report(log: "RunLog") -> str:
                        if parse_key(k)[0] == "sched.attempt_failures")
         lines.append(f"totals: {launches:.0f} task launches, "
                      f"{failures:.0f} attempt failures, "
-                     f"{len(log.events_of('flow-start'))} traced flows")
+                     f"{log.events.count('flow-start')} traced flows")
     return "\n".join(lines)
 
 

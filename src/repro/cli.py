@@ -449,11 +449,19 @@ def _run(args) -> int:
     return 0
 
 
+def _load_runlog(path: str):
+    """The run log at ``path``; a log the reader rejects (or cannot
+    open) ends the command with its one-line message."""
+    from repro.obs.runlog import load_runlog
+    try:
+        return load_runlog(path)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(str(exc))
+
+
 def _report(args) -> int:
     from repro.analysis.timeline import phase_report
-    from repro.obs.runlog import load_runlog
-    log = load_runlog(args.runlog)
-    print(phase_report(log))
+    print(phase_report(_load_runlog(args.runlog)))
     return 0
 
 
@@ -470,8 +478,7 @@ def _explain(args) -> int:
             raise SystemExit(
                 "--json needs a fresh simulation; drop the RUNLOG "
                 "argument to run one")
-        from repro.obs.runlog import load_runlog
-        log = load_runlog(args.runlog)
+        log = _load_runlog(args.runlog)
         rec = SpanRecorder.from_runlog(log)
         meta, events = log.meta, log.events
     else:

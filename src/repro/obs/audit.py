@@ -6,13 +6,15 @@ The offer loop already traces its decisions (``decline``, ``throttle``,
 *justifying state* — the node volume vs. the cluster average behind an
 ELB veto, the CAD running mean vs. its trigger threshold behind a
 throttle step, the free heap vs. demand behind a memory decline.  This
-module folds the event stream (the telemetry log's ``(t, kind,
-payload)`` tuples, :class:`TraceEvent` objects or runlog dicts; see
-:func:`repro.obs.spans._norm`) into typed :class:`AuditRecord` rows and
-renders the deterministic summaries ``repro explain`` prints.  A record
-keeps the event's payload and derives its justifying :attr:`state` only
-when read: the summaries read it for one example per reason, not for
-every decision.  :func:`iter_audit` yields the records one at a time and
+module folds the event stream (a run log's
+:class:`~repro.obs.eventlog.EventLog`, of which it reads the decision
+kinds only, or ``(t, kind, payload)`` tuples or :class:`TraceEvent`
+objects; see :func:`repro.obs.spans._records`) into typed
+:class:`AuditRecord` rows and renders the deterministic summaries
+``repro explain`` prints.  A record keeps the event's payload and
+derives its justifying :attr:`state` only when read: the summaries
+read it for one example per reason, not for every decision.
+:func:`iter_audit` yields the records one at a time and
 :func:`audit_lines` folds them in one pass into counts plus the first
 record of each reason, so a summary holds one record per reason, not one
 per decision; :func:`build_audit` is the same stream as a list.
@@ -50,14 +52,18 @@ from __future__ import annotations
 from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Tuple)
 
-from repro.obs.spans import _norm
+from repro.obs.spans import _records
 from repro.obs.telemetry import BLOCK_END
 
 __all__ = ["AuditRecord", "iter_audit", "build_audit", "audit_counts",
            "audit_lines"]
 
 #: Payload keys that are bookkeeping, not justifying state.
-_META_KEYS = frozenset({"t", "kind", "type", "node", "reason"})
+_META_KEYS = frozenset({"node", "reason"})
+
+#: The kinds the audit reads.
+_AUDIT_KINDS = frozenset({"decline", "throttle", "cad-step", "mem-decline",
+                          BLOCK_END})
 
 
 class AuditRecord:
@@ -122,7 +128,7 @@ def _decision(kind: str, d: Mapping[str, Any]
 def iter_audit(events: Iterable[Any]) -> Iterator[AuditRecord]:
     """Fold the trace-event stream into audit records, lazily and in
     event order."""
-    for t, kind, d in _norm(events):
+    for t, kind, d in _records(events, _AUDIT_KINDS):
         repeats = kind == BLOCK_END
         decision = _decision(d.get("of", "") if repeats else kind, d)
         if decision is not None:

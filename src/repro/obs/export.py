@@ -16,7 +16,10 @@ start and end events:
   jobs never cross, and fault/recovery/loss events as ``"i"``
   instants there;
 * network flows (``flow-start``/``flow-end``) become ``"b"``/``"e"``
-  async spans keyed by flow id on a synthetic ``fabric`` process;
+  async spans keyed by flow id on a synthetic ``fabric`` process (these
+  and the instants below are read with :meth:`EventLog.select
+  <repro.obs.eventlog.EventLog.select>`, so no other record's payload
+  is built for them);
 * the audited decisions ride along as instants on the engine lane: a
   ``throttle`` or ``mem-decline`` that opened a block as it was traced,
   and the block's ``block-end`` with ``n`` and ``last`` in ``args`` (its
@@ -28,7 +31,9 @@ trace-event stream with the sampled metric series:
 
 * ``{"type": "meta", ...}`` header (run identity, ``schema``: 2);
 * ``{"type": "event", "t": ..., "kind": ..., ...payload}`` per record
-  of :attr:`Telemetry.events`, in emission order, which is time order.
+  of :attr:`Telemetry.events` (the columnar store of
+  :mod:`repro.obs.eventlog`, read record by record), in emission order,
+  which is time order.
   Schema 2 added the ``block-end`` record: a scheduler decision that
   repeats on its node is logged once, and ``{"kind": "block-end",
   "node", "of", "reason" | "elastic", "n", "last"[, "times"]}`` closes
@@ -67,6 +72,9 @@ INSTANT_KINDS = frozenset({
     "failure", "mem-decline", "cad-step", "spill-done", BLOCK_END,
 })
 
+#: The kinds drawn as events of their own: the instants and the flows.
+_DRAWN_KINDS = INSTANT_KINDS | {"flow-start", "flow-end"}
+
 _US = 1e6  # trace-event timestamps are microseconds
 
 
@@ -89,7 +97,7 @@ def _lane(lanes: List[float], start: float, end: float) -> int:
 
 def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     """Build the trace-event JSON document from one run's telemetry."""
-    events = telemetry.events  # (t, kind, payload) tuples
+    events = telemetry.events
     rec = SpanRecorder.from_telemetry(telemetry)
     out: List[Dict[str, Any]] = []
     pids_seen = set()
@@ -131,7 +139,7 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
         })
 
     # -- instants, flows ---------------------------------------------------
-    for t, kind, data in events:
+    for t, kind, data in events.select(_DRAWN_KINDS):
         if kind in INSTANT_KINDS:
             pids_seen.add(engine_pid)
             out.append({
@@ -222,6 +230,8 @@ def runlog_lines(telemetry: Telemetry) -> Iterable[str]:
     Events and samples are emitted in one merged stream ordered by
     timestamp (ties: events first, preserving each stream's own order),
     so a reader scanning the log sees the run unfold chronologically.
+    The merge is one pass over the event store, each sample going out
+    before the first event later than it.
     """
     header = {"type": "meta", "schema": RUNLOG_SCHEMA}
     header.update(_jsonable(telemetry.meta))
@@ -231,23 +241,22 @@ def runlog_lines(telemetry: Telemetry) -> Iterable[str]:
     times = series.get("time", [])
     sample_keys = [k for k in series if k != "time"]
 
-    events = telemetry.events
-    ei = si = 0
-    while ei < len(events) or si < len(times):
-        take_event = si >= len(times) or (
-            ei < len(events) and events[ei][0] <= times[si])
-        if take_event:
-            t, kind, data = events[ei]
-            ei += 1
-            line = {"type": "event", "t": t, "kind": kind}
-            for k, v in data.items():
-                line[k] = _jsonable(v)
-            yield json.dumps(line)
-        else:
-            values = {k: _jsonable(series[k][si]) for k in sample_keys}
-            yield json.dumps({"type": "sample", "t": times[si],
-                              "values": values})
+    def sample(i: int) -> str:
+        values = {k: _jsonable(series[k][i]) for k in sample_keys}
+        return json.dumps({"type": "sample", "t": times[i],
+                           "values": values})
+
+    si, n_samples = 0, len(times)
+    for t, kind, data in telemetry.events:
+        while si < n_samples and times[si] < t:
+            yield sample(si)
             si += 1
+        line = {"type": "event", "t": t, "kind": kind}
+        for k, v in data.items():
+            line[k] = _jsonable(v)
+        yield json.dumps(line)
+    for i in range(si, n_samples):
+        yield sample(i)
 
     snap = telemetry.registry.snapshot()
     yield json.dumps({"type": "summary", **_jsonable(snap)})

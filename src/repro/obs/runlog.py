@@ -2,7 +2,8 @@
 
 Loads the log back into columnar form for analysis
 (:mod:`repro.analysis.timeline`) and the ``repro report`` summary:
-``meta`` header, the ordered event list, the sampled series as a time
+``meta`` header, the events in the live run's store
+(:class:`~repro.obs.eventlog.EventLog`), the sampled series as a time
 axis plus one column per gauge key, and the instrument-endpoint summary.
 
 Schemas 1 and 2 are read (a header without ``schema`` is schema 1);
@@ -18,6 +19,8 @@ from dataclasses import dataclass, field
 from math import nan
 from typing import Any, Dict, List
 
+from repro.obs.eventlog import EventLog
+
 __all__ = ["RunLog", "load_runlog", "READ_SCHEMAS"]
 
 #: Run-log schema versions this reader understands.
@@ -29,10 +32,11 @@ class RunLog:
     """One parsed run log."""
 
     meta: Dict[str, Any] = field(default_factory=dict)
-    #: ``{"t": ..., "kind": ..., ...payload}`` dicts in log order
-    #: (``block-end`` records included; see :func:`traced_count
-    #: <repro.obs.telemetry.traced_count>`).
-    events: List[Dict[str, Any]] = field(default_factory=list)
+    #: The events in log order, ``block-end`` records included (see
+    #: :func:`traced_count <repro.obs.telemetry.traced_count>`): the
+    #: same columnar store a live :class:`~repro.obs.telemetry.Telemetry`
+    #: fills, iterated as ``(t, kind, payload)``.
+    events: EventLog = field(default_factory=EventLog)
     #: Sample time axis.
     times: List[float] = field(default_factory=list)
     #: Gauge key -> one value per entry of :attr:`times` (NaN = missing).
@@ -40,49 +44,65 @@ class RunLog:
     #: Instrument endpoints (the ``summary`` footer), if present.
     summary: Dict[str, Any] = field(default_factory=dict)
 
-    def events_of(self, kind: str) -> List[Dict[str, Any]]:
-        return [e for e in self.events if e.get("kind") == kind]
-
 
 def load_runlog(path: str) -> RunLog:
+    """Read a run log one line at a time.  One line of lookahead tells
+    the last line from the others: a torn final line (the writer was
+    killed mid-record) is dropped and everything before it kept, while
+    garbage on any other line is a corrupt log and raises
+    ``ValueError`` naming the path and line, as does an unsupported
+    schema."""
     log = RunLog()
     with open(path) as fh:
-        rows = [ln.strip() for ln in fh]
-    rows = [ln for ln in rows if ln]
-    for i, raw in enumerate(rows):
-        try:
-            rec = json.loads(raw)
-        except ValueError:
-            if i == len(rows) - 1:
-                # A torn final line (writer killed mid-record): salvage
-                # everything before it.  Garbage anywhere else is a
-                # corrupt log and stays an error.
-                break
-            raise
-        typ = rec.get("type")
-        if typ == "meta":
-            schema = rec.get("schema", 1)
-            if schema not in READ_SCHEMAS:
-                raise ValueError(
-                    f"{path}: run-log schema {schema!r} is not supported "
-                    f"(this reader reads schemas "
-                    f"{', '.join(map(str, READ_SCHEMAS))})")
-            log.meta = {k: v for k, v in rec.items() if k != "type"}
-        elif typ == "event":
-            log.events.append(
-                {k: v for k, v in rec.items() if k != "type"})
-        elif typ == "sample":
-            n_prev = len(log.times)
-            log.times.append(float(rec["t"]))
-            values = rec.get("values", {})
-            for key, val in values.items():
-                col = log.columns.get(key)
-                if col is None:
-                    col = log.columns[key] = [nan] * n_prev
-                col.append(nan if val is None else float(val))
-            for key, col in log.columns.items():
-                if len(col) <= n_prev:
-                    col.append(nan)
-        elif typ == "summary":
-            log.summary = {k: v for k, v in rec.items() if k != "type"}
+        pending = None
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line:
+                continue
+            if pending is not None:
+                try:
+                    rec = json.loads(pending)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{pending_no}: not a run-log "
+                                     f"record ({exc})") from None
+                _read(log, rec, path)
+            pending, pending_no = line, lineno
+        if pending is not None:
+            try:
+                rec = json.loads(pending)
+            except ValueError:
+                return log
+            _read(log, rec, path)
     return log
+
+
+def _read(log: RunLog, rec: Dict[str, Any], path: str) -> None:
+    typ = rec.pop("type", None)
+    if typ == "event":
+        # What is left after the time and the kind is the payload, in
+        # the order it was written.
+        t = rec.pop("t", 0.0)
+        kind = rec.pop("kind", "")
+        log.events.append(float(t), str(kind), rec)
+    elif typ == "sample":
+        n_prev = len(log.times)
+        log.times.append(float(rec["t"]))
+        values = rec.get("values", {})
+        for key, val in values.items():
+            col = log.columns.get(key)
+            if col is None:
+                col = log.columns[key] = [nan] * n_prev
+            col.append(nan if val is None else float(val))
+        for key, col in log.columns.items():
+            if len(col) <= n_prev:
+                col.append(nan)
+    elif typ == "meta":
+        schema = rec.get("schema", 1)
+        if schema not in READ_SCHEMAS:
+            raise ValueError(
+                f"{path}: run-log schema {schema!r} is not supported "
+                f"(this reader reads schemas "
+                f"{', '.join(map(str, READ_SCHEMAS))})")
+        log.meta = rec
+    elif typ == "summary":
+        log.summary = rec

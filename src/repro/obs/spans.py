@@ -27,13 +27,15 @@ edge kind         meaning
 Everything here is *post-hoc*: spans are only built when a caller asks
 (``repro explain``, ``repro report``, the bench spans column), so the
 no-telemetry path stays allocation-free and fingerprints are untouched
-by construction.  Three event representations are accepted, and
-:func:`_norm` turns them all into the run log's ``(t, kind, payload)``
-tuples: those tuples themselves (a
-:class:`~repro.obs.telemetry.Telemetry` bundle's ``events``, passed
-through as they are), :class:`~repro.sim.trace.TraceEvent` objects
-(e.g. the simulator's ring), and the ``{"t": ..., "kind": ...,
-...payload}`` dicts read back from a JSONL run log.
+by construction.  The fold reads ``(t, kind, payload)`` records from
+a run log's :class:`~repro.obs.eventlog.EventLog` (a live
+:class:`~repro.obs.telemetry.Telemetry` bundle's ``events`` or a loaded
+:class:`~repro.obs.runlog.RunLog`'s), selecting only the kinds it reads,
+so the flow, offer and retry records that make up most of a log never
+become payload dicts here; any other stream is normalized by
+:func:`_norm`: ``(t, kind, payload)`` tuples pass through and
+:class:`~repro.sim.trace.TraceEvent` objects (e.g. the simulator's
+ring) are converted one at a time.
 
 The fold is one streaming pass that keeps per-task state, not
 per-event state: the scheduler declines between two launches on a node
@@ -51,9 +53,10 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from typing import (Any, Dict, Iterable, Iterator, List, Mapping,
-                    Optional, Tuple)
+from typing import (Any, Collection, Dict, Iterable, Iterator, List,
+                    Mapping, Optional, Tuple)
 
+from repro.obs.eventlog import EventLog
 from repro.obs.telemetry import BLOCK_END
 
 __all__ = ["Span", "SpanEdge", "SpanRecorder", "PHASE_CATEGORY",
@@ -79,6 +82,11 @@ _WAIT_CODE = {kind: WAIT_CATEGORIES.index(wcat)
               for kind, wcat in WAIT_KINDS.items()}
 
 _ATTEMPT_END = ("complete", "interrupt", "failure")
+
+#: The kinds the span fold reads, besides every ``fault-*``.
+_SPAN_KINDS = frozenset({"phase-start", "phase-end", "launch",
+                         *_ATTEMPT_END, *WAIT_KINDS, BLOCK_END, "spill",
+                         "spill-done", "combine", "task-lost"})
 
 
 def phase_key(phase: str, round_: Optional[int] = None) -> str:
@@ -135,18 +143,25 @@ class SpanEdge:
 
 
 def _norm(events: Iterable[Any]) -> Iterator[Tuple[float, str, Mapping]]:
-    """Normalize the event stream to ``(t, kind, data)`` tuples, lazily:
-    run-log tuples pass through, TraceEvent objects and runlog dicts are
-    converted one at a time."""
+    """Normalize an event stream to ``(t, kind, data)`` tuples, lazily:
+    tuples pass through, TraceEvent objects are converted one at a
+    time."""
     for e in events:
         if type(e) is tuple:
             yield e
-            continue
-        t = getattr(e, "time", None)
-        if t is not None:
-            yield float(t), e.kind, e.data
         else:
-            yield float(e.get("t", 0.0)), str(e.get("kind", "")), e
+            yield float(e.time), e.kind, e.data
+
+
+def _records(events: Iterable[Any], kinds: Collection[str],
+             prefixes: Tuple[str, ...] = ()
+             ) -> Iterator[Tuple[float, str, Mapping]]:
+    """The records a fold over ``kinds`` (and ``prefixes``) reads: from
+    an :class:`EventLog`, those kinds only; from any other stream, every
+    event, through :func:`_norm`."""
+    if isinstance(events, EventLog):
+        return events.select(kinds, prefixes)
+    return _norm(events)
 
 
 class SpanRecorder:
@@ -206,9 +221,11 @@ class SpanRecorder:
         #: node -> {wait category: [first t, last t, count]} of the
         #: decision events since the last launch on that node.
         waits: Dict[Any, Dict[str, List[Any]]] = {}
-        t_max = t0
+        # A phase left open ends at the last event of any kind.
+        t_max = max(t0, max(events.times, default=t0)) \
+            if isinstance(events, EventLog) else t0
 
-        for t, kind, d in _norm(events):
+        for t, kind, d in _records(events, _SPAN_KINDS, ("fault-",)):
             if t > t_max:
                 t_max = t
             if kind == "phase-start":

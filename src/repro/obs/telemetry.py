@@ -32,9 +32,9 @@ with or without a bound Telemetry (asserted in
 from __future__ import annotations
 
 from array import array
-from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
-                    Tuple)
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
+from repro.obs.eventlog import EventLog
 from repro.obs.probe import Probe
 from repro.obs.registry import MetricsRegistry
 
@@ -56,18 +56,13 @@ BLOCK_KEYS = {"throttle": "reason", "decline": "reason",
 _TIMED = frozenset({"throttle", "mem-decline"})
 
 
-def traced_count(events: Iterable[Any]) -> int:
+def traced_count(events: EventLog) -> int:
     """The number of traced occurrences a run log stands for: each
     record counts one, except a ``block-end``, which counts the ``n - 1``
-    repeats it folded.  Accepts the telemetry's ``(t, kind, payload)``
-    tuples and a loaded run log's dicts."""
-    total = 0
-    for e in events:
-        if type(e) is tuple:
-            kind, d = e[1], e[2]
-        else:
-            kind, d = e.get("kind"), e
-        total += d["n"] - 1 if kind == BLOCK_END else 1
+    repeats it folded."""
+    total = len(events)
+    for _, _, d in events.select((BLOCK_END,)):
+        total += d["n"] - 2
     return total
 
 
@@ -77,16 +72,16 @@ class Telemetry:
     def __init__(self, probe_period: float = 0.25) -> None:
         self.registry = MetricsRegistry(enabled=True)
         self.probe_period = float(probe_period)
-        #: The run log: one exact ``(t, kind, payload)`` tuple per trace
-        #: event (:attr:`TraceEvent.record`), in emission order, except
-        #: that a decision repeating its node's open block is folded
-        #: into the block's ``block-end`` record (see the module
-        #: docstring; :func:`traced_count` gives the traced total).  The
-        #: payload is the dict the tracing call made, shared, so readers
-        #: must not mutate it.  The cyclic collector never tracks a dict
-        #: of atomic values, so each event adds one tracked object, the
-        #: tuple, to what a full collection scans (DESIGN.md §8).
-        self.events: List[Tuple[float, str, Dict[str, Any]]] = []
+        #: The run log: one ``(t, kind, payload)`` record per trace event
+        #: (:attr:`TraceEvent.record`), in emission order, except that a
+        #: decision repeating its node's open block is folded into the
+        #: block's ``block-end`` record (see the module docstring;
+        #: :func:`traced_count` gives the traced total).  The store packs
+        #: each payload's numbers into its shape's table and keeps the
+        #: dict the tracing call made no longer than the call, so an
+        #: event with atomic values adds no object the cyclic collector
+        #: tracks (:mod:`repro.obs.eventlog`, DESIGN.md §8).
+        self.events = EventLog()
         self.probe: Optional[Probe] = None
         #: Run identity recorded into exporter headers (workload, nodes,
         #: flags) — filled by whoever constructs the run.
@@ -105,11 +100,10 @@ class Telemetry:
                      "n": n, "last": last}
                 if times is not None:
                     d["times"] = times
-                append((t, BLOCK_END, d))
+                append(t, BLOCK_END, d)
 
         def sink(ev: "TraceEvent") -> None:
-            rec = ev.record
-            t, kind, d = rec
+            t, kind, d = ev.record
             field = BLOCK_KEYS.get(kind)
             if field is not None:
                 node, key = d.get("node"), d.get(field)
@@ -128,11 +122,11 @@ class Telemetry:
                 b = blocks.pop(d.get("node"), None)
                 if b is not None:
                     close(d.get("node"), b, t)
-            append(rec)
+            append(t, kind, d)
 
         def close_all() -> None:
             if events:
-                t = events[-1][0]
+                t = events.times[-1]
                 for node, b in blocks.items():
                     close(node, b, t)
             blocks.clear()

@@ -8,8 +8,9 @@ event lands in a bounded deque that tests can query and that the
 deadlock forensics report (:class:`~repro.sim.core.SimulationDeadlock`)
 dumps as its "last N events" tail.  The telemetry layer
 (:mod:`repro.obs`) additionally registers *sinks* that receive every
-event unbounded — the structured run log keeps each event's
-:attr:`TraceEvent.record` tuple.
+event unbounded — the structured run log reads each event's
+:attr:`TraceEvent.record` tuple into its columnar store
+(:mod:`repro.obs.eventlog`).
 
 Event kinds emitted by the stage runner:
 
@@ -69,7 +70,7 @@ class TraceEvent:
     """One traced occurrence: a timestamp, a kind tag, and a payload.
 
     A ``__slots__`` record over one exact ``(time, kind, payload)``
-    tuple, :attr:`record` — the form the telemetry run log stores.  It
+    tuple, :attr:`record` — the form the telemetry run log reads.  It
     is read-only: attributes cannot be assigned, and :attr:`data` is a
     read-only view of the payload made when read.  The public
     constructor copies the payload, so a caller reusing the dict it
@@ -81,7 +82,8 @@ class TraceEvent:
     __slots__ = ("record",)
 
     #: The ``(time, kind, payload)`` tuple itself, read as a plain slot
-    #: (the run log takes it once per event).  Its payload dict is
+    #: (the run log's sink unpacks it once per event into its store and
+    #: keeps neither the tuple nor the dict).  Its payload dict is
     #: shared with this event: holders must only read it.
     record: Tuple[float, str, Dict[str, Any]]
 

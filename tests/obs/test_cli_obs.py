@@ -122,6 +122,35 @@ class TestExplainCli:
         assert "scheduler decisions:" in explained
 
 
+class TestRejectedRunLog:
+    """A run log the reader rejects ends ``repro report`` and ``repro
+    explain RUNLOG`` with the reader's one-line message, not a
+    traceback."""
+
+    _EVENT = json.dumps({"type": "event", "t": 1.0, "kind": "launch"})
+
+    @pytest.mark.parametrize("command", ["report", "explain"])
+    def test_unsupported_schema(self, tmp_path, command):
+        path = tmp_path / "run.jsonl"
+        path.write_text(json.dumps({"type": "meta", "schema": 3}) + "\n")
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path)])
+        assert str(exc.value) == (
+            f"{path}: run-log schema 3 is not supported "
+            f"(this reader reads schemas 1, 2)")
+
+    @pytest.mark.parametrize("command", ["report", "explain"])
+    def test_garbage_before_the_last_line(self, tmp_path, command):
+        path = tmp_path / "run.jsonl"
+        path.write_text("\n".join([json.dumps({"type": "meta"}),
+                                   "not json", self._EVENT]))
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(path)])
+        message = str(exc.value)
+        assert message.startswith(f"{path}:2: not a run-log record")
+        assert "\n" not in message
+
+
 class TestExperimentsCapture:
     def test_capture_forces_serial_uncached(self, tmp_path, capsys):
         from repro.experiments.__main__ import main as exp_main

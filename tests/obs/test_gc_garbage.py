@@ -10,10 +10,10 @@ or page-cache read that closed a cycle as a ``_FetchPump``, ``_Slice``
 or ``_Read`` record.  The simulator, pipes and fabric stay referenced
 through the collection, so only per-transfer garbage can appear.
 
-The telemetry half pins the run-log representation: an atomic-payload
-record is one exact tuple over an untracked payload dict, and the tuple
-log exports the same Chrome trace and run log as a run log read back
-from disk.
+The telemetry half pins the run-log representation: appending events
+with atomic payloads adds no object the collector tracks, however many
+there are, and the live store exports the same Chrome trace and run log
+as a store read back from disk.
 """
 
 import gc
@@ -132,28 +132,38 @@ class TestTransfersLeaveNoCycles:
 
 
 class TestUntrackedRunLog:
-    def test_atomic_record_is_one_tracked_tuple(self):
-        """An atomic payload is never tracked, so the record's exact
-        tuple is the only object per event a collection scans.  (CPython
-        untracks a tuple only when no item is a container, and the
-        payload dict is one, so the tuple itself stays tracked.)"""
+    def test_atomic_events_add_no_tracked_object(self):
+        """Events whose payload values are atomic add no object the
+        cyclic collector tracks: their numbers are packed into their
+        shape's table and their strings only referenced, so what a full
+        collection scans does not grow with the log."""
         tele = Telemetry()
         sim = Simulator()
         tele.bind(sim)
-        sim.trace("launch", task=3, node=1, phase="compute",
-                  speculative=False, queued=0.5)
-        rec = tele.events[0]
-        assert type(rec) is tuple and rec == (
-            0.0, "launch", {"task": 3, "node": 1, "phase": "compute",
-                            "speculative": False, "queued": 0.5})
-        assert gc.is_tracked(rec[2]) is False
+
+        def trace(n):
+            for i in range(n):
+                sim.trace("launch", task=i, node=i % 4, phase="compute",
+                          speculative=i % 2 == 0, queued=0.5 * i)
+                sim.trace("flow-start", fid=i, src=1, dst=2,
+                          nbytes=1e6 + i)
+
+        trace(10)  # the two shapes' tables exist from here on
         gc.collect()
-        assert gc.is_tracked(rec[2]) is False
-        assert [o for o in gc.get_referents(rec) if gc.is_tracked(o)] == []
+        before = len(gc.get_objects())
+        trace(5_000)
+        gc.collect()
+        grown = len(gc.get_objects()) - before
+        assert len(tele.events) == 10_020
+        # One tracked object per event would add 10,000.
+        assert grown < 100, grown
+        assert list(tele.events.select({"launch"}))[-1] == (
+            0.0, "launch", {"task": 4_999, "node": 3, "phase": "compute",
+                            "speculative": False, "queued": 2_499.5})
 
     def test_exports_match_round_tripped_runlog(self, tmp_path):
-        """The Chrome trace and run log written from the tuple log equal
-        those written from a run log read back from disk."""
+        """The Chrome trace and run log written from the live store equal
+        those written from a store read back from disk."""
         path = tmp_path / "run.jsonl"
         trace = tmp_path / "trace.json"
         code = main(["run", "--workload", "groupby", "--data-gb", "2",
@@ -162,14 +172,12 @@ class TestUntrackedRunLog:
                      "--trace-out", str(trace), "--metrics-out", str(path)])
         assert code == 0
         log = load_runlog(str(path))
-        # Rebuild a telemetry bundle from the on-disk log: its events as
-        # (t, kind, payload) tuples, and a probe stand-in for the series.
+        # Rebuild a telemetry bundle from the on-disk log: its store's
+        # (t, kind, payload) records, and a probe stand-in for the series.
         replay = Telemetry()
         replay.meta = log.meta
-        replay.events.extend(
-            (e["t"], e["kind"],
-             {k: v for k, v in e.items() if k not in ("t", "kind")})
-            for e in log.events)
+        for t, kind, payload in log.events:
+            replay.events.append(t, kind, payload)
         series = {"time": log.times, **log.columns}
         replay.series = lambda: series
         lines = path.read_text().splitlines()

@@ -14,7 +14,9 @@ from repro.obs.spans import SpanRecorder
 
 def _log_with(events=(), times=(), columns=None):
     log = RunLog()
-    log.events = [dict(e) for e in events]
+    for e in events:
+        payload = dict(e)
+        log.events.append(payload.pop("t"), payload.pop("kind"), payload)
     log.times = list(times)
     log.columns = {k: list(v) for k, v in (columns or {}).items()}
     return log
@@ -83,6 +85,15 @@ class TestPhaseWindows:
              "round": 2},
             {"t": 7.0, "kind": "launch", "task": 0, "node": 0}])
         assert self._windows(log) == {"store[2]": (1.0, 7.0)}
+
+    def test_unclosed_phase_ends_at_a_last_event_the_fold_skips(self):
+        # The fold reads no flow records, but the last one still ends
+        # the run.
+        log = _log_with(events=[
+            {"t": 1.0, "kind": "phase-start", "phase": "fetch"},
+            {"t": 8.0, "kind": "flow-end", "fid": 0, "src": 0, "dst": 1,
+             "nbytes": 1.0}])
+        assert self._windows(log) == {"fetch": (1.0, 8.0)}
 
     def test_unclosed_phase_ends_at_header_job_time(self):
         log = _log_with(events=[
@@ -169,3 +180,49 @@ class TestLoadRunlogSchema:
             load_runlog(path)
         assert f"schema {schema!r}" in str(exc.value)
         assert path in str(exc.value)
+
+
+class TestLoadRunlogMemory:
+    """A loaded run log keeps its events packed: a ``flow-start`` or
+    ``flow-end`` record (four numbers) retains a few dozen bytes, not
+    the ~350 B of a dict with boxed values."""
+
+    N = 20_000
+
+    def _flow_lines(self):
+        yield json.dumps({"type": "meta", "schema": 2})
+        for i in range(self.N // 2):
+            for kind in ("flow-start", "flow-end"):
+                yield json.dumps({"type": "event", "t": i * 1e-3,
+                                  "kind": kind, "fid": i, "src": i % 7,
+                                  "dst": i % 5, "nbytes": 1e6 + i})
+
+    def test_packed_records_torn_tail_and_corrupt_middle(self, tmp_path):
+        import tracemalloc
+        lines = list(self._flow_lines())
+        path = tmp_path / "flows.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            log = load_runlog(str(path))
+            retained = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(log.events) == self.N
+        assert retained / self.N <= 64, retained / self.N
+        assert list(log.events)[-1] == (
+            (self.N // 2 - 1) * 1e-3, "flow-end",
+            {"fid": self.N // 2 - 1, "src": (self.N // 2 - 1) % 7,
+             "dst": (self.N // 2 - 1) % 5,
+             "nbytes": 1e6 + self.N // 2 - 1})
+
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("\n".join(lines[:-1] + [lines[-1][:25]]))
+        assert len(load_runlog(str(torn)).events) == self.N - 1
+
+        corrupt = tmp_path / "corrupt.jsonl"
+        corrupt.write_text("\n".join(
+            lines[:100] + [lines[100][:25]] + lines[101:]))
+        with pytest.raises(ValueError):
+            load_runlog(str(corrupt))
