@@ -22,6 +22,7 @@ reproduces the paper's network-bottleneck scenario (Fig 13(b)).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -151,7 +152,8 @@ class _FetchPump:
     fixed key (DESIGN.md §8, "Shuffle fetch pump"): one URGENT start
     entry, one URGENT entry per grant (the first window as one batch),
     and a NORMAL entry before ``done``.  Per-slice state lives in
-    :class:`_Slice` records, never in closures.
+    :class:`_Slice` records, never in closures, and the sources and
+    sizes in flat arrays, one machine word per slice.
     """
 
     __slots__ = ("plan", "reducer", "node", "srcs", "sizes", "total",
@@ -161,8 +163,8 @@ class _FetchPump:
         self.plan = plan
         self.reducer = reducer
         self.node = node
-        srcs = []
-        sizes = []
+        srcs = array("l")
+        sizes = array("d")
         total = 0.0
         n = plan.cluster.n_nodes
         # Rotate source order per reducer so sources aren't hit in lockstep.
@@ -233,7 +235,10 @@ class _Slice:
         self._wait = 0
 
     def go(self, _gate: Optional[Event] = None) -> None:
-        """Start the slice's reads (and transfer) at its physical source."""
+        """Start the slice's reads (and transfer) at its physical source.
+
+        The volume read and the fabric transfer complete through
+        ``then`` callbacks, so neither makes an event."""
         pump = self.pump
         plan = pump.plan
         cluster = plan.cluster
@@ -256,27 +261,27 @@ class _Slice:
             return
         bundle = plan.bundle_id(phys)
         bundle_total = plan.bundle_total(src)
+        # A local slice is done with its read.  Otherwise reads and the
+        # transfer are pipelined: the slice is done once both are, one
+        # NORMAL entry after the later of the two.
+        local = phys == dst
+        then = pump.slice_done if local else self._part
         if mode == "network":
-            read_ev = cluster.nodes[phys].volume(spec.shuffle_store).read(
-                nbytes, bundle, of_total=bundle_total)
+            cluster.nodes[phys].volume(spec.shuffle_store).read(
+                nbytes, bundle, of_total=bundle_total, then=then)
         elif mode == "lustre-local":
-            read_ev = cluster.lustre.read_local(phys, nbytes, bundle,
-                                                of_total=bundle_total)
+            cluster.lustre.read_local(phys, nbytes, bundle,
+                                      of_total=bundle_total
+                                      ).callbacks.append(then)
         else:  # pragma: no cover - JobSpec validates
             raise ValueError(f"unknown fetch mode {mode!r}")
-        if phys == dst:
-            read_ev.callbacks.append(pump.slice_done)
+        if local:
             return
-        net_ev = cluster.fabric.transfer(
-            phys, dst, nbytes * pump._inflation, cap=pump._cap,
-            tag=("fetch", pump.reducer, src))
-        # Reads and the transfer are pipelined: the slice is done once
-        # both are, one NORMAL entry after the later of the two.
         self._wait = 2
-        read_ev.callbacks.append(self._part)
-        net_ev.callbacks.append(self._part)
+        cluster.fabric.transfer(phys, dst, nbytes * pump._inflation,
+                                cap=pump._cap, then=self._part)
 
-    def _part(self, _ev: Event) -> None:
+    def _part(self, _ev: Optional[Event] = None) -> None:
         self._wait -= 1
         if self._wait == 0:
             pump = self.pump

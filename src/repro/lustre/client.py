@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Hashable
 
-from repro.sim.events import Event
+from repro.sim.events import URGENT, Event
 from repro.sim.fluid import FluidPipe
 from repro.storage.device import GB, MB
 
@@ -49,6 +49,9 @@ class LustreClient:
         #: not re-enter the clean cache afterwards.
         self._dropped: set = set()
         self._wb_active = False
+        #: The file and bytes of the writeback write in flight.
+        self._wb_file: Hashable = None
+        self._wb_bytes = 0.0
         # Statistics.
         self.bytes_written = 0.0
         self.bytes_throttled = 0.0
@@ -200,22 +203,36 @@ class LustreClient:
     def _kick_writeback(self) -> None:
         if not self._wb_active and self.dirty:
             self._wb_active = True
-            self.sim.process(self._writeback(), name=f"lc{self.node_id}.wb")
+            # URGENT: the key a writeback process start had.
+            self.sim.schedule_now(self._writeback, (), URGENT)
 
-    def _writeback(self):
-        while self.dirty:
-            file_id, nbytes = next(iter(self.dirty.items()))
-            del self.dirty[file_id]
-            ev = Event(self.sim, name=f"lc{self.node_id}.wbff")
-            self._in_flight[file_id] = ev
-            self._in_flight_bytes[file_id] = nbytes
-            yield self.oss.write(nbytes)
-            self.dirty_total -= nbytes
-            if file_id in self._dropped:
-                self._dropped.discard(file_id)
-            else:
-                self._add_clean(file_id, nbytes)
-            del self._in_flight[file_id]
-            del self._in_flight_bytes[file_id]
-            ev.succeed()
-        self._wb_active = False
+    def _writeback(self) -> None:
+        """Flush the oldest dirty file, or go idle once none is left.
+
+        A callback chain (``oss.write`` → :meth:`_file_written`), like
+        ``PageCache._writeback``: a client torn down mid-writeback runs
+        no code when the collector frees it."""
+        if not self.dirty:
+            self._wb_active = False
+            return
+        file_id, nbytes = next(iter(self.dirty.items()))
+        del self.dirty[file_id]
+        self._in_flight[file_id] = Event(self.sim,
+                                         name=f"lc{self.node_id}.wbff")
+        self._in_flight_bytes[file_id] = nbytes
+        self._wb_file = file_id
+        self._wb_bytes = nbytes
+        self.oss.write(nbytes, then=self._file_written)
+
+    def _file_written(self) -> None:
+        file_id = self._wb_file
+        nbytes = self._wb_bytes
+        self.dirty_total -= nbytes
+        if file_id in self._dropped:
+            self._dropped.discard(file_id)
+        else:
+            self._add_clean(file_id, nbytes)
+        ev = self._in_flight.pop(file_id)
+        del self._in_flight_bytes[file_id]
+        ev.succeed()
+        self._writeback()

@@ -11,7 +11,7 @@ paper describes.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.events import Event
 from repro.sim.fluid import FluidPipe
@@ -61,28 +61,17 @@ class OSSPool:
                                                    / self.n_oss)
         return self.aggregate_bw * max(self.min_efficiency, eff)
 
-    def write(self, nbytes: float) -> Event:
+    def write(self, nbytes: float,
+              then: Optional[Callable[[], Any]] = None) -> Optional[Event]:
+        """Write ``nbytes``; ``then`` is a callback in place of the
+        returned event, as :meth:`FluidPipe.transfer` takes it."""
         if nbytes < 0:
             raise ValueError(f"negative write {nbytes}")
         self.bytes_written += nbytes
-        return self._chunked(nbytes)
+        return self.pipe.transfer_chunked(nbytes, self.chunk_bytes, then)
 
     def read(self, nbytes: float) -> Event:
         if nbytes < 0:
             raise ValueError(f"negative read {nbytes}")
         self.bytes_read += nbytes
-        return self._chunked(nbytes)
-
-    def _chunked(self, nbytes: float) -> Event:
-        if nbytes <= self.chunk_bytes:
-            return self.pipe.transfer(nbytes)
-
-        def io():
-            left = nbytes
-            while left > 0:
-                step = min(self.chunk_bytes, left)
-                yield self.pipe.transfer(step)
-                left -= step
-            return nbytes
-
-        return self.sim.process(io(), name=f"{self.name}.io")
+        return self.pipe.transfer_chunked(nbytes, self.chunk_bytes)

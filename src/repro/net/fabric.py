@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, \
+    Tuple
 
 import numpy as np
 
@@ -46,6 +47,7 @@ from repro.net import fastalloc
 from repro.sim import perfmode
 from repro.sim.events import Event
 from repro.sim.flowarray import FlowTable
+from repro.sim.fluid import Target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -80,19 +82,20 @@ class NetFlow:
     A thin view over the fabric's columnar flow state: the authoritative
     ``remaining``/``rate`` live in the arrays; the object mirrors
     ``remaining`` at allocation and completion boundaries and carries
-    the completion event and tag.  ``rate`` is *not* mirrored per
+    the completion target and tag.  ``rate`` is *not* mirrored per
     reallocation on the optimized path (that was an O(flows) Python loop
     per flow event); read ``Fabric._tab.col("rate")`` for live rates.
-    ``done`` is cleared once the completion is fired or scheduled, so
-    the event, whose value is this flow, is not reachable from it
-    (DESIGN.md §8, "Garbage-collector cost").
+    ``done`` is the completion target (the returned event or the
+    caller's ``then``); it is cleared as it fires, so the event, whose
+    value is this flow, is not reachable from it (DESIGN.md §8,
+    "Garbage-collector cost").
     """
 
     __slots__ = ("src", "dst", "size", "remaining", "rate", "cap", "done",
                  "started_at", "tag", "fid")
 
     def __init__(self, src: int, dst: int, size: float, cap: float,
-                 done: Optional[Event], started_at: float,
+                 done: Optional[Target], started_at: float,
                  tag: Any) -> None:
         self.src = src
         self.dst = dst
@@ -197,13 +200,18 @@ class Fabric:
 
     # -- public API -----------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: float,
-                 cap: float = math.inf, tag: Any = None) -> Event:
+                 cap: float = math.inf, tag: Any = None,
+                 then: Optional[Callable[[], Any]] = None
+                 ) -> Optional[Event]:
         """Move ``nbytes`` from node ``src`` to node ``dst``.
 
         Returns an event succeeding with the :class:`NetFlow` when the
         last byte (plus propagation latency) has arrived.  A loopback
         transfer (``src == dst``) completes after latency only — intra-node
-        moves cost memory bandwidth, modelled elsewhere.
+        moves cost memory bandwidth, modelled elsewhere.  With ``then``,
+        no event is made: ``then()`` runs from the entry the event would
+        have pushed (see :meth:`Simulator.complete`), and the call
+        returns ``None``.
         """
         for n in (src, dst):
             # operator.index admits int and NumPy integers (HDFS replica
@@ -222,8 +230,11 @@ class Fabric:
                 f"transfer size must be finite and >= 0, got {nbytes}")
         if not cap > 0:
             raise ValueError(f"rate cap must be positive, got {cap}")
-        done = Event(self.sim, name=f"net:{src}->{dst}")
-        flow = NetFlow(src, dst, nbytes, cap, done, self.sim.now, tag)
+        done = None
+        target = then
+        if then is None:
+            target = done = Event(self.sim, name=f"net:{src}->{dst}")
+        flow = NetFlow(src, dst, nbytes, cap, target, self.sim.now, tag)
         self._flow_seq += 1
         flow.fid = self._flow_seq
         if src == dst or nbytes <= self.small_flow_bytes:
@@ -265,9 +276,14 @@ class Fabric:
     def _finish_direct(self, flow: NetFlow) -> None:
         flow.remaining = 0.0
         self.bytes_completed += flow.size
+        self._deliver(flow)
+
+    def _deliver(self, flow: NetFlow) -> None:
+        """Fire ``flow``'s completion target, once its tail latency has
+        passed: one NORMAL entry, as ``Event.succeed`` pushes."""
         done = flow.done
         flow.done = None
-        done.succeed(flow)
+        self.sim.complete(done, flow)
 
     @property
     def n_active(self) -> int:
@@ -326,6 +342,7 @@ class Fabric:
         self._node_rates = None
         flows = self.flows
         schedule = self.sim.schedule_callback
+        deliver = self._deliver
         latency = self.latency
         # Completion events enqueue in ascending flow order — the same
         # FIFO order the reference path produces — so same-timestamp
@@ -339,8 +356,7 @@ class Fabric:
                 self.sim.trace("flow-end", fid=f.fid, src=f.src, dst=f.dst,
                                nbytes=f.size)
             # Tail latency: the last byte still needs to propagate.
-            schedule(latency, f.done.succeed, f)
-            f.done = None
+            schedule(latency, deliver, f)
         if len(indices) == len(flows):
             flows.clear()
         else:
@@ -364,8 +380,7 @@ class Fabric:
                     self.sim.trace("flow-end", fid=f.fid, src=f.src,
                                    dst=f.dst, nbytes=f.size)
                 # Tail latency: the last byte still needs to propagate.
-                self.sim.schedule_callback(self.latency, f.done.succeed, f)
-                f.done = None
+                self.sim.schedule_callback(self.latency, self._deliver, f)
             else:
                 survivors.append(f)
         self.flows = survivors

@@ -54,7 +54,7 @@ class _Table:
     whose ints do not fit int64)."""
 
     __slots__ = ("sid", "kind", "keys", "width", "size", "packed",
-                 "objects", "add", "_unpack", "_order")
+                 "objects", "add", "_unpack", "_order", "_pos")
 
     def __init__(self, sid: int, kind: str, keys: Tuple[str, ...],
                  types: Optional[Tuple[type, ...]]) -> None:
@@ -74,9 +74,10 @@ class _Table:
         self.packed = bytearray()
         self.objects: List[Any] = []
         self._unpack = st.iter_unpack
+        #: Each key's index in (packed values + object values).
+        self._pos = tuple(map((packed + boxed).index, range(len(keys))))
         #: (packed values + object values) -> values in key order.
-        self._order = (itemgetter(*map((packed + boxed).index,
-                                       range(len(keys))))
+        self._order = (itemgetter(*self._pos)
                        if packed and boxed else None)
 
         def store(row: bytes) -> None:
@@ -107,6 +108,15 @@ class _Table:
         if self.size:
             return len(self.packed) // self.size
         return len(self.objects) // self.width
+
+    def column(self, key: str) -> Iterator[Any]:
+        """The values of field ``key``, in row order, building no
+        payload."""
+        pos = self._pos[self.keys.index(key)]
+        n_packed = len(self._pos) - self.width
+        if pos < n_packed:
+            return map(itemgetter(pos), self._unpack(self.packed))
+        return islice(self.objects, pos - n_packed, None, self.width)
 
     def payloads(self) -> Iterator[Dict[str, Any]]:
         """A fresh payload dict per row, in row order: the caller draws
@@ -184,6 +194,13 @@ class EventLog:
     def count(self, kind: str) -> int:
         """The number of records of ``kind``."""
         return sum(len(tb) for tb in self._tables if tb.kind == kind)
+
+    def field_values(self, key: str) -> Iterator[Any]:
+        """The value of field ``key`` of every record that has one,
+        table by table (not in append order); no payload is built."""
+        for tb in self._tables:
+            if key in tb.keys:
+                yield from tb.column(key)
 
     def _records(self, wanted: Optional[set]) -> Iterator[Record]:
         tables = self._tables

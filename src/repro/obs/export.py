@@ -26,6 +26,10 @@ start and end events:
   ``times`` are left out);
 * unlabeled gauges sampled by the probe become ``"C"`` counter tracks.
 
+The file is written one trace event at a time, after a layout pass, so
+no list of every event is held; its bytes are those of
+``json.dump(chrome_trace(...), default=str)``.
+
 **Run log** (``write_runlog``) is one JSON object per line unifying the
 trace-event stream with the sampled metric series:
 
@@ -52,7 +56,7 @@ import json
 import math
 import os
 from array import array
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, Iterator, List
 
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import BLOCK_END, Telemetry
@@ -97,91 +101,65 @@ def _lane(lanes: List[float], start: float, end: float) -> int:
 
 def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
     """Build the trace-event JSON document from one run's telemetry."""
+    return {
+        "traceEvents": list(_trace_events(telemetry)),
+        "displayTimeUnit": "ms",
+        "otherData": dict(telemetry.meta),
+    }
+
+
+def write_chrome_trace(path: str, telemetry: Telemetry) -> None:
+    """Write :func:`chrome_trace`'s document as ``json.dump(doc, fh,
+    default=str)`` would, plus a newline, one trace event at a time."""
+    _ensure_parent(path)
+    encode = json.JSONEncoder(default=str).encode
+    tail = encode({"displayTimeUnit": "ms",
+                   "otherData": dict(telemetry.meta)})
+    with open(path, "w") as fh:
+        fh.write('{"traceEvents": [')
+        sep = ""
+        for ev in _trace_events(telemetry):
+            fh.write(sep)
+            fh.write(encode(ev))
+            sep = ", "
+        fh.write("], ")
+        fh.write(tail[1:])
+        fh.write("\n")
+
+
+def _trace_events(telemetry: Telemetry) -> Iterator[Dict[str, Any]]:
+    """The document's ``traceEvents``, in order, one dict at a time.
+
+    The layout comes first: the pids from the store's ``node`` fields
+    (no payload is built for it), the task lanes from the span tree, and
+    which processes appear at all, so the metadata events that open the
+    list are known before any other event is made."""
     events = telemetry.events
     rec = SpanRecorder.from_telemetry(telemetry)
-    out: List[Dict[str, Any]] = []
-    pids_seen = set()
+    series = telemetry.series()
+    counter_keys = [key for key in series
+                    if key != "time" and "{" not in key]
 
     # pid layout: 0..n-1 real nodes, then two synthetic processes.
     max_node = -1
-    for _, _, data in events:
-        node = data.get("node")
+    for node in events.field_values("node"):
         if isinstance(node, int) and node > max_node:
             max_node = node
     engine_pid = max_node + 1
     fabric_pid = max_node + 2
 
-    # -- task attempts -> per-node duration lanes -------------------------
     node_lanes: Dict[int, List[float]] = {}
-    for sp in rec.attempts:
-        node = sp.node
-        tid = _lane(node_lanes.setdefault(node, []), sp.start, sp.end)
-        pids_seen.add(node)
-        out.append({
-            "ph": "X", "pid": node, "tid": tid,
-            "ts": sp.start * _US, "dur": sp.duration * _US,
-            "name": sp.name, "cat": "task",
-            "args": {"task": sp.attrs["task"],
-                     "outcome": sp.attrs["outcome"],
-                     "speculative": sp.attrs.get("speculative", False)},
-        })
-
-    # -- phases -> packed engine lanes (concurrent jobs never cross) ------
-    phase_lanes: List[float] = []
-    for sp in rec.phases:
+    attempt_tids = array("l", [
+        _lane(node_lanes.setdefault(sp.node, []), sp.start, sp.end)
+        for sp in rec.attempts])
+    pids_seen = set(node_lanes)
+    if rec.phases or counter_keys or any(
+            events.count(kind) for kind in INSTANT_KINDS):
         pids_seen.add(engine_pid)
-        out.append({
-            "ph": "X", "pid": engine_pid,
-            "tid": _lane(phase_lanes, sp.start, sp.end),
-            "ts": sp.start * _US, "dur": sp.duration * _US,
-            "name": sp.name, "cat": "phase",
-            "args": dict(sp.attrs),  # the job tag; combine's pre/post
-        })
-
-    # -- instants, flows ---------------------------------------------------
-    for t, kind, data in events.select(_DRAWN_KINDS):
-        if kind in INSTANT_KINDS:
-            pids_seen.add(engine_pid)
-            out.append({
-                "ph": "i", "pid": engine_pid, "tid": 1,
-                "ts": t * _US, "name": kind, "cat": "event",
-                "s": "g",
-                "args": {k: v for k, v in data.items() if k != "times"},
-            })
-        elif kind == "flow-start":
-            pids_seen.add(fabric_pid)
-            out.append({
-                "ph": "b", "pid": fabric_pid, "tid": 0,
-                "ts": t * _US, "id": data["fid"],
-                "name": f"flow {data.get('src')}->{data.get('dst')}",
-                "cat": "flow", "args": dict(data),
-            })
-        elif kind == "flow-end":
-            pids_seen.add(fabric_pid)
-            out.append({
-                "ph": "e", "pid": fabric_pid, "tid": 0,
-                "ts": t * _US, "id": data["fid"],
-                "name": f"flow {data.get('src')}->{data.get('dst')}",
-                "cat": "flow", "args": {},
-            })
-
-    # -- counters from unlabeled gauge series -----------------------------
-    series = telemetry.series()
-    times = series.get("time", [])
-    for key, column in series.items():
-        if key == "time" or "{" in key:
-            continue
-        pids_seen.add(engine_pid)
-        for t, v in zip(times, column):
-            if math.isnan(v):
-                continue
-            out.append({
-                "ph": "C", "pid": engine_pid, "tid": 0, "ts": t * _US,
-                "name": key, "args": {"value": v},
-            })
+    if events.count("flow-start") or events.count("flow-end"):
+        pids_seen.add(fabric_pid)
 
     # -- metadata: readable process/thread names --------------------------
-    meta_events: List[Dict[str, Any]] = []
     for pid in sorted(pids_seen):
         if pid == engine_pid:
             name = "engine"
@@ -189,27 +167,69 @@ def chrome_trace(telemetry: Telemetry) -> Dict[str, Any]:
             name = "fabric"
         else:
             name = f"node {pid}"
-        meta_events.append({"ph": "M", "pid": pid, "tid": 0, "ts": 0,
-                            "name": "process_name",
-                            "args": {"name": name}})
+        yield {"ph": "M", "pid": pid, "tid": 0, "ts": 0,
+               "name": "process_name", "args": {"name": name}}
     for node, lanes in sorted(node_lanes.items()):
         for tid in range(len(lanes)):
-            meta_events.append({"ph": "M", "pid": node, "tid": tid, "ts": 0,
-                                "name": "thread_name",
-                                "args": {"name": f"slot {tid}"}})
+            yield {"ph": "M", "pid": node, "tid": tid, "ts": 0,
+                   "name": "thread_name", "args": {"name": f"slot {tid}"}}
 
-    return {
-        "traceEvents": meta_events + out,
-        "displayTimeUnit": "ms",
-        "otherData": dict(telemetry.meta),
-    }
+    # -- task attempts -> per-node duration lanes -------------------------
+    for sp, tid in zip(rec.attempts, attempt_tids):
+        yield {
+            "ph": "X", "pid": sp.node, "tid": tid,
+            "ts": sp.start * _US, "dur": sp.duration * _US,
+            "name": sp.name, "cat": "task",
+            "args": {"task": sp.attrs["task"],
+                     "outcome": sp.attrs["outcome"],
+                     "speculative": sp.attrs.get("speculative", False)},
+        }
 
+    # -- phases -> packed engine lanes (concurrent jobs never cross) ------
+    phase_lanes: List[float] = []
+    for sp in rec.phases:
+        yield {
+            "ph": "X", "pid": engine_pid,
+            "tid": _lane(phase_lanes, sp.start, sp.end),
+            "ts": sp.start * _US, "dur": sp.duration * _US,
+            "name": sp.name, "cat": "phase",
+            "args": dict(sp.attrs),  # the job tag; combine's pre/post
+        }
 
-def write_chrome_trace(path: str, telemetry: Telemetry) -> None:
-    _ensure_parent(path)
-    with open(path, "w") as fh:
-        json.dump(chrome_trace(telemetry), fh, default=str)
-        fh.write("\n")
+    # -- instants, flows ---------------------------------------------------
+    for t, kind, data in events.select(_DRAWN_KINDS):
+        if kind in INSTANT_KINDS:
+            yield {
+                "ph": "i", "pid": engine_pid, "tid": 1,
+                "ts": t * _US, "name": kind, "cat": "event",
+                "s": "g",
+                "args": {k: v for k, v in data.items() if k != "times"},
+            }
+        elif kind == "flow-start":
+            yield {
+                "ph": "b", "pid": fabric_pid, "tid": 0,
+                "ts": t * _US, "id": data["fid"],
+                "name": f"flow {data.get('src')}->{data.get('dst')}",
+                "cat": "flow", "args": dict(data),
+            }
+        else:
+            yield {
+                "ph": "e", "pid": fabric_pid, "tid": 0,
+                "ts": t * _US, "id": data["fid"],
+                "name": f"flow {data.get('src')}->{data.get('dst')}",
+                "cat": "flow", "args": {},
+            }
+
+    # -- counters from unlabeled gauge series -----------------------------
+    times = series.get("time", [])
+    for key in counter_keys:
+        for t, v in zip(times, series[key]):
+            if math.isnan(v):
+                continue
+            yield {
+                "ph": "C", "pid": engine_pid, "tid": 0, "ts": t * _US,
+                "name": key, "args": {"value": v},
+            }
 
 
 def _jsonable(value: Any) -> Any:

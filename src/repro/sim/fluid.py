@@ -32,7 +32,8 @@ optimized pipe byte-identical.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, \
+    Union
 
 import numpy as np
 
@@ -43,6 +44,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
 __all__ = ["FluidPipe", "Flow", "fair_share"]
+
+#: A transfer's completion target: the event it returned, or the
+#: caller's ``then`` callback (fired by :meth:`Simulator.complete`).
+Target = Union[Event, Callable[[], Any]]
 
 
 def fair_share(capacity: float, caps: Sequence[float],
@@ -80,17 +85,18 @@ def fair_share(capacity: float, caps: Sequence[float],
 class Flow:
     """One transfer through a :class:`FluidPipe`.
 
-    ``done`` is the completion event while the flow is in flight.  It is
-    cleared as the event fires with this flow as its value, so a
-    finished flow and its event form no reference cycle and refcounting
-    frees both (DESIGN.md §8, "Garbage-collector cost").
+    ``done`` is the completion target while the flow is in flight: the
+    event :meth:`FluidPipe.transfer` returned, or the caller's ``then``
+    callback.  It is cleared as it fires, so a finished flow and its
+    event form no reference cycle and refcounting frees both
+    (DESIGN.md §8, "Garbage-collector cost").
     """
 
     __slots__ = ("pipe", "size", "remaining", "rate", "cap", "done",
                  "started_at", "tag")
 
     def __init__(self, pipe: "FluidPipe", size: float, cap: float,
-                 done: Optional[Event], tag: Any) -> None:
+                 done: Optional[Target], tag: Any) -> None:
         self.pipe = pipe
         self.size = float(size)
         self.remaining = float(size)
@@ -252,20 +258,30 @@ class FluidPipe:
         self._reallocate()
 
     def transfer(self, nbytes: float, cap: float = math.inf,
-                 tag: Any = None) -> Event:
-        """Start a flow of ``nbytes``; the returned event succeeds with the
-        flow object when the last byte has been delivered."""
+                 tag: Any = None,
+                 then: Optional[Callable[[], Any]] = None
+                 ) -> Optional[Event]:
+        """Start a flow of ``nbytes``.
+
+        Returns an event that succeeds with the flow object when the
+        last byte has been delivered.  With ``then``, no event is made:
+        ``then()`` runs from the entry the event would have pushed (see
+        :meth:`Simulator.complete`), and the call returns ``None``.
+        """
         if not 0 <= nbytes < math.inf:
             raise ValueError(
                 f"transfer size must be finite and >= 0, got {nbytes}")
         if not cap > 0:
             raise ValueError(f"rate cap must be positive, got {cap}")
-        done = Event(self.sim, name=f"xfer:{self.name}")
+        done = None
+        target = then
+        if then is None:
+            target = done = Event(self.sim, name=f"xfer:{self.name}")
         if nbytes == 0:
-            # Born finished: the flow never holds its own event.
-            done.succeed(Flow(self, nbytes, cap, None, tag))
+            # Born finished: the flow never holds its own target.
+            self.sim.complete(target, Flow(self, nbytes, cap, None, tag))
             return done
-        flow = Flow(self, nbytes, cap, done, tag)
+        flow = Flow(self, nbytes, cap, target, tag)
         self._advance()
         if not perfmode.REFERENCE:
             n = len(self.flows)
@@ -281,6 +297,34 @@ class FluidPipe:
         else:
             self._schedule_realloc()
         return done
+
+    def transfer_chunked(self, nbytes: float, chunk_bytes: float,
+                         then: Optional[Callable[[], Any]] = None
+                         ) -> Optional[Event]:
+        """:meth:`transfer` ``nbytes`` as a sequence of flows of at most
+        ``chunk_bytes``, so a load-dependent ``capacity_fn`` is
+        re-evaluated at that granularity.
+
+        One chunk is one plain :meth:`transfer`.  More run in a process,
+        which is the returned event; with ``then``, that process's own
+        completion calls it and the call returns ``None``.
+        """
+        if nbytes <= chunk_bytes:
+            return self.transfer(nbytes, then=then)
+
+        def io() -> object:
+            left = nbytes
+            while left > 0:
+                step = min(chunk_bytes, left)
+                yield self.transfer(step)
+                left -= step
+            return nbytes
+
+        proc = self.sim.process(io(), name=f"{self.name}.io")
+        if then is None:
+            return proc
+        proc.callbacks.append(lambda _ev: then())
+        return None
 
     def _grow(self) -> None:
         new_cap = self._a_rem.shape[0] * 2
@@ -349,12 +393,13 @@ class FluidPipe:
             for i in reversed(fin_list):
                 del flows[i]
         self._order = None
+        complete = self.sim.complete
         for f in finished:
             f.remaining = 0.0
             self.bytes_completed += f.size
             done = f.done
             f.done = None
-            done.succeed(f)
+            complete(done, f)
 
     def _advance_reference(self, dt: float) -> None:
         """The retained pre-optimization advancement (perfmode)."""
@@ -369,7 +414,7 @@ class FluidPipe:
             self.bytes_completed += f.size
             done = f.done
             f.done = None
-            done.succeed(f)
+            self.sim.complete(done, f)
 
     def _schedule_realloc(self) -> None:
         """Coalesce all same-timestamp flow changes into one allocation.

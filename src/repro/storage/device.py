@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.sim.events import Event
 from repro.sim.fluid import FluidPipe
@@ -88,29 +88,21 @@ class BlockDevice:
         job's files actually relieves GC pressure for the next job."""
 
     # -- I/O ------------------------------------------------------------------
-    def write(self, nbytes: float, account: bool = True) -> Event:
+    # Both take ``then`` as :meth:`FluidPipe.transfer` does: a callback
+    # in place of the returned event.
+    def write(self, nbytes: float, account: bool = True,
+              then: Optional[Callable[[], Any]] = None) -> Optional[Event]:
         """Write ``nbytes``; the event succeeds when the last byte lands."""
         if nbytes < 0:
             raise ValueError(f"negative write {nbytes}")
         if account:
             self.allocate(nbytes)
-        return self._chunked(self.write_pipe, nbytes)
+        return self.write_pipe.transfer_chunked(
+            nbytes, self.chunk_bytes, then)
 
-    def read(self, nbytes: float) -> Event:
+    def read(self, nbytes: float,
+             then: Optional[Callable[[], Any]] = None) -> Optional[Event]:
         if nbytes < 0:
             raise ValueError(f"negative read {nbytes}")
-        return self._chunked(self.read_pipe, nbytes)
-
-    def _chunked(self, pipe: FluidPipe, nbytes: float) -> Event:
-        if nbytes <= self.chunk_bytes:
-            return pipe.transfer(nbytes)
-
-        def io() -> object:
-            left = nbytes
-            while left > 0:
-                step = min(self.chunk_bytes, left)
-                yield pipe.transfer(step)
-                left -= step
-            return nbytes
-
-        return self.sim.process(io(), name=f"{self.name}.io")
+        return self.read_pipe.transfer_chunked(
+            nbytes, self.chunk_bytes, then)

@@ -20,10 +20,10 @@ The model:
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.sim.events import URGENT, Event
-from repro.sim.fluid import FluidPipe
+from repro.sim.fluid import FluidPipe, Target
 from repro.storage.device import GB, MB, BlockDevice
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -153,13 +153,18 @@ class PageCache:
         return self.sim.process(go(), name=f"{self.name}.write")
 
     def read(self, nbytes: float, file_id: Hashable,
-             of_total: Optional[float] = None) -> Event:
+             of_total: Optional[float] = None,
+             then: Optional[Callable[[], Any]] = None) -> Optional[Event]:
         """Read ``nbytes`` of ``file_id``; cache hits go at memory speed.
 
         ``of_total`` marks this as a slice of a larger file of that size:
         the hit fraction is then the file's resident fraction, modelling
         random slices of a partially cached bundle (shuffle reads of a
         node's output that only partly fits in the cache).
+
+        The returned event succeeds with ``nbytes``; with ``then``, no
+        event is made and ``then()`` runs from the entry the event would
+        have pushed (see :meth:`Simulator.complete`).
         """
         if nbytes < 0:
             raise ValueError(f"negative read {nbytes}")
@@ -168,12 +173,15 @@ class PageCache:
                 f"slice read of {nbytes} bytes exceeds its declared "
                 f"bundle size of_total={of_total}")
 
-        done = Event(self.sim, name=f"{self.name}.read")
+        done = None
+        target = then
+        if then is None:
+            target = done = Event(self.sim, name=f"{self.name}.read")
         # The hit/miss split is decided when the URGENT start entry
         # dispatches, not at the call: that entry's key is part of the
         # dispatch-order contract (DESIGN.md §8, "Shuffle fetch pump").
         self.sim.schedule_now(_Read(self, nbytes, file_id, of_total,
-                                    done).start, (), URGENT)
+                                    target).start, (), URGENT)
         return done
 
     # -- background writeback -------------------------------------------------
@@ -208,15 +216,15 @@ class PageCache:
             # BEFORE issuing the device write: once in flight it cannot
             # be cancelled, so invalidate() must not see these bytes.
             self._claim_dirty(chunk)
-            self.device.write(chunk, account=False).callbacks.append(
-                self._chunk_written)
+            self.device.write(chunk, account=False,
+                              then=self._chunk_written)
             return
         self._wb_active = False
         waiters, self._clean_waiters = self._clean_waiters, []
         for ev in waiters:
             ev.succeed()
 
-    def _chunk_written(self, _ev: Event) -> None:
+    def _chunk_written(self) -> None:
         self.dirty = max(0.0, self.dirty - self._wb_chunk)
         self._writeback()
 
@@ -236,15 +244,16 @@ class _Read:
 
     ``start`` (an URGENT entry) splits the read into cached and missing
     bytes; the hit goes through the memory pipe, then the miss through
-    the device, then ``done`` succeeds with ``nbytes``.  A record, not a
-    closure: it holds no reference back to its transfer events, so a
+    the device, then ``done`` (the read's event or its caller's
+    callback) fires with ``nbytes``.  Each hop passes a bound method as
+    ``then``, so no hop makes an event.  A record, not a closure: a
     finished read forms no cycle (DESIGN.md §8).
     """
 
     __slots__ = ("cache", "nbytes", "file_id", "of_total", "miss", "done")
 
     def __init__(self, cache: PageCache, nbytes: float, file_id: Hashable,
-                 of_total: Optional[float], done: Event) -> None:
+                 of_total: Optional[float], done: Target) -> None:
         self.cache = cache
         self.nbytes = nbytes
         self.file_id = file_id
@@ -271,20 +280,24 @@ class _Read:
         cache.read_hits += hit
         cache.read_misses += miss
         if hit > 0:
-            cache.mem_pipe.transfer(hit).callbacks.append(self._hit_done)
+            cache.mem_pipe.transfer(hit, then=self._hit_done)
         else:
             self._hit_done()
 
-    def _hit_done(self, _ev: Optional[Event] = None) -> None:
+    def _hit_done(self) -> None:
         if self.miss > 0:
-            self.cache.device.read(self.miss).callbacks.append(
-                self._miss_done)
+            self.cache.device.read(self.miss, then=self._miss_done)
         else:
-            self.done.succeed(self.nbytes)
+            self._finish()
 
-    def _miss_done(self, _ev: Event) -> None:
+    def _miss_done(self) -> None:
         if self.of_total is None:
             # Slice reads of a bigger bundle are read-once shuffle
             # traffic; caching them would overstate residency.
             self.cache._insert(self.file_id, self.miss)
-        self.done.succeed(self.nbytes)
+        self._finish()
+
+    def _finish(self) -> None:
+        done = self.done
+        self.done = None
+        self.cache.sim.complete(done, self.nbytes)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Hashable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
 from repro.sim.events import Event
 from repro.storage.device import GB, BlockDevice
@@ -53,10 +53,12 @@ class LocalVolume:
         return self.device.write(nbytes)
 
     def read(self, nbytes: float, file_id: Hashable,
-             of_total: Optional[float] = None) -> Event:
+             of_total: Optional[float] = None,
+             then: Optional[Callable[[], Any]] = None) -> Optional[Event]:
         if self.cache is not None:
-            return self.cache.read(nbytes, file_id, of_total=of_total)
-        return self.device.read(nbytes)
+            return self.cache.read(nbytes, file_id, of_total=of_total,
+                                   then=then)
+        return self.device.read(nbytes, then=then)
 
     def delete(self, nbytes: float, file_id: Hashable) -> None:
         self.device.release(nbytes)

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import Cluster, hyperion
 from repro.config import SparkConf
 from repro.core.jobspec import JobSpec
-from repro.core.shuffle import FetchPlan, _FetchPump, fetch_body
+from repro.core.shuffle import FetchPlan, _FetchPump, _Slice, fetch_body
 from repro.sim.process import Process
 
 GB = 1024.0 ** 3
@@ -72,7 +72,10 @@ class FetchSpy:
 
     Wraps ``Fabric.transfer`` and every node's shuffle-volume ``read`` on
     the instance; each record gets its start time at the call and its end
-    time when the returned event is processed.
+    time when the completion fires: the ``then`` callback the fetch path
+    passes, or the returned event's callbacks for any other caller.  A
+    fetch transfer's ``slice`` is the ``(reducer, logical source)`` of
+    the ``_Slice`` whose callback it completes.
     """
 
     def __init__(self, plan):
@@ -83,7 +86,7 @@ class FetchSpy:
         fabric.transfer = self._wrap(fabric.transfer, self.flows,
                                      lambda a, kw: {"src": a[0],
                                                     "dst": a[1],
-                                                    "tag": kw.get("tag")})
+                                                    "slice": _slice_of(kw)})
         for node in plan.cluster.nodes:
             vol = node.volume(plan.spec.shuffle_store)
             vol.read = self._wrap(vol.read, self.reads,
@@ -92,13 +95,31 @@ class FetchSpy:
 
     def _wrap(self, fn, log, describe):
         def wrapped(*args, **kwargs):
-            ev = fn(*args, **kwargs)
             rec = dict(describe(args, kwargs), start=self.sim.now, end=None)
             log.append(rec)
-            ev.callbacks.append(
-                lambda _ev: rec.__setitem__("end", self.sim.now))
+
+            def ended():
+                rec["end"] = self.sim.now
+
+            then = kwargs.get("then")
+            if then is not None:
+                def recorded():
+                    ended()
+                    then()
+                kwargs["then"] = recorded
+            ev = fn(*args, **kwargs)
+            if then is None:
+                ev.callbacks.append(lambda _ev: ended())
             return ev
         return wrapped
+
+
+def _slice_of(kwargs):
+    then = kwargs.get("then")
+    rec = getattr(then, "__self__", None)
+    if not isinstance(rec, _Slice):
+        return None
+    return rec.pump.reducer, rec.src
 
 
 def run_bodies(plan, placements):
@@ -137,7 +158,7 @@ class TestFetchPump:
         run_bodies(plan, [(r, r % self.N) for r in range(8)])
         for r in range(8):
             mine = [(f["start"], f["end"]) for f in spy.flows
-                    if f["tag"][:2] == ("fetch", r)]
+                    if f["slice"][0] == r]
             assert len(mine) == self.N - 1
             assert max_overlap(mine) == 2
 
@@ -145,7 +166,7 @@ class TestFetchPump:
         plan = self.plan(window=1)
         spy = FetchSpy(plan)
         run_bodies(plan, [(3, 5)])
-        flows = {f["tag"][2]: f for f in spy.flows}
+        flows = {f["slice"][1]: f for f in spy.flows}
         prev_end = 0.0
         for read in spy.reads:
             src = read["file"][-1]
@@ -228,7 +249,7 @@ class TestFetchPump:
         late = [r for r in spy.reads if r["start"] >= 0.5]
         assert [(r["node"], r["file"]) for r in late] == \
             [(5, plan.bundle_id(5))]
-        (moved,) = [f for f in spy.flows if f["tag"] == ("fetch", 0, 2)]
+        (moved,) = [f for f in spy.flows if f["slice"] == (0, 2)]
         assert moved["src"] == 5 and moved["start"] == 0.5
         assert sim.now > 0.5
 

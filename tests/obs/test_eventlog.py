@@ -11,6 +11,7 @@ order, each value of the same type and equal (``-0.0`` keeps its sign,
 import json
 import math
 from array import array
+from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +85,18 @@ def test_select_equals_filtering_the_full_iteration(recs, kinds, prefixes):
     _assert_exact(expected, list(log.select(kinds, prefixes)))
     for kind in KINDS:
         assert log.count(kind) == sum(1 for r in recs if r[1] == kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(records, st.sampled_from(KEYS))
+def test_field_values_are_every_records_field(recs, key):
+    """Table by table, but the same values as reading each payload."""
+    def census(vals):
+        return Counter((type(v).__name__, repr(v)) for v in vals)
+
+    log = _filled(recs)
+    assert census(log.field_values(key)) == \
+        census(d[key] for _, _, d in recs if key in d)
 
 
 def test_a_field_keeps_each_values_own_type():

@@ -6,6 +6,7 @@ probe sampled.  Also covers the trace-layer satellites: TraceEvent
 immutability, the ring-eviction counter, and trace sinks.
 """
 
+import io
 import json
 import pickle
 from collections import Counter
@@ -18,6 +19,8 @@ from repro.cluster.spec import GB, hyperion
 from repro.core.engine import EngineOptions, run_job
 from repro.core.faults import FaultPlan
 from repro.core.metrics import PhaseMetrics, TaskRecord
+from repro.cli import main
+from repro.obs import export
 from repro.obs.export import (RUNLOG_SCHEMA, chrome_trace, runlog_lines,
                               write_chrome_trace, write_runlog)
 from repro.analysis.timeline import phase_utilization
@@ -117,6 +120,29 @@ class TestChromeTrace:
         doc = json.loads(path.read_text())
         assert validate_chrome_trace(doc) == []
         assert doc["otherData"]["job_name"]
+
+    def test_streamed_file_is_json_dump_bytes(self, tmp_path, monkeypatch):
+        """On the CI trace-smoke run (CAD, a mid-job crash, probes),
+        the file written one event at a time holds the bytes of
+        ``json.dump(chrome_trace(...), default=str)`` plus a newline."""
+        seen = []
+        write = export.write_chrome_trace
+
+        def keep(path, telemetry):
+            seen.append(telemetry)
+            write(path, telemetry)
+
+        monkeypatch.setattr(export, "write_chrome_trace", keep)
+        path = tmp_path / "trace.json"
+        assert main(["run", "--workload", "groupby", "--data-gb", "8",
+                     "--nodes", "4", "--store", "ssd", "--cad", "--seed",
+                     "11", "--crash", "1@1.0:3.0", "--probe-period", "0.1",
+                     "--trace-out", str(path)]) == 0
+        (tele,) = seen
+        whole = io.StringIO()
+        json.dump(chrome_trace(tele), whole, default=str)
+        whole.write("\n")
+        assert path.read_bytes() == whole.getvalue().encode()
 
     @staticmethod
     def _lane_doc(*spans):

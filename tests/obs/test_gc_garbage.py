@@ -38,6 +38,7 @@ from repro.sim.events import Event
 from repro.sim.fluid import Flow, FluidPipe
 from repro.storage.pagecache import _Read
 from repro.workloads import groupby_spec
+from tests.core.test_shuffle import make_plan, run_bodies
 
 _CYCLIC = (Event, Flow, NetFlow, _FetchPump, _Slice, _Read)
 
@@ -129,6 +130,51 @@ class TestTransfersLeaveNoCycles:
                              cluster=cluster, options=EngineOptions(seed=1))
             assert result.job_time > 0
             assert cyclic_garbage() == []
+
+
+class TestFetchSliceAllocations:
+    """The tracked records the fetch path allocates per slice.
+
+    A slice is one ``_Slice``, the ``Flow`` of its device read, a
+    ``_Read`` when the store has a page cache, and a ``NetFlow`` when
+    its source is remote.  Its completions are ``then`` callbacks, so it
+    allocates no ``Event`` and no ``Process``: those are per reducer.
+    Counted as the difference between two runs of the same reducers,
+    one with half the sources emptied (their slices are skipped)."""
+
+    TYPES = (Event, Flow, NetFlow, _Slice, _Read)
+    N = 8
+
+    def _census(self, monkeypatch, store, empty):
+        made = dict.fromkeys(self.TYPES, 0)
+        for tp in self.TYPES:
+            def counting(obj, *args, _tp=tp, _init=tp.__init__, **kwargs):
+                made[_tp] += 1
+                _init(obj, *args, **kwargs)
+            monkeypatch.setattr(tp, "__init__", counting)
+        plan = make_plan(n_nodes=self.N, n_reducers=16,
+                         store_bytes_per_node=64 * MB, shuffle_store=store)
+        plan.node_store_bytes[list(empty)] = 0.0
+        placements = [(r, r % self.N) for r in range(16)]
+        run_bodies(plan, placements)
+        monkeypatch.undo()
+        slices = [(src, node) for _, node in placements
+                  for src in range(self.N) if src not in empty]
+        remote = sum(1 for src, node in slices if src != node)
+        return made, len(slices), remote
+
+    @pytest.mark.parametrize("store", ["ramdisk", "ssd"])
+    def test_per_slice(self, monkeypatch, store):
+        full, n_full, remote_full = self._census(monkeypatch, store, ())
+        half, n_half, remote_half = self._census(monkeypatch, store,
+                                                 (1, 3, 5, 7))
+        slices = n_full - n_half
+        remote = remote_full - remote_half
+        assert (slices, remote) == (64, 56)
+        per_slice = {tp.__name__: full[tp] - half[tp] for tp in self.TYPES}
+        assert per_slice == {
+            "Event": 0, "Flow": slices, "NetFlow": remote,
+            "_Slice": slices, "_Read": slices if store == "ssd" else 0}
 
 
 class TestUntrackedRunLog:

@@ -14,8 +14,13 @@ import pytest
 from repro.cluster import Cluster
 from repro.cluster.spec import hyperion
 from repro.core.engine import run_job
-from repro.sim import AllOf, AnyOf, Simulator
+from repro.net import fastalloc
+from repro.net.fabric import Fabric
+from repro.sim import AllOf, AnyOf, Simulator, fastdrain, perfmode
 from repro.sim.events import URGENT
+from repro.sim.fluid import FluidPipe
+from repro.storage.device import BlockDevice
+from repro.storage.pagecache import PageCache
 from tests.core.test_mechanism_identity import _capture_module
 
 NAN = float("nan")
@@ -122,6 +127,80 @@ class TestScheduleNow:
         sim.run()
         assert order == ["now-urgent", "urgent", "normal", "now-normal"]
         assert sim.events_dispatched == 4 and sim.now == 1.0
+
+
+class _KeyedSim(Simulator):
+    """Steps one entry at a time, keeping the key of the one running."""
+
+    key = None
+
+    def step(self):
+        self.key = self._queue[0][:3]
+        super().step()
+
+
+def _completion_keys(form):
+    """Every completion of the three transfer calls (and the device
+    reads and writes below them), in dispatch order with the heap key
+    of the entry that ran it, when each call waits on its event
+    (``form="event"``) or passes ``then``."""
+    sim = _KeyedSim()
+    pipe = FluidPipe(sim, 100.0, name="pipe")
+    fab = Fabric(sim, 4, nic_bw=1e3, small_flow_bytes=10.0)
+    dev = BlockDevice(sim, read_bw=100.0, write_bw=50.0, chunk_bytes=50.0)
+    cache = PageCache(sim, dev, memory_bw=400.0, cache_bytes=1e4,
+                      dirty_limit_bytes=100.0, writeback_chunk=40.0)
+    cache.write(150.0, "warm")  # a dirty file, half throttled
+    log = []
+
+    def call(label, fn, *args, **kwargs):
+        def seen(*_):
+            log.append((label, sim.key))
+
+        if form == "event":
+            fn(*args, **kwargs).callbacks.append(seen)
+        else:
+            assert fn(*args, then=seen, **kwargs) is None
+
+    def issue():
+        call("pipe-empty", pipe.transfer, 0.0)
+        call("pipe", pipe.transfer, 120.0)
+        call("pipe-capped", pipe.transfer, 30.0, cap=10.0)
+        call("fabric", fab.transfer, 0, 1, 5e3)
+        call("fabric-small", fab.transfer, 1, 2, 5.0)
+        call("fabric-loopback", fab.transfer, 3, 3, 5e3)
+        call("fabric-shared", fab.transfer, 2, 1, 2e3)
+        call("read-miss", cache.read, 40.0, "cold")
+        call("read-chunked", cache.read, 160.0, "cold")
+        call("read-hit", cache.read, 60.0, "warm", of_total=150.0)
+        call("device-read", dev.read, 40.0)
+        call("device-read-chunked", dev.read, 130.0)
+        call("device-write", dev.write, 70.0)
+
+    issue()
+    sim.schedule_callback(1.5, issue)  # a second wave over busy pipes
+    while sim._queue:
+        sim.step()
+    return log, sim.events_dispatched, sim._seq
+
+
+@pytest.mark.parametrize("kernels", ["c", "numpy", "reference"])
+def test_callback_completions_take_the_event_entries(kernels, monkeypatch):
+    """``then=`` fires from an entry with the key the event's
+    ``succeed`` would have pushed: same time, priority and ``seq``,
+    on every completion path (fluid drain, zero-byte, fabric drain,
+    small and loopback flows, page-cache hit and miss, chunked device
+    I/O), and no entry is added or lost."""
+    if kernels == "numpy":
+        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
+    elif kernels == "reference":
+        monkeypatch.setattr(perfmode, "REFERENCE", True)
+    events = _completion_keys("event")
+    callbacks = _completion_keys("then")
+    assert callbacks == events
+    log = events[0]
+    assert len(log) == 26 and len({label for label, _ in log}) == 13
 
 
 class TestOneShot:
