@@ -2,11 +2,11 @@
 
 ``repro bench`` runs macro scenarios over the engine's optimized hot
 paths (fabric shuffle waves, FluidPipe spill storms, an end-to-end
-Fig-8-style job, event-loop timer churn, ...) and asserts that every
-run that must not change the simulation — the retained reference
-engine under ``--check`` and a telemetry-instrumented run — reproduces
-the optimized run's fingerprint byte for byte, and that the
-instrumented run's critical-path attribution sums to its wall-clock.
+Fig-8-style job, event-loop timer churn, ...) and asserts that each
+fingerprint equals the digest captured for it (under ``--check``),
+that a telemetry-instrumented run reproduces it byte for byte, and
+that the instrumented run's critical-path attribution sums to its
+wall-clock.
 It prints no timing; the performance trajectory is ``perfbench/``
 (``BENCHMARK.json``).
 

@@ -1,18 +1,16 @@
 """Fingerprint-identity check over the macro scenarios.
 
-Every scenario in :mod:`repro.bench.scenarios` runs once under the
-optimized engine, and then again in each way that must not change the
-simulation:
+Every scenario in :mod:`repro.bench.scenarios` runs once bare, and its
+fingerprint is checked in each way that must not change the simulation:
 
-* ``reference`` (only with ``--check``) — under the retained
-  pre-optimization paths (:mod:`repro.sim.perfmode`): the C kernels,
-  flow arrays and timer heap must reproduce them byte for byte;
-* ``telemetry`` — with a full observation bundle attached (gauges,
-  run-log sink, probe sampling), whose trace and run log ``--capture-dir``
-  exports.
+* ``golden`` (only with ``--check``) — its digest equals the one
+  captured for that scenario and scale in :data:`GOLDEN_PATH`
+  (``tools/capture_fingerprints.py bench``); no extra run;
+* ``telemetry`` — a second run with a full observation bundle attached
+  (gauges, run-log sink, probe sampling), whose trace and run log
+  ``--capture-dir`` exports, must reproduce the fingerprint with ``==``.
 
-Each of those comparisons is ``==`` on the scenario fingerprints.  The
-``spans`` verdict checks the telemetry run's span tree instead: folded
+The ``spans`` verdict checks the telemetry run's span tree instead: folded
 into the critical path as ``repro explain`` does, its attribution must
 sum to the job span's wall-clock (DESIGN.md §15).  One line per
 scenario carries the event count, the fingerprint digest, one
@@ -25,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import os
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
@@ -34,10 +33,12 @@ from repro.experiments.runner import map_parallel
 from repro.obs.critpath import attribution, critical_path
 from repro.obs.spans import SpanRecorder
 from repro.obs.telemetry import Telemetry
-from repro.sim import perfmode
 
 __all__ = ["BenchReport", "bench_scenario", "fingerprint_digest",
-           "run_bench", "main"]
+           "golden_digests", "run_bench", "main"]
+
+#: Captured fingerprint digests: ``{"quick"|"full": {scenario: digest}}``.
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "digests.json")
 
 #: Probe sampling period of the instrumented runs (simulated seconds).
 PROBE_PERIOD = 0.25
@@ -52,16 +53,23 @@ def fingerprint_digest(fingerprint: Any) -> str:
     return hashlib.sha256(repr(fingerprint).encode()).hexdigest()
 
 
+def golden_digests() -> Dict[str, Dict[str, str]]:
+    """The captured digests in :data:`GOLDEN_PATH`, by scale then name."""
+    with open(GOLDEN_PATH) as fh:
+        return json.load(fh)
+
+
 @dataclass
 class BenchReport:
-    """One scenario's optimized outcome and its identity verdicts."""
+    """One scenario's outcome and its identity verdicts."""
 
     name: str
     events: int
     digest: str
-    #: Check name -> whether it held, in run order: ``reference`` (only
-    #: under --check) and ``telemetry`` compare fingerprints with the
-    #: optimized run's, ``spans`` checks the attribution sum.
+    #: Check name -> whether it held, in order: ``golden`` (only under
+    #: --check) compares the digest with the captured one, ``telemetry``
+    #: the instrumented run's fingerprint with the bare run's, and
+    #: ``spans`` checks the attribution sum.
     matches: Dict[str, bool]
     n_spans: int
 
@@ -104,21 +112,20 @@ def bench_scenario(name: str, quick: bool = False, check: bool = False,
     With ``capture_dir``, the telemetry run's trace and run log are
     written there as ``TRACE_<name>.json`` / ``LOG_<name>.jsonl``.
     """
-    optimized = run_scenario(name, quick=quick)
+    bare = run_scenario(name, quick=quick)
+    digest = fingerprint_digest(bare.fingerprint)
     matches: Dict[str, bool] = {}
     if check:
-        with perfmode.reference_mode():
-            reference = run_scenario(name, quick=quick)
-        matches["reference"] = reference.fingerprint == optimized.fingerprint
+        scale = "quick" if quick else "full"
+        matches["golden"] = golden_digests()[scale].get(name) == digest
     telemetry = Telemetry(probe_period=PROBE_PERIOD)
     result = run_scenario(name, quick=quick, telemetry=telemetry)
-    matches["telemetry"] = result.fingerprint == optimized.fingerprint
+    matches["telemetry"] = result.fingerprint == bare.fingerprint
     if capture_dir is not None:
         _capture(name, telemetry, capture_dir)
     spans = SpanRecorder.from_telemetry(telemetry)
     matches["spans"] = _attribution_sums(spans)
-    return BenchReport(name=name, events=optimized.events,
-                       digest=fingerprint_digest(optimized.fingerprint),
+    return BenchReport(name=name, events=bare.events, digest=digest,
                        matches=matches, n_spans=len(spans.spans))
 
 

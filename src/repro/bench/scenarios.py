@@ -4,9 +4,8 @@ Each scenario is a self-contained function that builds a fresh
 :class:`~repro.sim.core.Simulator`, drives one hot-path-heavy workload
 to completion, and returns a :class:`ScenarioResult` holding the
 dispatched event count, the final sim time and a *fingerprint* — the
-exact simulation outcome (completion times, bytes completed) used by
-``repro bench --check`` to prove the optimized engine byte-identical to
-the retained reference paths.
+exact simulation outcome (completion times, bytes completed), whose
+digest ``repro bench --check`` compares with the captured one.
 
 Scenarios deliberately mirror the paper's stress regimes: a
 full-Hyperion-scale shuffle wave (101 nodes, thousands of concurrent
@@ -46,7 +45,7 @@ class ScenarioResult:
     events: int
     #: Final simulated time (seconds).
     sim_time: float
-    #: Exact simulation outcome; compared with ``==`` across engine modes.
+    #: Exact simulation outcome; compared with ``==`` across runs.
     fingerprint: Any
 
 
@@ -108,10 +107,9 @@ def _shuffle_wave_10x(quick: bool,
     pulls from a bounded, deterministically-spread sender set instead of
     every peer — at this node count the bottleneck under test is the
     allocator's and calendar's scaling with *fabric size*, not raw flow
-    count.  The optimized allocator runs over the channels that carry
-    flows (the C kernel at every fabric size, the NumPy fallback above
-    ``_COMPACT_NODES``); the reference path still scans all
-    2 * n_nodes channels per water-level round.
+    count.  The allocator runs over the channels that carry flows (the
+    C kernel at every fabric size, the NumPy fallback above
+    ``_COMPACT_NODES``).
     """
     n_nodes = 253 if quick else 1010
     fan = 8 if quick else 12
@@ -460,7 +458,7 @@ SCENARIOS: Dict[str, Callable[[bool], ScenarioResult]] = {
 
 def run_scenario(name: str, quick: bool = False,
                  telemetry: Optional[Telemetry] = None) -> ScenarioResult:
-    """Execute one named scenario in the currently active engine mode.
+    """Execute one named scenario.
 
     With a ``telemetry`` bundle attached, the scenario's simulator is
     instrumented (gauges + run-log sink + probe) — the harness uses this

@@ -20,9 +20,9 @@ Subcommands::
         + scheduler decision audit; without a runlog it simulates the
         job itself, taking the same flags as `run`)
     python -m repro bench [--quick] [--check] [--scenario NAME]...
-        [--jobs N] [--capture-dir DIR]   (fingerprint identity of the
-        optimized, reference and telemetry runs, and the critical-path
-        attribution sum; no timing)
+        [--jobs N] [--capture-dir DIR]   (fingerprints equal to the
+        captured digests and to the telemetry run's, and the
+        critical-path attribution sum; no timing)
     python -m repro experiments ...      (alias of repro.experiments CLI)
 """
 
@@ -218,13 +218,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                               "`run --json` for the same flags)")
 
     bench = sub.add_parser(
-        "bench", help="check that every engine path reproduces the "
-                      "macro scenarios' fingerprints")
+        "bench", help="check that the macro scenarios reproduce their "
+                      "captured fingerprints")
     bench.add_argument("--quick", action="store_true",
                        help="small scenario sizes (CI smoke)")
     bench.add_argument("--check", action="store_true",
-                       help="also run the retained reference engine and "
-                            "assert byte-identical simulation results")
+                       help="also compare each fingerprint with the "
+                            "digest captured for it (bench/digests.json)")
     bench.add_argument("--scenario", action="append", default=[],
                        metavar="NAME",
                        help="run only this scenario (repeatable); "

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
     Set, Tuple
 
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
-from repro.sim import perfmode, simtime
+from repro.sim import simtime
 from repro.sim.events import Event, Interrupt
 from repro.core.cad import CongestionAwareDispatcher
 from repro.core.metrics import FailureRecord, TaskRecord
@@ -220,17 +220,11 @@ class StageRunner:
     def _free_nodes(self) -> List[int]:
         """Nodes with a free slot, excluding dead ones.
 
-        The optimized path reads the maintained frontier (same ascending
-        order the reference full scan produces) and consults the
-        liveness mask only when some node is actually dead; the
-        reference O(n_nodes) scan is retained under perfmode so
-        ``repro bench --check`` and the frontier property tests can
-        prove equivalence.  Always returns a fresh list — callers (and
-        policies) may reorder it freely.
+        Reads the maintained frontier, the ascending list of nodes with
+        free capacity, and consults the liveness mask only when some
+        node is actually dead.  Always returns a fresh list — callers
+        (and policies) may reorder it freely.
         """
-        if perfmode.REFERENCE:
-            return [n for n in range(self.n_nodes)
-                    if self.free_slots[n] > 0 and self._alive(n)]
         live = self.liveness
         if live is not None and live.n_dead > 0:
             mask = live.mask

@@ -8,9 +8,9 @@
  * remaining, rate (float64), passed in that order.
  *
  * Both are bit-for-bit the arithmetic of the NumPy fallback in
- * fabric.py (Fabric._advance, _assign_rates_numpy, _reallocate), and
- * that in turn of Fabric._assign_rates_reference (see DESIGN.md
- * sections 8 and 12 for the equivalence argument):
+ * fabric.py (Fabric._advance, _assign_rates_numpy, _reallocate; the
+ * algorithm is stated in Fabric._assign_rates_fast's docstring, and
+ * DESIGN.md sections 8 and 12 give the equivalence argument):
  *
  *   - every floating-point operation here is the identical IEEE-754
  *     double operation NumPy applies elementwise, in the same
@@ -19,9 +19,9 @@
  *     the bit level, so neither loop order nor channel numbering can
  *     perturb any intermediate;
  *   - all still-active flows share one accumulated water `level` (the
- *     fold ((0 + inc_1) + inc_2) + ... is exactly what the reference's
- *     rates[active] += inc performs elementwise), so a flow's final
- *     rate is the level at its freeze round.
+ *     fold ((0 + inc_1) + inc_2) + ... that an elementwise
+ *     rates[active] += inc performs), so a flow's final rate is the
+ *     level at its freeze round.
  *
  * Compile with strict FP semantics only: no -ffast-math, and
  * -ffp-contract=off so no FMA contraction changes rounding (of

@@ -28,10 +28,10 @@ compaction) or a fused reallocation (endpoint compression, water-fill,
 completion horizon); the NumPy path is the fallback.  Per-node rates
 are not maintained per event: :meth:`Fabric.utilization`, which only
 telemetry and tests read, computes them on the first read after a
-flow change and caches them until the next one.  The
-pre-optimization code paths are retained behind
-:mod:`repro.sim.perfmode` so ``repro bench --check`` can prove the
-optimized fabric byte-identical.
+flow change and caches them until the next one.  The C kernels are
+held bit for bit to the NumPy path, and that to a plain
+progressive-filling oracle, by ``tests/net/test_fastalloc.py``; whole
+runs are held to the captured fingerprints by ``repro bench --check``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, \
 import numpy as np
 
 from repro.net import fastalloc
-from repro.sim import perfmode
 from repro.sim.events import Event
 from repro.sim.flowarray import FlowTable
 from repro.sim.fluid import Target
@@ -83,8 +82,8 @@ class NetFlow:
     ``remaining``/``rate`` live in the arrays; the object mirrors
     ``remaining`` at allocation and completion boundaries and carries
     the completion target and tag.  ``rate`` is *not* mirrored per
-    reallocation on the optimized path (that was an O(flows) Python loop
-    per flow event); read ``Fabric._tab.col("rate")`` for live rates.
+    reallocation (that would be an O(flows) Python loop per flow
+    event); read ``Fabric._tab.col("rate")`` for live rates.
     ``done`` is the completion target (the returned event or the
     caller's ``then``); it is cleared as it fires, so the event, whose
     value is this flow, is not reachable from it (DESIGN.md §8,
@@ -150,7 +149,7 @@ class Fabric:
         self.small_flow_bytes = float(small_flow_bytes)
         self._realloc_pending = False
         self.flows: List[NetFlow] = []
-        # Columnar flow state, parallel to ``self.flows`` (optimized path).
+        # Columnar flow state, parallel to ``self.flows``.
         self._tab = FlowTable(src=np.int64, dst=np.int64, cap=np.float64,
                               remaining=np.float64, rate=np.float64)
         # Per-node (tx, rx) rates as of the last flow change, or None
@@ -187,12 +186,6 @@ class Fabric:
             self._present = np.zeros(n_nodes, dtype=bool)
             self._inv = np.empty(n_nodes, dtype=np.int64)
             self._iota = np.arange(n_nodes, dtype=np.int64)
-        # Reference-path flow state (perfmode), parallel to ``self.flows``.
-        self._src = np.empty(0, dtype=np.int64)
-        self._dst = np.empty(0, dtype=np.int64)
-        self._caps = np.empty(0)
-        self._remaining = np.empty(0)
-        self._rates = np.empty(0)
         self._last_advance = sim.now
         self._timer_token = 0
         self._flow_seq = 0
@@ -249,18 +242,11 @@ class Fabric:
                            nbytes=nbytes)
         self._advance()
         self.flows.append(flow)
-        if perfmode.REFERENCE:
-            self._src = np.append(self._src, flow.src)
-            self._dst = np.append(self._dst, flow.dst)
-            self._caps = np.append(self._caps, flow.cap)
-            self._remaining = np.append(self._remaining, flow.remaining)
-            self._rates = np.append(self._rates, 0.0)
-        else:
-            tab = self._tab
-            tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
-            if tab.capacity != self._scratch_rows:
-                self._size_scratch()
-            self._node_rates = None
+        tab = self._tab
+        tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
+        if tab.capacity != self._scratch_rows:
+            self._size_scratch()
+        self._node_rates = None
         self._schedule_realloc()
         return done
 
@@ -297,12 +283,6 @@ class Fabric:
         and caches the per-node rates until the next change, so the
         flow events themselves maintain nothing for this read.
         """
-        if perfmode.REFERENCE:
-            if len(self.flows) == 0:
-                return {"tx": 0.0, "rx": 0.0}
-            tx = float(self._rates[self._src == node].sum())
-            rx = float(self._rates[self._dst == node].sum())
-            return {"tx": tx, "rx": rx}
         rates = self._node_rates
         if rates is None:
             tab = self._tab
@@ -320,9 +300,6 @@ class Fabric:
         dt = now - self._last_advance
         self._last_advance = now
         if dt <= 0 or not self.flows:
-            return
-        if perfmode.REFERENCE:
-            self._advance_reference(dt)
             return
         tab = self._tab
         if fastalloc.AVAILABLE:
@@ -344,9 +321,8 @@ class Fabric:
         schedule = self.sim.schedule_callback
         deliver = self._deliver
         latency = self.latency
-        # Completion events enqueue in ascending flow order — the same
-        # FIFO order the reference path produces — so same-timestamp
-        # downstream scheduling stays byte-identical.
+        # Completion events enqueue in ascending flow order, so
+        # same-timestamp downstream scheduling keeps arrival order.
         tracing = self.sim._tracing
         for i in indices:
             f = flows[i]
@@ -362,33 +338,6 @@ class Fabric:
         else:
             for i in reversed(indices):
                 del flows[i]
-
-    def _advance_reference(self, dt: float) -> None:
-        """The retained pre-optimization advancement (perfmode)."""
-        self._remaining -= self._rates * dt
-        finished_mask = self._remaining <= 1e-6
-        if not finished_mask.any():
-            return
-        keep = ~finished_mask
-        survivors: List[NetFlow] = []
-        tracing = self.sim._tracing
-        for i, f in enumerate(self.flows):
-            if finished_mask[i]:
-                f.remaining = 0.0
-                self.bytes_completed += f.size
-                if tracing:
-                    self.sim.trace("flow-end", fid=f.fid, src=f.src,
-                                   dst=f.dst, nbytes=f.size)
-                # Tail latency: the last byte still needs to propagate.
-                self.sim.schedule_callback(self.latency, self._deliver, f)
-            else:
-                survivors.append(f)
-        self.flows = survivors
-        self._src = self._src[keep]
-        self._dst = self._dst[keep]
-        self._caps = self._caps[keep]
-        self._remaining = self._remaining[keep]
-        self._rates = self._rates[keep]
 
     def _schedule_realloc(self) -> None:
         """Coalesce all same-timestamp flow changes into one allocation.
@@ -423,14 +372,12 @@ class Fabric:
         self._schedule_realloc()
 
     def _assign_rates(self) -> float:
-        """Progressive-filling max–min allocation (mode dispatcher).
+        """Progressive-filling max–min allocation: the C kernel when it
+        is loaded, else :meth:`_assign_rates_fast`.
 
         Returns the completion horizon: the least ``remaining / rate``
         over flows with a positive rate, or -1.0 when none drains.
         """
-        if perfmode.REFERENCE:
-            self._assign_rates_reference()
-            return _horizon(self._remaining, self._rates)
         self._node_rates = None
         tab = self._tab
         if tab.n == 0:
@@ -442,96 +389,44 @@ class Fabric:
         self._assign_rates_fast()
         return _horizon(tab.col("remaining"), tab.col("rate"))
 
-    def _assign_rates_reference(self) -> None:
-        """Vectorised progressive-filling max–min allocation.
-
-        Iterations are bounded by the number of distinct binding
-        constraints: each round saturates at least one NIC direction, the
-        core, or a cap level (relative tolerances keep float error from
-        stalling the loop).
-        """
-        n_flows = len(self.flows)
-        if n_flows == 0:
-            return
-        src, dst, caps = self._src, self._dst, self._caps
-        rates = np.zeros(n_flows)
-        active = np.ones(n_flows, dtype=bool)
-        tx_head = np.full(self.n_nodes, self.nic_bw)
-        rx_head = np.full(self.n_nodes, self.nic_bw)
-        core_head = self.bisection_bw
-        nic_tol = 1e-7 * self.nic_bw
-        finite_cap = np.isfinite(caps)
-        cap_tol = np.where(finite_cap, 1e-7 * caps + 1e-12, 0.0)
-
-        while active.any():
-            tx_cnt = np.bincount(src[active], minlength=self.n_nodes)
-            rx_cnt = np.bincount(dst[active], minlength=self.n_nodes)
-            inc = math.inf
-            tx_used = tx_cnt > 0
-            if tx_used.any():
-                inc = min(inc, float((tx_head[tx_used]
-                                      / tx_cnt[tx_used]).min()))
-            rx_used = rx_cnt > 0
-            if rx_used.any():
-                inc = min(inc, float((rx_head[rx_used]
-                                      / rx_cnt[rx_used]).min()))
-            n_active = int(active.sum())
-            if core_head is not None:
-                inc = min(inc, core_head / n_active)
-            margins = caps[active] - rates[active]
-            inc = min(inc, float(margins.min()))
-            if not math.isfinite(inc) or inc < 0:
-                inc = 0.0
-            # Raise the water level for every unfixed flow.
-            rates[active] += inc
-            tx_head -= inc * tx_cnt
-            rx_head -= inc * rx_cnt
-            if core_head is not None:
-                core_head -= inc * n_active
-            # Freeze flows that hit their cap or a saturated constraint.
-            sat_tx = tx_head <= nic_tol
-            sat_rx = rx_head <= nic_tol
-            frozen = ((finite_cap & (caps - rates <= cap_tol))
-                      | sat_tx[src] | sat_rx[dst])
-            if core_head is not None and \
-                    core_head <= 1e-7 * (self.bisection_bw or 1.0):
-                frozen = np.ones(n_flows, dtype=bool)
-            newly = active & frozen
-            if not newly.any():
-                break  # no progress possible: freeze the rest as-is
-            active &= ~frozen
-
-        self._rates = rates
-        for f, r in zip(self.flows, rates):
-            f.rate = float(r)
-
     def _assign_rates_fast(self) -> None:
-        """Byte-identical progressive filling over a compressed active set.
+        """Progressive-filling max–min allocation (NumPy fallback).
 
-        Same algorithm and same float sequences as
-        :meth:`_assign_rates_reference`, restructured around three exact
-        identities so each round costs ~a dozen ufunc dispatches on
-        shrinking arrays instead of ~three dozen on full-width ones:
+        Every round raises all unfixed flows' rates by one increment:
+        the least of each used NIC direction's headroom over its count
+        of unfixed flows, the core's headroom over the unfixed count,
+        and the smallest margin of an unfixed flow to its own cap (an
+        increment that is not finite, or is negative, counts as 0).
+        Each headroom then drops by the increment times its unfixed
+        count.  A flow freezes when its cap margin is at most
+        ``1e-7 * cap + 1e-12``, or when the headroom of its source's tx
+        or its destination's rx is at most ``1e-7 * nic_bw``; every
+        flow freezes when the core's headroom is at most
+        ``1e-7 * bisection_bw``.  A round that freezes nothing ends the
+        loop with the rest at their current rate.  Each round saturates
+        a channel, the core or a cap level, so the rounds are bounded
+        by the number of distinct binding constraints.
 
-        * Every still-active flow has received the identical sequence of
-          water-level increments, so per-flow rates collapse to one
-          scalar ``level`` (the fold ``((0 + inc_1) + inc_2) + ...`` is
-          exactly what ``rates[active] += inc`` performs elementwise);
-          a flow's final rate is the level at its freeze round.
+        Three exact identities keep each round to ~a dozen ufunc
+        dispatches on shrinking arrays:
+
+        * Every unfixed flow has received the identical sequence of
+          increments, so per-flow rates collapse to one scalar
+          ``level`` (the fold ``((0 + inc_1) + inc_2) + ...`` that an
+          elementwise ``rates[active] += inc`` performs); a flow's
+          final rate is the level at its freeze round.
         * tx and rx NIC channels live in one ``2 * n_nodes`` array
           (rx slots offset by ``n_nodes``): one bincount and one
-          masked division replace the per-direction pairs, and the min
-          over the union equals the reference's min-of-mins bitwise.
+          division replace the per-direction pairs, and the min over
+          the union equals the min of the per-direction mins bitwise.
         * Frozen flows are compacted out of the working set each round;
           bincount and min are order-independent at the bit level, so
           compression cannot perturb any intermediate value.
 
-        Rates are scattered to original flow positions through ``idx``,
-        so the published rate vector matches the reference elementwise.
-
-        This is the NumPy fallback: when the optional C kernel
-        (:mod:`repro.net.fastalloc`) is loaded, the same arithmetic runs
-        in one native call per reallocation, with the same bits.
+        Rates are scattered back to flow positions through ``idx``.
+        When the optional C kernel (:mod:`repro.net.fastalloc`) is
+        loaded, the same arithmetic runs in one native call per
+        reallocation, with the same bits.
         """
         tab = self._tab
         src = tab.col("src")
@@ -612,7 +507,7 @@ class Fabric:
         # Plain (unmasked) division: idle channels have head=nic_bw>0 and
         # count 0, giving +inf; saturated channels are parked at
         # head=+inf below, also giving +inf — both fall out of the min
-        # exactly as the reference's used-channel mask drops them.
+        # exactly as if unused channels were masked out.
         old_err = np.seterr(divide="ignore")
         try:
             while True:
@@ -644,8 +539,8 @@ class Fabric:
                 else:
                     fr = None
                     if has_caps:
-                        # Post-increment margins, as the reference's
-                        # ``caps - rates`` freeze check sees them.
+                        # Post-increment margins: ``cap - rate`` after
+                        # this round's increment.
                         fr = (c - level) <= ctol
                         fr &= fin
                     if sat.any():

@@ -4,13 +4,11 @@
  * rate * dt, collects the flows that finished (remaining <= 1e-6,
  * in original flow order), and compacts the survivors down over the
  * holes with a write cursor.  This is bit-for-bit the arithmetic of
- * FluidPipe._advance's optimized Python loop (and of the retained
- * reference path):
+ * FluidPipe._advance's NumPy fallback:
  *
  *   - `remaining - rate * dt` is one IEEE-754 double multiply and one
- *     subtract per flow, the exact per-element sequence the Python
- *     loop (`f.remaining -= f.rate * dt`) and the NumPy fallback
- *     (`rem -= rate * dt`) perform;
+ *     subtract per flow, the exact per-element sequence the NumPy
+ *     fallback (`rem -= rate * dt`) performs;
  *   - the finish test `<= 1e-6` compares the identical double;
  *   - compaction only moves values, never recomputes them, and is
  *     order-preserving, so same-timestamp completions keep the FIFO
@@ -20,7 +18,7 @@
  * -ffp-contract=off so no FMA contraction changes the rounding of
  * rate * dt before the subtract.  The loader (fastdrain.py) passes
  * those flags; FluidPipe falls back to the vectorized NumPy drain
- * (and the reference Python loop) when no C toolchain is available.
+ * when no C toolchain is available.
  */
 
 #include <math.h>

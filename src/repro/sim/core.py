@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, \
     Optional, Union
 
-from repro.sim import perfmode
 from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.trace import TraceEvent
@@ -193,16 +193,12 @@ class Simulator:
         allocating an :class:`Event` plus a closure per timer.  The
         (time, priority, FIFO) ordering contract is unchanged: one
         sequence number is consumed per call, exactly as the event path
-        consumes one per enqueue.  Callers that need a waitable handle
-        use :meth:`schedule_callback_event` instead.
+        consumes one per enqueue.
         """
         # One comparison rejects negatives and NaN alike.
         if not delay >= 0:
             raise ValueError(
                 f"delay must be a non-negative number, got {delay!r}")
-        if perfmode.REFERENCE:
-            self.schedule_callback_event(delay, fn, *args)
-            return
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (self._now + delay, NORMAL, seq, fn, args))
 
@@ -252,9 +248,7 @@ class Simulator:
         state (and may re-arm itself via :meth:`schedule_daemon`); it
         must never schedule non-daemon work or mutate simulated state.
         ``delay`` must be strictly positive so self-rearming daemons
-        always advance the clock.  Daemons bypass
-        :mod:`~repro.sim.perfmode` — observation is not part of the
-        reference-vs-optimized engine surface.
+        always advance the clock.
         """
         if not delay > 0:
             raise ValueError(
@@ -263,20 +257,6 @@ class Simulator:
         self._daemons += 1
         heapq.heappush(self._queue,
                        (self._now + delay, NORMAL, seq, _DAEMON, (fn, args)))
-
-    def schedule_callback_event(self, delay: float, fn, *args: Any) -> Event:
-        """Like :meth:`schedule_callback`, but returns a waitable
-        :class:`Event` that succeeds (with ``None``) when the callback
-        runs — for callers that need to observe or compose the timer."""
-        if not delay >= 0:
-            raise ValueError(
-                f"delay must be a non-negative number, got {delay!r}")
-        ev = Event(self, name=getattr(fn, "__name__", "callback"))
-        ev._ok = True
-        ev._value = None
-        ev.callbacks.append(lambda _e: fn(*args))
-        self._enqueue(ev, NORMAL, delay=delay)
-        return ev
 
     # -- scheduling --------------------------------------------------------
     # Every heap entry is a 5-tuple ``(when, prio, seq, fn, arg)``:
@@ -331,87 +311,43 @@ class Simulator:
 
         ``until`` may be:
 
-        * ``None`` — run until the schedule is empty;
-        * a float — run until simulated time reaches that value;
+        * ``None`` — run until only observer daemons remain;
         * an :class:`Event` — run until the event is processed and return
-          its value (raising its exception if it failed).
+          its value (raising its exception if it failed); running dry
+          first, daemons aside, raises :class:`SimulationDeadlock`;
+        * a float — run every entry due at or before that time, daemons
+          included, then set the clock to it.
 
-        Each mode inlines :meth:`step`'s dispatch with hoisted locals:
-        an event's callbacks run in the loop itself, and every state
-        test reads an Event slot, not a property.  Dispatch counts
-        accumulate in a local and flush to :attr:`events_dispatched`
-        before any daemon runs (probes sample it) and on loop exit.
-        :meth:`_run_reference` keeps the one-:meth:`step`-per-entry form.
+        The stop rule is fixed before the loop, and one dispatch body —
+        :meth:`step`'s, with hoisted locals — serves all three: an
+        event's callbacks run in the loop itself, and every state test
+        reads an Event slot, not a property.  Dispatch counts accumulate
+        in a local and flush to :attr:`events_dispatched` before any
+        daemon runs (probes sample it) and on loop exit.
         """
-        if perfmode.REFERENCE:
-            return self._run_reference(until)
-
+        stop = until if isinstance(until, Event) else None
+        # Under None and an Event, daemons alone cannot make progress, so
+        # a schedule holding only daemons ends the loop.
+        daemons_end = until is None or stop is not None
+        horizon = math.inf
+        if not daemons_end:
+            horizon = float(until)
+            if horizon < self._now:
+                raise ValueError(
+                    f"until={horizon} lies in the past (now={self._now})")
         queue = self._queue
         pop = heapq.heappop
         daemon = _DAEMON
         count = 0
         try:
-            if until is None:
-                # Stop once only observer daemons remain: a self-rearming
-                # probe must not keep the simulation alive forever.  (The
-                # count is read first so a daemon-free run skips len().)
-                while queue:
-                    if self._daemons and len(queue) <= self._daemons:
-                        break
-                    self._now, _prio, _seq, fn, arg = pop(queue)
-                    if fn is None:
-                        count += 1
-                        callbacks = arg.callbacks
-                        arg.callbacks = None
-                        for cb in callbacks:
-                            cb(arg)
-                        if not arg._ok and not arg._defused:
-                            raise arg._value
-                    elif fn is not daemon:
-                        count += 1
-                        fn(*arg)
-                    else:
-                        self.events_dispatched += count
-                        count = 0
-                        self._daemons -= 1
-                        arg[0](*arg[1])
-                return None
-
-            if isinstance(until, Event):
-                stop = until
-                while stop.callbacks is not None:
-                    if not queue or (self._daemons
-                                     and len(queue) <= self._daemons):
-                        # Run dry (possibly up to armed probes, which
-                        # cannot make progress happen): a lost wakeup.
-                        raise self._deadlock(stop) from None
-                    self._now, _prio, _seq, fn, arg = pop(queue)
-                    if fn is None:
-                        count += 1
-                        callbacks = arg.callbacks
-                        arg.callbacks = None
-                        for cb in callbacks:
-                            cb(arg)
-                        if not arg._ok and not arg._defused:
-                            raise arg._value
-                    elif fn is not daemon:
-                        count += 1
-                        fn(*arg)
-                    else:
-                        self.events_dispatched += count
-                        count = 0
-                        self._daemons -= 1
-                        arg[0](*arg[1])
-                if not stop._ok:
-                    stop._defused = True
-                    raise stop._value
-                return stop._value
-
-            horizon = float(until)
-            if horizon < self._now:
-                raise ValueError(
-                    f"until={horizon} lies in the past (now={self._now})")
             while queue and queue[0][0] <= horizon:
+                # (The daemon count is read first so a daemon-free run
+                # skips len().)
+                if self._daemons and daemons_end \
+                        and len(queue) <= self._daemons:
+                    break
+                if stop is not None and stop.callbacks is None:
+                    break
                 self._now, _prio, _seq, fn, arg = pop(queue)
                 if fn is None:
                     count += 1
@@ -429,34 +365,17 @@ class Simulator:
                     count = 0
                     self._daemons -= 1
                     arg[0](*arg[1])
-            self._now = horizon
-            return None
         finally:
             self.events_dispatched += count
-
-    def _run_reference(self, until: Optional[Union[float, Event]]) -> Any:
-        """The retained pre-optimization run loop (perfmode): one
-        :meth:`step` per entry, no timer batching."""
-        if until is None:
-            while len(self._queue) > self._daemons:
-                self.step()
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            while stop.callbacks is not None:
-                if len(self._queue) <= self._daemons:
-                    raise self._deadlock(stop) from None
-                self.step()
+        if stop is not None:
+            if stop.callbacks is not None:
+                # Run dry (possibly up to armed probes, which cannot
+                # make progress happen): a lost wakeup.
+                raise self._deadlock(stop)
             if not stop._ok:
                 stop._defused = True
                 raise stop._value
             return stop._value
-
-        horizon = float(until)
-        if horizon < self._now:
-            raise ValueError(f"until={horizon} lies in the past (now={self._now})")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = horizon
+        if until is not None:
+            self._now = horizon
         return None

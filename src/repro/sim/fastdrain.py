@@ -9,11 +9,11 @@ module compiles ``_fastdrain.c`` once per machine and loads it with
 :mod:`ctypes` (:func:`repro.sim.perfmode.load_kernel`), and exposes
 :func:`drain`.
 
-The kernel is bit-for-bit equivalent to both the NumPy fallback and the
-retained reference loop — see the header comment in ``_fastdrain.c``
-and DESIGN.md §12 — and ``repro bench --check`` asserts that
-equivalence end to end (Hypothesis drives the adversarial cases in
-``tests/sim/test_fastdrain.py``).
+The kernel is bit-for-bit equivalent to the NumPy fallback — see the
+header comment in ``_fastdrain.c`` and DESIGN.md §12 — which
+Hypothesis checks on adversarial cases in ``tests/sim/test_fastdrain.py``,
+and ``repro bench --check`` holds whole runs to the captured
+fingerprints.
 
 Everything degrades gracefully: no C compiler, a failed build, or
 ``REPRO_NO_CKERNEL=1`` in the environment leaves :data:`AVAILABLE`

@@ -1,24 +1,11 @@
-"""Global switch between the optimized and reference engine paths.
+"""Loader for the simulator's optional compiled C kernels.
 
-The simulation kernel keeps two implementations of its measured hot
-paths: the optimized one (amortized flow-state arrays, lightweight
-timer heap entries, cached fair-share orders) and the original
-reference one.  Both follow the same determinism contract — events at
-equal timestamps run in (priority, FIFO) order — and must produce
-byte-identical simulation results; ``repro bench --check`` asserts
-this on every benchmark scenario.
-
-The mode is a process-global flag consulted at call time.  It must not
-be flipped in the middle of a simulation: objects built in one mode
-may carry state the other path does not maintain.  Flip it only
-between fresh :class:`~repro.sim.core.Simulator` instances, ideally
-through the :func:`reference_mode` context manager.
-
-The optimized paths also use compiled C kernels when they can:
-:func:`load_kernel` builds and loads one for :mod:`repro.sim.fastdrain`
-and :mod:`repro.net.fastalloc`, and returns ``None`` (leaving the
-vectorized NumPy path in charge) when no C compiler is found, the build
-fails, or ``REPRO_NO_CKERNEL=1`` is set.
+:func:`load_kernel` builds and loads the C source behind
+:mod:`repro.sim.fastdrain` and :mod:`repro.net.fastalloc`, and returns
+``None`` (leaving the vectorized NumPy path in charge) when no C
+compiler is found, the build fails, or ``REPRO_NO_CKERNEL=1`` is set.
+Both paths produce bit-identical simulation results: a missing compiler
+changes speed, never output.
 """
 
 from __future__ import annotations
@@ -28,41 +15,13 @@ import hashlib
 import os
 import subprocess
 import tempfile
-from contextlib import contextmanager
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
-__all__ = ["is_reference", "set_reference", "reference_mode",
-           "load_kernel"]
+__all__ = ["load_kernel"]
 
 # Strict IEEE-754 only: never -ffast-math, and -ffp-contract=off so FMA
-# contraction cannot change rounding vs. the NumPy/Python references.
+# contraction cannot change rounding vs. the NumPy fallbacks.
 _CFLAGS = ["-O2", "-fPIC", "-shared", "-ffp-contract=off"]
-
-#: True while the retained (pre-optimization) code paths are active.
-REFERENCE = False
-
-
-def is_reference() -> bool:
-    """Whether the reference (pre-optimization) paths are active."""
-    return REFERENCE
-
-
-def set_reference(flag: bool) -> None:
-    """Select the reference (True) or optimized (False) engine paths."""
-    global REFERENCE
-    REFERENCE = bool(flag)
-
-
-@contextmanager
-def reference_mode() -> Iterator[None]:
-    """Run a block under the reference engine paths, then restore."""
-    global REFERENCE
-    prev = REFERENCE
-    REFERENCE = True
-    try:
-        yield
-    finally:
-        REFERENCE = prev
 
 
 def load_kernel(src: str, name: str,

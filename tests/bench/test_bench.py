@@ -2,7 +2,8 @@
 
 Uses ``quick=True`` scenario scales throughout so the whole module stays
 inside normal test-suite budgets; the full-scale check lives in
-``repro bench`` runs.
+``repro bench --check`` runs.  The ``golden`` verdict compares with the
+digests captured in ``repro/bench/digests.json``.
 """
 
 import dataclasses
@@ -13,7 +14,8 @@ import pytest
 
 from repro.bench import harness
 from repro.bench.harness import (BenchReport, bench_scenario,
-                                 fingerprint_digest, run_bench)
+                                 fingerprint_digest, golden_digests,
+                                 run_bench)
 from repro.bench.scenarios import SCENARIOS, run_scenario
 from repro.cli import main as cli_main
 from repro.obs.critpath import critical_path
@@ -48,13 +50,24 @@ class TestScenarios:
 class TestCheck:
     @pytest.mark.parametrize("name", ["timer_churn", "ssd_spill"])
     def test_optimized_matches_reference(self, name):
+        """The digest equals the captured (reference) one."""
         report = bench_scenario(name, quick=True, check=True)
-        assert report.matches["reference"] is True
+        assert report.matches["golden"] is True
+        assert report.digest == golden_digests()["quick"][name]
 
     def test_no_baseline_means_no_reference(self):
+        """Without --check there is no ``golden`` verdict."""
         report = bench_scenario("timer_churn", quick=True)
-        assert "reference" not in report.matches
-        assert "reference" not in report.line()
+        assert "golden" not in report.matches
+        assert "golden" not in report.line()
+
+    def test_every_scenario_has_a_captured_digest_at_both_scales(self):
+        digests = golden_digests()
+        assert sorted(digests) == ["full", "quick"]
+        for scale in digests.values():
+            assert sorted(scale) == sorted(SCENARIOS)
+            assert all(len(d) == 64 and int(d, 16) >= 0
+                       for d in scale.values())
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS))
     def test_telemetry_run_matches_bare_fingerprint(self, name):
@@ -79,7 +92,7 @@ class TestReportSchema:
         report = bench_scenario("timer_churn", quick=True, check=True)
         assert report.events > 0
         assert len(report.digest) == 64
-        assert report.matches == {"reference": True, "telemetry": True,
+        assert report.matches == {"golden": True, "telemetry": True,
                                   "spans": True}
         assert report.diverged == []
         assert report.n_spans > 0
@@ -100,7 +113,7 @@ class TestRunBench:
         assert capsys.readouterr().out == reports[0].line() + "\n"
         assert os.listdir(tmp_path) == []  # prints, writes nothing
 
-    @pytest.mark.parametrize("kind", ["reference", "telemetry", "spans"])
+    @pytest.mark.parametrize("kind", ["golden", "telemetry", "spans"])
     def test_divergence_exits_1_and_names_scenario(self, kind, monkeypatch,
                                                    capsys):
         if kind == "spans":
@@ -110,10 +123,15 @@ class TestRunBench:
                 return critical_path(spans)[:-1]
 
             monkeypatch.setattr(harness, "critical_path", perturbed)
+        elif kind == "golden":
+            # A capture that disagrees with this tree's fig08_job.
+            capture = golden_digests()
+            capture["quick"]["fig08_job"] = "0" * 64
+            monkeypatch.setattr(harness, "golden_digests", lambda: capture)
         else:
-            # bench_scenario runs the optimized engine, then the
-            # reference engine (--check), then the telemetry run.
-            runs = iter(["optimized", "reference", "telemetry"])
+            # bench_scenario runs the bare scenario, then the telemetry
+            # run.
+            runs = iter(["bare", "telemetry"])
 
             def perturbed(name, quick=False, telemetry=None):
                 result = run_scenario(name, quick=quick,
@@ -142,6 +160,7 @@ class TestRunBench:
 
         monkeypatch.setattr(harness, "run_scenario", counted)
         report = bench_scenario("fig08_job", quick=True, check=True)
-        assert report.matches == {"reference": True, "telemetry": True,
+        assert report.matches == {"golden": True, "telemetry": True,
                                   "spans": True}
-        assert calls == [False, False, True]
+        # The bare run and the telemetry run; --check reads the capture.
+        assert calls == [False, True]

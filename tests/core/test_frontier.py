@@ -1,13 +1,12 @@
 """Scheduler frontier: O(active) free-node tracking vs the full scan.
 
-The optimized :meth:`StageRunner._free_nodes` reads a maintained
-ascending list of nodes with free capacity instead of scanning all
-``n_nodes``; the pre-optimization scan is retained under
-``perfmode.REFERENCE``.  These property tests drive adversarial
-sequences of every slot-mutation site — capacity grants, revocations
-(including ones that create owed-slot debt), task-exit releases, node
-deaths and restarts — and assert after **every** operation that the two
-implementations return the identical list.
+:meth:`StageRunner._free_nodes` reads a maintained ascending list of
+nodes with free capacity instead of scanning all ``n_nodes``.  These
+property tests drive adversarial sequences of every slot-mutation site
+— capacity grants, revocations (including ones that create owed-slot
+debt), task-exit releases, node deaths and restarts — and assert after
+**every** operation that it returns what a full scan over
+``free_slots`` and liveness returns.
 """
 
 from hypothesis import given, settings
@@ -16,7 +15,7 @@ from hypothesis import strategies as st
 from repro.core.faults import NodeLiveness
 from repro.core.policies import LocalityFirstPolicy
 from repro.core.scheduler import StageRunner
-from repro.sim import Simulator, perfmode
+from repro.sim import Simulator
 
 N_NODES = 12
 
@@ -36,15 +35,10 @@ def _make_runner(liveness, slots):
                        slots=slots)
 
 
-def _both_views(runner):
-    """(optimized, reference) results of _free_nodes on the same state."""
-    optimized = runner._free_nodes()
-    perfmode.set_reference(True)
-    try:
-        reference = runner._free_nodes()
-    finally:
-        perfmode.set_reference(False)
-    return optimized, reference
+def _full_scan(runner):
+    """Every live node with a free slot, in ascending order."""
+    return [n for n in range(N_NODES)
+            if runner.free_slots[n] > 0 and runner._alive(n)]
 
 
 @given(_ops, st.lists(st.integers(min_value=0, max_value=2),
@@ -53,8 +47,7 @@ def _both_views(runner):
 def test_frontier_matches_full_scan_after_every_mutation(ops, slots):
     liveness = NodeLiveness(N_NODES)
     runner = _make_runner(liveness, slots)
-    optimized, reference = _both_views(runner)
-    assert optimized == reference  # the initial frontier build
+    assert runner._free_nodes() == _full_scan(runner)  # the initial build
 
     for op, node, k in ops:
         if op == "add":
@@ -67,8 +60,7 @@ def test_frontier_matches_full_scan_after_every_mutation(ops, slots):
             liveness.mark_dead(node)
         else:
             liveness.mark_alive(node)
-        optimized, reference = _both_views(runner)
-        assert optimized == reference, (op, node, k)
+        assert runner._free_nodes() == _full_scan(runner), (op, node, k)
         # The frontier is exactly the ascending free-capacity set; the
         # liveness mask is applied on read, never baked into the list.
         assert runner._frontier == [
@@ -88,8 +80,7 @@ def test_frontier_without_liveness(ops):
             runner._release_slot(node)
         else:
             continue  # no liveness attached
-        optimized, reference = _both_views(runner)
-        assert optimized == reference
+        assert runner._free_nodes() == _full_scan(runner)
 
 
 def test_owed_slot_release_pays_debt_without_frontier_growth():

@@ -32,7 +32,7 @@ from repro.net.fabric import Fabric, NetFlow
 from repro.obs.export import chrome_trace, runlog_lines
 from repro.obs.runlog import load_runlog
 from repro.obs.telemetry import Telemetry
-from repro.sim import fastdrain, perfmode
+from repro.sim import fastdrain
 from repro.sim.core import Simulator
 from repro.sim.events import Event
 from repro.sim.fluid import Flow, FluidPipe
@@ -66,15 +66,12 @@ def saveall():
             gc.enable()
 
 
-@pytest.fixture(params=["c", "numpy", "reference"])
+@pytest.fixture(params=["c", "numpy"])
 def kernels(request, monkeypatch):
-    """Every completion site: C kernels, their NumPy fallbacks, and the
-    retained reference paths."""
+    """Every completion site: C kernels and their NumPy fallbacks."""
     if request.param == "numpy":
         monkeypatch.setattr(fastalloc, "AVAILABLE", False)
         monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
-    elif request.param == "reference":
-        monkeypatch.setattr(perfmode, "REFERENCE", True)
     return request.param
 
 

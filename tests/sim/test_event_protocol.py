@@ -16,7 +16,7 @@ from repro.cluster.spec import hyperion
 from repro.core.engine import run_job
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import AllOf, AnyOf, Simulator, fastdrain, perfmode
+from repro.sim import AllOf, AnyOf, Simulator, fastdrain
 from repro.sim.events import URGENT
 from repro.sim.fluid import FluidPipe
 from repro.storage.device import BlockDevice
@@ -184,7 +184,7 @@ def _completion_keys(form):
     return log, sim.events_dispatched, sim._seq
 
 
-@pytest.mark.parametrize("kernels", ["c", "numpy", "reference"])
+@pytest.mark.parametrize("kernels", ["c", "numpy"])
 def test_callback_completions_take_the_event_entries(kernels, monkeypatch):
     """``then=`` fires from an entry with the key the event's
     ``succeed`` would have pushed: same time, priority and ``seq``,
@@ -194,8 +194,6 @@ def test_callback_completions_take_the_event_entries(kernels, monkeypatch):
     if kernels == "numpy":
         monkeypatch.setattr(fastalloc, "AVAILABLE", False)
         monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
-    elif kernels == "reference":
-        monkeypatch.setattr(perfmode, "REFERENCE", True)
     events = _completion_keys("event")
     callbacks = _completion_keys("then")
     assert callbacks == events
@@ -331,12 +329,6 @@ class TestNanDelays:
         sim = Simulator()
         with pytest.raises(ValueError, match="nan"):
             sim.schedule_callback(NAN, lambda: None)
-        assert sim._queue == []
-
-    def test_schedule_callback_event(self):
-        sim = Simulator()
-        with pytest.raises(ValueError, match="nan"):
-            sim.schedule_callback_event(NAN, lambda: None)
         assert sim._queue == []
 
     def test_schedule_daemon(self):

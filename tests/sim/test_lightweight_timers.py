@@ -1,14 +1,13 @@
-"""Lightweight timer path: determinism contract and Event-API compat.
+"""Lightweight timer path: determinism contract.
 
 ``schedule_callback`` pushes a bare ``(when, prio, seq, fn, args)`` heap
 entry — no Event, no closure.  These tests pin the contract that makes
 that safe: same-timestamp dispatch stays (priority, FIFO) ordered across
-a mix of lightweight timers and Event-based entries, and callers that
-need an Event still get one via ``schedule_callback_event``.
+a mix of lightweight timers and Event-based entries, and chained timers
+land on the timestamps captured when every timer was still an Event.
 """
 
-from repro.sim import Simulator, perfmode
-from repro.sim.events import Event
+from repro.sim import Simulator
 
 
 class TestLightweightTimers:
@@ -66,48 +65,20 @@ class TestLightweightTimers:
 
 
 class TestEventAPICompat:
-    def test_schedule_callback_event_returns_event(self):
-        sim = Simulator()
-        got = []
-        ev = sim.schedule_callback_event(1.0, got.append, 7)
-        assert isinstance(ev, Event)
-        sim.run()
-        assert got == [7]
-        assert ev.triggered
-
-    def test_reference_mode_routes_through_events(self):
-        perfmode.set_reference(True)
-        try:
-            sim = Simulator()
-            got = []
-            sim.schedule_callback(0.25, got.append, 1)
-            sim.run()
-            assert got == [1]
-            assert sim.events_dispatched == 1
-        finally:
-            perfmode.set_reference(False)
-
     def test_modes_agree_on_timestamps(self):
-        def drive():
-            sim = Simulator()
-            stamps = []
+        """The stamps captured when Event-backed timers produced them."""
+        sim = Simulator()
+        stamps = []
 
-            def tick(k):
-                stamps.append((k, sim.now))
-                if k < 5:
-                    sim.schedule_callback(0.1 + 1e-7 * k, tick, k + 1)
+        def tick(k):
+            stamps.append((k, sim.now))
+            if k < 5:
+                sim.schedule_callback(0.1 + 1e-7 * k, tick, k + 1)
 
-            sim.schedule_callback(0.0, tick, 0)
-            sim.run()
-            return stamps
-
-        optimized = drive()
-        perfmode.set_reference(True)
-        try:
-            reference = drive()
-        finally:
-            perfmode.set_reference(False)
-        assert optimized == reference  # byte-identical times
+        sim.schedule_callback(0.0, tick, 0)
+        sim.run()
+        assert stamps == [(0, 0.0), (1, 0.1), (2, 0.20000010000000001),
+                          (3, 0.3000003), (4, 0.4000006), (5, 0.500001)]
 
 
 class TestTraceGate:

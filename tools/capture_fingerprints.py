@@ -1,6 +1,7 @@
 """Capture reference job fingerprints for the byte-identity regressions.
 
-Two case lists, one data file each, and one directory of CLI outputs:
+Two case lists, one data file each, one directory of CLI outputs, and
+the bench digests:
 
 * ``CASES`` → ``tests/data/fingerprints_head.json``:
   ``tests/core/test_mechanism_identity.py`` asserts that runs with both
@@ -14,12 +15,17 @@ Two case lists, one data file each, and one directory of CLI outputs:
   ``repro explain`` (simulated and post mortem), ``repro report`` and
   ``repro serve --explain``, which ``tests/obs/test_explain_identity.py``
   compares byte for byte.
+* ``bench`` → ``src/repro/bench/digests.json``: every
+  :data:`~repro.bench.scenarios.SCENARIOS` entry's fingerprint digest at
+  ``--quick`` and at full scale, which ``repro bench --check`` compares
+  with as its ``golden`` verdict.
 
 Run on a known-good tree to (re)generate one target:
 
     PYTHONPATH=src python tools/capture_fingerprints.py            # head
     PYTHONPATH=src python tools/capture_fingerprints.py fetch-paths
     PYTHONPATH=src python tools/capture_fingerprints.py explain
+    PYTHONPATH=src python tools/capture_fingerprints.py bench
 """
 
 from __future__ import annotations
@@ -213,6 +219,21 @@ def explain_outputs(workdir: str) -> dict:
             for name, argv in EXPLAIN_CASES}
 
 
+def bench_digests() -> dict:
+    """Scale (``quick``/``full``) -> scenario -> fingerprint digest, the
+    values ``repro bench`` prints in its ``fingerprint`` column."""
+    from repro.bench.harness import fingerprint_digest
+    from repro.bench.scenarios import SCENARIOS, run_scenario
+    out = {}
+    for scale, quick in (("quick", True), ("full", False)):
+        out[scale] = {}
+        for name in SCENARIOS:
+            fp = run_scenario(name, quick=quick).fingerprint
+            out[scale][name] = fingerprint_digest(fp)
+            print(f"{scale} {name}: {out[scale][name]}")
+    return out
+
+
 def _data_path(name: str) -> str:
     return os.path.normpath(os.path.join(
         os.path.dirname(__file__), "..", "tests", "data", name))
@@ -231,9 +252,17 @@ def main(argv=None) -> None:
                 fh.write(text)
         print(f"wrote {len(outputs)} files to {out_dir}")
         return
+    if target == "bench":
+        from repro.bench.harness import GOLDEN_PATH
+        digests = bench_digests()
+        with open(GOLDEN_PATH, "w") as fh:
+            json.dump(digests, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {GOLDEN_PATH}")
+        return
     if target not in TARGETS:
-        raise SystemExit(f"unknown target {target!r}; "
-                         f"choose from {sorted(TARGETS) + ['explain']}")
+        raise SystemExit(f"unknown target {target!r}; choose from "
+                         f"{sorted(TARGETS) + ['bench', 'explain']}")
     cases, name = TARGETS[target]
     path = _data_path(name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
