@@ -23,7 +23,7 @@ from repro.core.memory import MemoryConfig
 from repro.experiments.common import (GB, MB, Scale, SMALL,
                                       ExperimentResult)
 from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+                                      make_cell, run_sweep)
 from repro.workloads import groupby_spec
 
 __all__ = ["run", "cells", "run_cell", "assemble",
@@ -128,9 +128,7 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
 
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds))
-    return assemble(results, scale=scale, seeds=seeds)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds)
 
 
 def main() -> None:  # pragma: no cover

@@ -20,14 +20,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.stats import median
 from repro.cluster.variability import LognormalSpeed
-from repro.core.engine import EngineOptions, run_job
+from repro.core.engine import EngineOptions
 from repro.experiments.common import (GB, MB, Scale, SMALL,
                                       ExperimentResult)
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+from repro.experiments.jobcell import job_cell
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.workloads import grep_spec, logistic_regression_spec
 
-__all__ = ["run", "cells", "run_cell", "assemble",
+__all__ = ["run", "cells", "assemble",
            "PAPER_GREP_SLOWDOWN_32MB", "PAPER_LR_LUSTRE_GAIN"]
 
 #: Paper: Lustre up to 5.7x worse than HDFS for Grep at 32 MB splits.
@@ -40,38 +40,27 @@ PAPER_INPUT_BYTES = 200 * GB
 SPLIT_SIZES = (32 * MB, 64 * MB, 128 * MB)
 
 
-def _job_time(benchmark: str, source: str, split: float, scale: Scale,
-              seed: int) -> float:
-    if benchmark == "grep":
-        spec = grep_spec(input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
-                         split_bytes=split, input_source=source)
-    else:
-        spec = logistic_regression_spec(
-            input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
-            split_bytes=split, input_source=source)
+def _job(benchmark: str, source: str, split: float, scale: Scale,
+         seed: int) -> Cell:
+    make_spec = grep_spec if benchmark == "grep" \
+        else logistic_regression_spec
+    spec = make_spec(input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
+                     split_bytes=float(split), input_source=source)
     # Spark's stock configuration uses delay scheduling; on Lustre there
     # is no locality metadata, so every task launches immediately.
     options = EngineOptions(delay_scheduling=(source == "hdfs"), seed=seed)
-    res = run_job(spec, cluster_spec=scale.cluster(), options=options,
-                  speed_model=LognormalSpeed(sigma=0.14))
-    return res.job_time
+    return job_cell(spec, scale, options, LognormalSpeed(sigma=0.14))
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           splits: Sequence[float] = SPLIT_SIZES) -> List[Cell]:
-    """One cell per (benchmark, split, input source, seed) simulation."""
-    return [make_cell("fig05", "job", scale, seed, benchmark=benchmark,
-                      source=source, split=float(split))
+    """One job cell per (benchmark, split, input source, seed); the HDFS
+    jobs are fig09's delay-on jobs."""
+    return [_job(benchmark, source, split, scale, seed)
             for benchmark in ("grep", "lr")
             for split in splits
             for source in ("hdfs", "lustre")
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, float]:
-    p = cell.params_dict
-    return {"job_time": _job_time(p["benchmark"], p["source"], p["split"],
-                                  cell_scale(cell), cell.seed)}
 
 
 def assemble(results: Mapping[Cell, Dict[str, float]],
@@ -83,9 +72,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
                  "lustre/hdfs"])
 
     def seconds(benchmark: str, source: str, split: float) -> float:
-        return median([results[make_cell(
-            "fig05", "job", scale, s, benchmark=benchmark, source=source,
-            split=float(split))]["job_time"] for s in seeds])
+        return median([results[_job(benchmark, source, split, scale, s)]
+                       ["job_time"] for s in seeds])
 
     for benchmark in ("grep", "lr"):
         for split in splits:
@@ -102,10 +90,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         splits: Sequence[float] = SPLIT_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     splits=splits))
-    return assemble(results, scale=scale, seeds=seeds, splits=splits)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     splits=splits)
 
 
 def main() -> None:  # pragma: no cover - CLI glue

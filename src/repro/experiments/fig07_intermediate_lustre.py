@@ -22,15 +22,13 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.variability import LognormalSpeed
-from repro.core.engine import EngineOptions, run_job
-from repro.core.metrics import JobResult
+from repro.core.engine import EngineOptions
 from repro.experiments.common import GB, Scale, SMALL, ExperimentResult
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
-from repro.storage.device import DeviceFullError
+from repro.experiments.jobcell import job_cell, median_run
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.workloads import groupby_spec
 
-__all__ = ["run", "cells", "run_cell", "assemble",
+__all__ = ["run", "cells", "assemble",
            "PAPER_HDFS_SPEEDUP", "PAPER_SHARED_SLOWDOWN"]
 
 PAPER_HDFS_SPEEDUP = 6.5      # HDFS vs Lustre-local, up to
@@ -46,40 +44,23 @@ CONFIGS = {
 }
 
 
-def _run_one(config: str, data_bytes: float, scale: Scale,
-             seed: int) -> Optional[JobResult]:
-    spec = groupby_spec(data_bytes,
+def _job(config: str, paper_bytes: float, scale: Scale, seed: int) -> Cell:
+    spec = groupby_spec(scale.bytes_of(paper_bytes),
                         n_reducers=scale.n_nodes * 16,
                         **CONFIGS[config])
-    try:
-        return run_job(spec, cluster_spec=scale.cluster(),
-                       options=EngineOptions(seed=seed),
-                       speed_model=LognormalSpeed())
-    except DeviceFullError:
-        # The paper's HDFS/RAMDisk curve also stops (at ~1.2 TB): the
-        # intermediate data no longer fits on the RAMDisks.
-        return None
+    return job_cell(spec, scale, EngineOptions(seed=seed), LognormalSpeed())
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           data_sizes: Sequence[float] = PAPER_DATA_SIZES) -> List[Cell]:
-    """One cell per (storage configuration, data size, seed) job."""
-    return [make_cell("fig07", "job", scale, seed, config=config,
-                      paper_gb=paper_bytes / GB)
+    """One job cell per (storage configuration, data size, seed); the
+    HDFS jobs are fig08's RAMDisk jobs.  The paper's HDFS/RAMDisk curve
+    stops (at ~1.2 TB) where the intermediate data no longer fits on the
+    RAMDisks: such a job comes back ``ok: False``."""
+    return [_job(config, paper_bytes, scale, seed)
             for paper_bytes in data_sizes
             for config in CONFIGS
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, object]:
-    p = cell.params_dict
-    scale = cell_scale(cell)
-    res = _run_one(p["config"], scale.bytes_of(p["paper_gb"] * GB), scale,
-                   cell.seed)
-    if res is None:
-        return {"ok": False}
-    return {"ok": True, "job_time": res.job_time,
-            "store_time": res.store_time, "fetch_time": res.fetch_time}
 
 
 def assemble(results: Mapping[Cell, Dict[str, object]],
@@ -95,12 +76,9 @@ def assemble(results: Mapping[Cell, Dict[str, object]],
     for paper_bytes in data_sizes:
         runs: Dict[str, Optional[Dict[str, object]]] = {}
         for config in CONFIGS:
-            outcomes = [results[make_cell(
-                "fig07", "job", scale, s, config=config,
-                paper_gb=paper_bytes / GB)] for s in seeds]
-            ok = [r for r in outcomes if r["ok"]]
-            runs[config] = (sorted(ok, key=lambda r: r["job_time"])
-                            [len(ok) // 2] if ok else None)
+            runs[config] = median_run([
+                results[_job(config, paper_bytes, scale, s)]
+                for s in seeds])
         hdfs, local, shared = (runs["hdfs"], runs["lustre-local"],
                                runs["lustre-shared"])
         result.add(
@@ -128,11 +106,8 @@ def assemble(results: Mapping[Cell, Dict[str, object]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         data_sizes: Sequence[float] = PAPER_DATA_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     data_sizes=data_sizes))
-    return assemble(results, scale=scale, seeds=seeds,
-                    data_sizes=data_sizes)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     data_sizes=data_sizes)
 
 
 def main() -> None:  # pragma: no cover

@@ -26,15 +26,14 @@ import numpy as np
 
 from repro.cluster.variability import LognormalSpeed
 from repro.core.engine import EngineOptions, run_job
-from repro.core.metrics import JobResult
 from repro.experiments.common import (GB, HDFS_RAMDISK_MAX_BYTES, TB,
                                       Scale, SMALL, ExperimentResult)
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+from repro.experiments.jobcell import job_cell, median_run
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.storage.device import DeviceFullError
 from repro.workloads import groupby_spec
 
-__all__ = ["run", "run_task_trace", "cells", "run_cell", "assemble",
+__all__ = ["run", "run_task_trace", "cells", "assemble",
            "PAPER_TASK_SPREAD_1_5TB"]
 
 PAPER_TASK_SPREAD_1_5TB = 18.0
@@ -42,45 +41,33 @@ PAPER_TASK_SPREAD_1_5TB = 18.0
 PAPER_DATA_SIZES = (100 * GB, 300 * GB, 600 * GB, 800 * GB,
                     1024 * GB, 1.5 * TB)
 
+STORES = ("ramdisk", "ssd")
 
-def _run_one(store: str, data_bytes: float, scale: Scale,
-             seed: int, paper_bytes: Optional[float] = None
-             ) -> Optional[JobResult]:
-    if store == "ramdisk" and paper_bytes is not None and \
-            paper_bytes > HDFS_RAMDISK_MAX_BYTES:
-        return None  # the paper's RAMDisk curve ends at ~1.2 TB (§IV-B)
-    spec = groupby_spec(data_bytes, shuffle_store=store,
+
+def _spec(store: str, data_bytes: float, scale: Scale):
+    return groupby_spec(data_bytes, shuffle_store=store,
                         n_reducers=scale.n_nodes * 16)
-    try:
-        return run_job(spec, cluster_spec=scale.cluster(),
-                       options=EngineOptions(seed=seed),
-                       speed_model=LognormalSpeed())
-    except DeviceFullError:
-        return None  # RAMDisk curve ends where capacity runs out
+
+
+def _job(store: str, paper_bytes: float, scale: Scale, seed: int) -> Cell:
+    return job_cell(_spec(store, scale.bytes_of(paper_bytes), scale), scale,
+                    EngineOptions(seed=seed), LognormalSpeed())
+
+
+def _charted(store: str, paper_bytes: float) -> bool:
+    """The paper's RAMDisk curve ends at ~1.2 TB (§IV-B)."""
+    return store != "ramdisk" or paper_bytes <= HDFS_RAMDISK_MAX_BYTES
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           data_sizes: Sequence[float] = PAPER_DATA_SIZES) -> List[Cell]:
-    """One cell per (store, data size, seed) job."""
-    return [make_cell("fig08", "job", scale, seed, store=store,
-                      paper_gb=paper_bytes / GB)
+    """One job cell per (store, data size, seed) on the paper's curves;
+    the RAMDisk jobs are fig07's HDFS jobs, and the SSD jobs from 600 GB
+    on are fig14's stock-dispatch jobs."""
+    return [_job(store, paper_bytes, scale, seed)
             for paper_bytes in data_sizes
-            for store in ("ramdisk", "ssd")
+            for store in STORES if _charted(store, paper_bytes)
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, object]:
-    p = cell.params_dict
-    scale = cell_scale(cell)
-    paper_bytes = p["paper_gb"] * GB
-    res = _run_one(p["store"], scale.bytes_of(paper_bytes), scale,
-                   cell.seed, paper_bytes)
-    if res is None:
-        return {"ok": False}
-    return {"ok": True, "job_time": res.job_time,
-            "compute_time": res.compute_time, "store_time": res.store_time,
-            "fetch_time": res.fetch_time,
-            "task_spread": res.phases["store"].min_max_spread()}
 
 
 def assemble(results: Mapping[Cell, Dict[str, object]],
@@ -93,13 +80,11 @@ def assemble(results: Mapping[Cell, Dict[str, object]],
                  "ssd_compute_s", "ssd_store_s", "ssd_fetch_s",
                  "ssd_task_spread"])
     for paper_bytes in data_sizes:
-        outcomes = {
-            store: [results[make_cell("fig08", "job", scale, s, store=store,
-                                      paper_gb=paper_bytes / GB)]
-                    for s in seeds]
-            for store in ("ramdisk", "ssd")}
-        ram = _median([r if r["ok"] else None for r in outcomes["ramdisk"]])
-        ssd = _median([r if r["ok"] else None for r in outcomes["ssd"]])
+        ram, ssd = (
+            median_run([results[_job(store, paper_bytes, scale, s)]
+                        for s in seeds])
+            if _charted(store, paper_bytes) else None
+            for store in STORES)
         result.add(
             paper_bytes / GB,
             ram["job_time"] if ram else float("nan"),
@@ -122,22 +107,22 @@ def assemble(results: Mapping[Cell, Dict[str, object]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         data_sizes: Sequence[float] = PAPER_DATA_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     data_sizes=data_sizes))
-    return assemble(results, scale=scale, seeds=seeds,
-                    data_sizes=data_sizes)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     data_sizes=data_sizes)
 
 
 def run_task_trace(scale: Scale = SMALL, seed: int = 0,
                    paper_bytes: float = 1.5 * TB) -> ExperimentResult:
     """Fig 8(d): ShuffleMapTask execution time by launch order."""
-    data = scale.bytes_of(paper_bytes)
-    res = _run_one("ssd", data, scale, seed)
     result = ExperimentResult(
         "fig08d", "ShuffleMapTask execution time by launch order (SSD)",
         headers=["launch_index", "duration_s"])
-    if res is None:
+    try:
+        res = run_job(_spec("ssd", scale.bytes_of(paper_bytes), scale),
+                      cluster_spec=scale.cluster(),
+                      options=EngineOptions(seed=seed),
+                      speed_model=LognormalSpeed())
+    except DeviceFullError:
         result.note("SSD too small at this scale")
         return result
     ordered = res.phases["store"].by_launch_order()
@@ -152,14 +137,6 @@ def run_task_trace(scale: Scale = SMALL, seed: int = 0,
     result.note(f"era means (fast/degraded/severe): "
                 f"{result.extra['era_means']}")
     return result
-
-
-def _median(outcomes: List[Optional[Dict[str, object]]]
-            ) -> Optional[Dict[str, object]]:
-    ok = [r for r in outcomes if r is not None]
-    if not ok:
-        return None
-    return sorted(ok, key=lambda r: r["job_time"])[len(ok) // 2]
 
 
 def main() -> None:  # pragma: no cover

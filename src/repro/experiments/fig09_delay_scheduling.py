@@ -12,14 +12,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.stats import median
 from repro.cluster.variability import LognormalSpeed
-from repro.core.engine import EngineOptions, run_job
+from repro.core.engine import EngineOptions
 from repro.experiments.common import (GB, MB, Scale, SMALL,
                                       ExperimentResult)
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+from repro.experiments.jobcell import job_cell
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.workloads import grep_spec, logistic_regression_spec
 
-__all__ = ["run", "cells", "run_cell", "assemble",
+__all__ = ["run", "cells", "assemble",
            "PAPER_GREP_DEGRADATION", "PAPER_LR_DEGRADATION"]
 
 PAPER_GREP_DEGRADATION = 42.7   # percent, 32 MB splits
@@ -29,36 +29,26 @@ PAPER_INPUT_BYTES = 200 * GB
 SPLIT_SIZES = (32 * MB, 64 * MB, 128 * MB)
 
 
-def _job_time(benchmark: str, delay: bool, split: float, scale: Scale,
-              seed: int) -> float:
-    if benchmark == "grep":
-        spec = grep_spec(input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
-                         split_bytes=split, input_source="hdfs")
-    else:
-        spec = logistic_regression_spec(
-            input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
-            split_bytes=split, input_source="hdfs")
-    res = run_job(spec, cluster_spec=scale.cluster(),
-                  options=EngineOptions(delay_scheduling=delay, seed=seed),
-                  speed_model=LognormalSpeed(sigma=0.14))
-    return res.job_time
+def _job(benchmark: str, delay: bool, split: float, scale: Scale,
+         seed: int) -> Cell:
+    make_spec = grep_spec if benchmark == "grep" \
+        else logistic_regression_spec
+    spec = make_spec(input_bytes=scale.bytes_of(PAPER_INPUT_BYTES),
+                     split_bytes=float(split), input_source="hdfs")
+    return job_cell(spec, scale,
+                    EngineOptions(delay_scheduling=delay, seed=seed),
+                    LognormalSpeed(sigma=0.14))
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           splits: Sequence[float] = SPLIT_SIZES) -> List[Cell]:
-    """One cell per (benchmark, split, delay on/off, seed) job."""
-    return [make_cell("fig09", "job", scale, seed, benchmark=benchmark,
-                      delay=delay, split=float(split))
+    """One job cell per (benchmark, split, delay on/off, seed); the
+    delay-on jobs are fig05's HDFS jobs."""
+    return [_job(benchmark, delay, split, scale, seed)
             for benchmark in ("grep", "lr")
             for split in splits
             for delay in (False, True)
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, float]:
-    p = cell.params_dict
-    return {"job_time": _job_time(p["benchmark"], p["delay"], p["split"],
-                                  cell_scale(cell), cell.seed)}
 
 
 def assemble(results: Mapping[Cell, Dict[str, float]],
@@ -70,9 +60,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
                  "degradation_%"])
 
     def seconds(benchmark: str, delay: bool, split: float) -> float:
-        return median([results[make_cell(
-            "fig09", "job", scale, s, benchmark=benchmark, delay=delay,
-            split=float(split))]["job_time"] for s in seeds])
+        return median([results[_job(benchmark, delay, split, scale, s)]
+                       ["job_time"] for s in seeds])
 
     for benchmark in ("grep", "lr"):
         for split in splits:
@@ -89,10 +78,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         splits: Sequence[float] = SPLIT_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     splits=splits))
-    return assemble(results, scale=scale, seeds=seeds, splits=splits)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     splits=splits)
 
 
 def main() -> None:  # pragma: no cover

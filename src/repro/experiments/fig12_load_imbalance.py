@@ -20,7 +20,7 @@ from repro.core.engine import EngineOptions, run_job
 from repro.experiments.common import (GB, MB, Scale, SMALL,
                                       ExperimentResult)
 from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+                                      make_cell, run_sweep)
 from repro.workloads import groupby_spec
 
 __all__ = ["run", "cells", "run_cell", "assemble", "PAPER_SPREAD"]
@@ -107,10 +107,8 @@ def assemble(results: Mapping[Cell, Dict[str, object]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         cases: Sequence[Tuple[int, int]] = PAPER_CASES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     cases=cases))
-    return assemble(results, scale=scale, seeds=seeds, cases=cases)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     cases=cases)
 
 
 def main() -> None:  # pragma: no cover

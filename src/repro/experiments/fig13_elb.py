@@ -22,15 +22,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 from repro.analysis.stats import improvement
 from repro.cluster.variability import LognormalSpeed
 from repro.config import SparkConf
-from repro.core.engine import EngineOptions, run_job
-from repro.core.metrics import JobResult
+from repro.core.engine import EngineOptions
 from repro.experiments.common import (GB, TB, Scale, SMALL,
                                       ExperimentResult)
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+from repro.experiments.jobcell import job_cell, median_run
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.workloads import groupby_spec
 
-__all__ = ["run", "cells", "run_cell", "assemble",
+__all__ = ["run", "cells", "assemble",
            "PAPER_STORAGE_GAIN", "PAPER_NETWORK_SHUFFLE_GAIN"]
 
 PAPER_STORAGE_GAIN = 26.0          # % job time, 1-1.5 TB, SSD bottleneck
@@ -41,8 +40,9 @@ NETWORK_SIZES = (400 * GB, 800 * GB, 1.2 * TB)
 KB = 1024.0
 
 
-def _run_one(data: float, elb: bool, scenario: str, scale: Scale,
-             seed: int) -> JobResult:
+def _job(scenario: str, paper_bytes: float, elb: bool, scale: Scale,
+         seed: int) -> Cell:
+    data = scale.bytes_of(paper_bytes)
     if scenario == "storage":
         spec = groupby_spec(data, shuffle_store="ssd",
                             n_reducers=scale.n_nodes * 16)
@@ -63,30 +63,19 @@ def _run_one(data: float, elb: bool, scenario: str, scale: Scale,
         speed_model = LognormalSpeed(sigma=0.28)
     else:
         speed_model = LognormalSpeed(sigma=0.45, low=0.4, high=2.5)
-    return run_job(spec, cluster_spec=scale.cluster(), options=options,
-                   speed_model=speed_model)
+    return job_cell(spec, scale, options, speed_model)
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           storage_sizes: Sequence[float] = STORAGE_SIZES,
           network_sizes: Sequence[float] = NETWORK_SIZES) -> List[Cell]:
-    """One cell per (scenario, data size, elb on/off, seed) job."""
-    return [make_cell("fig13", "job", scale, seed, scenario=scenario,
-                      paper_gb=paper_bytes / GB, elb=elb)
+    """One job cell per (scenario, data size, elb on/off, seed)."""
+    return [_job(scenario, paper_bytes, elb, scale, seed)
             for scenario, sizes in (("storage", storage_sizes),
                                     ("network", network_sizes))
             for paper_bytes in sizes
             for elb in (False, True)
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, float]:
-    p = cell.params_dict
-    scale = cell_scale(cell)
-    res = _run_one(scale.bytes_of(p["paper_gb"] * GB), p["elb"],
-                   p["scenario"], scale, cell.seed)
-    return {"job_time": res.job_time, "store_time": res.store_time,
-            "fetch_time": res.fetch_time}
 
 
 def assemble(results: Mapping[Cell, Dict[str, float]],
@@ -103,9 +92,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
                             ("network", network_sizes)):
         for paper_bytes in sizes:
             spark, elb = (
-                _median([results[make_cell(
-                    "fig13", "job", scale, s, scenario=scenario,
-                    paper_gb=paper_bytes / GB, elb=flag)] for s in seeds])
+                median_run([results[_job(scenario, paper_bytes, flag,
+                                         scale, s)] for s in seeds])
                 for flag in (False, True))
             result.add(scenario, paper_bytes / GB,
                        spark["job_time"], elb["job_time"],
@@ -123,17 +111,8 @@ def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         storage_sizes: Sequence[float] = STORAGE_SIZES,
         network_sizes: Sequence[float] = NETWORK_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(
-        scale=scale, seeds=seeds, storage_sizes=storage_sizes,
-        network_sizes=network_sizes))
-    return assemble(results, scale=scale, seeds=seeds,
-                    storage_sizes=storage_sizes,
-                    network_sizes=network_sizes)
-
-
-def _median(runs: List[Dict[str, float]]) -> Dict[str, float]:
-    return sorted(runs, key=lambda r: r["job_time"])[len(runs) // 2]
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     storage_sizes=storage_sizes, network_sizes=network_sizes)
 
 
 def main() -> None:  # pragma: no cover

@@ -12,15 +12,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.analysis.stats import improvement
 from repro.cluster.variability import LognormalSpeed
-from repro.core.engine import EngineOptions, run_job
-from repro.core.metrics import JobResult
+from repro.core.engine import EngineOptions
 from repro.experiments.common import (GB, TB, Scale, SMALL,
                                       ExperimentResult)
-from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+from repro.experiments.jobcell import job_cell, median_run
+from repro.experiments.runner import Cell, SweepRunner, run_sweep
 from repro.workloads import groupby_spec
 
-__all__ = ["run", "cells", "run_cell", "assemble",
+__all__ = ["run", "cells", "assemble",
            "PAPER_STORE_GAIN", "PAPER_JOB_GAIN"]
 
 PAPER_STORE_GAIN = 41.2   # % storing-phase gain, 700 GB - 1.5 TB
@@ -29,31 +28,21 @@ PAPER_JOB_GAIN = 19.8     # % average job-time gain
 PAPER_DATA_SIZES = (400 * GB, 600 * GB, 800 * GB, 1024 * GB, 1.5 * TB)
 
 
-def _run_one(data: float, cad: bool, scale: Scale, seed: int) -> JobResult:
-    spec = groupby_spec(data, shuffle_store="ssd",
+def _job(paper_bytes: float, cad: bool, scale: Scale, seed: int) -> Cell:
+    spec = groupby_spec(scale.bytes_of(paper_bytes), shuffle_store="ssd",
                         n_reducers=scale.n_nodes * 16)
-    options = EngineOptions(cad=cad, seed=seed)
-    return run_job(spec, cluster_spec=scale.cluster(), options=options,
-                   speed_model=LognormalSpeed())
+    return job_cell(spec, scale, EngineOptions(cad=cad, seed=seed),
+                    LognormalSpeed())
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
           data_sizes: Sequence[float] = PAPER_DATA_SIZES) -> List[Cell]:
-    """One cell per (data size, cad on/off, seed) job."""
-    return [make_cell("fig14", "job", scale, seed,
-                      paper_gb=paper_bytes / GB, cad=cad)
+    """One job cell per (data size, cad on/off, seed); the stock-dispatch
+    jobs from 600 GB on are fig08's SSD jobs."""
+    return [_job(paper_bytes, cad, scale, seed)
             for paper_bytes in data_sizes
             for cad in (False, True)
             for seed in seeds]
-
-
-def run_cell(cell: Cell) -> Dict[str, float]:
-    p = cell.params_dict
-    scale = cell_scale(cell)
-    res = _run_one(scale.bytes_of(p["paper_gb"] * GB), p["cad"], scale,
-                   cell.seed)
-    return {"job_time": res.job_time, "store_time": res.store_time,
-            "fetch_time": res.fetch_time}
 
 
 def assemble(results: Mapping[Cell, Dict[str, float]],
@@ -67,9 +56,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
                  "spark_fetch_s", "cad_fetch_s"])
     for paper_bytes in data_sizes:
         spark, cad = (
-            _median([results[make_cell("fig14", "job", scale, s,
-                                       paper_gb=paper_bytes / GB,
-                                       cad=flag)] for s in seeds])
+            median_run([results[_job(paper_bytes, flag, scale, s)]
+                        for s in seeds])
             for flag in (False, True))
         result.add(paper_bytes / GB, spark["job_time"], cad["job_time"],
                    improvement(spark["job_time"], cad["job_time"]),
@@ -86,15 +74,8 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         data_sizes: Sequence[float] = PAPER_DATA_SIZES,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds,
-                                     data_sizes=data_sizes))
-    return assemble(results, scale=scale, seeds=seeds,
-                    data_sizes=data_sizes)
-
-
-def _median(runs: List[Dict[str, float]]) -> Dict[str, float]:
-    return sorted(runs, key=lambda r: r["job_time"])[len(runs) // 2]
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     data_sizes=data_sizes)
 
 
 def main() -> None:  # pragma: no cover

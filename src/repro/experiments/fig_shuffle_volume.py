@@ -32,7 +32,7 @@ from repro.core.engine import EngineOptions, run_job
 from repro.experiments.common import (GB, MB, Scale, SMALL,
                                       ExperimentResult)
 from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+                                      make_cell, run_sweep)
 from repro.workloads import groupby_spec, kmeans_spec
 
 __all__ = ["run", "cells", "run_cell", "assemble",
@@ -92,28 +92,20 @@ def _run_kmeans(stable: bool, scale: Scale, seed: int) -> Dict[str, float]:
 
 
 def cells(scale: Scale = SMALL, seeds: Sequence[int] = (0,)) -> List[Cell]:
-    """Grid, skew-sweep and M3R cells (each an independent simulation)."""
-    out = []
-    for policy in POLICIES:
-        for store in STORES:
-            for combiner in (False, True):
-                out.extend(
-                    make_cell("shuffle-volume", "grid", scale, seed,
-                              policy=policy, store=store,
-                              skew=GRID_SKEW, combiner=combiner)
-                    for seed in seeds)
-    for skew in SKEWS:
-        for combiner in (False, True):
-            out.extend(
-                make_cell("shuffle-volume", "skew", scale, seed,
-                          policy="stock", store="ssd", skew=skew,
-                          combiner=combiner)
-                for seed in seeds)
-    for stable in (False, True):
-        out.extend(make_cell("shuffle-volume", "m3r", scale, seed,
-                             stable=stable)
-                   for seed in seeds)
-    return out
+    """One cell per distinct simulation of the three panels: the grid
+    and the skew sweep share their stock/SSD/uniform-key GroupBy jobs."""
+    groupby = [
+        dict(policy=policy, store=store, skew=GRID_SKEW, combiner=combiner)
+        for policy in POLICIES for store in STORES
+        for combiner in (False, True)]
+    groupby += [dict(policy="stock", store="ssd", skew=skew,
+                     combiner=combiner)
+                for skew in SKEWS for combiner in (False, True)]
+    out = [make_cell("shuffle-volume", "groupby", scale, seed, **params)
+           for params in groupby for seed in seeds]
+    out += [make_cell("shuffle-volume", "m3r", scale, seed, stable=stable)
+            for stable in (False, True) for seed in seeds]
+    return list(dict.fromkeys(out))
 
 
 def run_cell(cell: Cell) -> Dict[str, float]:
@@ -140,32 +132,22 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
                 for s in seeds]
         return median(vals)
 
-    for policy in POLICIES:
-        for store in STORES:
-            off_gb = med("grid", "fetched_gb", policy=policy, store=store,
-                         skew=GRID_SKEW, combiner=False)
-            on_gb = med("grid", "fetched_gb", policy=policy, store=store,
-                        skew=GRID_SKEW, combiner=True)
-            off_s = med("grid", "job_time", policy=policy, store=store,
-                        skew=GRID_SKEW, combiner=False)
-            on_s = med("grid", "job_time", policy=policy, store=store,
-                       skew=GRID_SKEW, combiner=True)
-            result.add("grid", f"{policy}/{store}", off_gb, on_gb,
-                       on_gb / off_gb if off_gb else 0.0,
-                       off_s, on_s, speedup(off_s, on_s))
-
-    for skew in SKEWS:
-        off_gb = med("skew", "fetched_gb", policy="stock", store="ssd",
-                     skew=skew, combiner=False)
-        on_gb = med("skew", "fetched_gb", policy="stock", store="ssd",
-                    skew=skew, combiner=True)
-        off_s = med("skew", "job_time", policy="stock", store="ssd",
-                    skew=skew, combiner=False)
-        on_s = med("skew", "job_time", policy="stock", store="ssd",
-                   skew=skew, combiner=True)
-        result.add("skew", f"zipf={skew}", off_gb, on_gb,
+    def groupby_row(part: str, config: str, **params) -> None:
+        off_gb, on_gb, off_s, on_s = (
+            med("groupby", key, combiner=combiner, **params)
+            for key in ("fetched_gb", "job_time")
+            for combiner in (False, True))
+        result.add(part, config, off_gb, on_gb,
                    on_gb / off_gb if off_gb else 0.0,
                    off_s, on_s, speedup(off_s, on_s))
+
+    for policy in POLICIES:
+        for store in STORES:
+            groupby_row("grid", f"{policy}/{store}", policy=policy,
+                        store=store, skew=GRID_SKEW)
+    for skew in SKEWS:
+        groupby_row("skew", f"zipf={skew}", policy="stock", store="ssd",
+                    skew=skew)
 
     base_time = med("m3r", "job_time", stable=False)
     m3r_time = med("m3r", "job_time", stable=True)
@@ -195,9 +177,7 @@ def assemble(results: Mapping[Cell, Dict[str, float]],
 
 def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds))
-    return assemble(results, scale=scale, seeds=seeds)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds)
 
 
 def main() -> None:  # pragma: no cover

@@ -1,18 +1,21 @@
 """Experiment registry: id → module, for the CLI, validator, and sweep
 runner.
 
-Two lookup surfaces:
+Three lookup surfaces:
 
 * :func:`get` — the experiment's top-level ``run`` callable (legacy
   serial entry point; still what ``table1``/``fig08d`` use);
 * :func:`module` / :func:`supports_cells` — the module itself, for the
-  sweep runner's ``cells()`` / ``run_cell()`` / ``assemble()`` protocol.
+  sweep runner's ``cells()`` / ``assemble()`` protocol;
+* :func:`cell_runner` — the ``run_cell`` that computes one cell: the
+  shared :mod:`~repro.experiments.jobcell` runner for job cells, the
+  declaring experiment's own for the rest.
 """
 
 from __future__ import annotations
 
 from types import ModuleType
-from typing import Callable, Dict
+from typing import Any, Callable, Dict
 
 from repro.experiments import (
     ablation_memory_resident,
@@ -26,11 +29,13 @@ from repro.experiments import (
     fig13_elb,
     fig14_cad,
     fig_shuffle_volume,
+    jobcell,
     stream_load,
     table1_config,
 )
 
-__all__ = ["EXPERIMENTS", "MODULES", "get", "module", "supports_cells"]
+__all__ = ["EXPERIMENTS", "MODULES", "get", "module", "supports_cells",
+           "cell_runner"]
 
 MODULES: Dict[str, ModuleType] = {
     "table1": table1_config,
@@ -99,3 +104,10 @@ def supports_cells(experiment_id: str) -> bool:
     if experiment_id == "fig08d":
         return False
     return hasattr(module(experiment_id), "cells")
+
+
+def cell_runner(cell) -> Callable[[Any], Any]:
+    """The ``run_cell`` that computes ``cell`` (KeyError like module)."""
+    if cell.experiment == jobcell.EXPERIMENT:
+        return jobcell.run_cell
+    return module(cell.experiment).run_cell

@@ -1,9 +1,13 @@
 """Parallel experiment sweep runner with a fingerprinted on-disk cache.
 
 The validator and the per-figure CLIs decompose every experiment into
-independent **cells** — one (experiment, configuration point, seed)
-simulation each (see ``cells()`` / ``run_cell()`` / ``assemble()`` on the
-experiment modules).  This module executes a batch of cells:
+independent **cells**, one distinct simulation each (see ``cells()`` /
+``assemble()`` on the experiment modules).  Most experiments declare
+shared job cells (:mod:`repro.experiments.jobcell`), which name a
+simulation by its exact ``run_job`` inputs, so experiments that need the
+same simulation declare the same cell and a batch holding both runs it
+once; the rest keep their own cells and ``run_cell()``.  This module
+executes a batch of cells, duplicates merged:
 
 * **serially** (the default, ``jobs=1``) — in-process, no side effects;
 * **in parallel** across a :mod:`multiprocessing` pool (``jobs=N``) —
@@ -17,9 +21,9 @@ experiment modules).  This module executes a batch of cells:
   re-running ``validate`` after an edit recomputes only what the edit
   could have affected, and an unrelated re-run is pure cache hits.
 
-The cache stores exactly what ``run_cell`` returned (JSON round-trips
-Python floats losslessly), which is what makes warm-cache results
-byte-identical to fresh ones — the identity test in
+The cache stores exactly what the cell's ``run_cell`` returned (JSON
+round-trips Python floats losslessly), which is what makes warm-cache
+results byte-identical to fresh ones — the identity test in
 ``tests/experiments/test_runner.py`` is the headline guarantee.
 """
 
@@ -40,14 +44,15 @@ from repro.experiments.common import SMALL, Scale
 
 __all__ = ["Cell", "make_cell", "cell_scale", "source_tree_hash",
            "cell_fingerprint", "ResultCache", "SweepStats", "SweepRunner",
-           "run_experiment", "map_parallel", "DEFAULT_CACHE_DIR"]
+           "run_sweep", "run_experiment", "map_parallel",
+           "DEFAULT_CACHE_DIR"]
 
 #: Default cache location, relative to the working directory; override
 #: with ``--cache-dir`` or the ``REPRO_CACHE_DIR`` environment variable.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Bumped whenever the cell result schema changes incompatibly.
-CACHE_SCHEMA = 1
+CACHE_SCHEMA = 2
 
 _MISS = object()
 
@@ -73,7 +78,7 @@ class Cell:
         return dict(self.params)
 
     def label(self) -> str:
-        parts = [f"{k}={v}" for k, v in self.params]
+        parts = [f"{k}={_show(v)}" for k, v in self.params]
         inner = " ".join(parts)
         return (f"{self.experiment}/{self.kind}"
                 f"[{inner} scale={self.scale[0]} seed={self.seed}]")
@@ -87,6 +92,16 @@ class Cell:
             "seed": self.seed,
             "params": [[k, v] for k, v in self.params],
         }
+
+
+def _show(value: Any) -> str:
+    """A parameter as labels print it: a job cell's object form
+    ``(class name, ((field, form), ...))`` reads ``Name(field=form ...)``."""
+    if isinstance(value, tuple):
+        name, items = value
+        inner = " ".join(f"{k}={_show(v)}" for k, v in items)
+        return f"{name}({inner})"
+    return str(value)
 
 
 def make_cell(experiment: str, kind: str, scale: Scale, seed: int,
@@ -176,15 +191,15 @@ class ResultCache:
 
 
 def _execute_cell(cell: Cell) -> Tuple[Cell, Any, float]:
-    """Pool worker: resolve the cell's module and run it.
+    """Pool worker: resolve the cell's ``run_cell`` and run it.
 
     Top-level so it pickles under any multiprocessing start method; the
     import is local because the registry imports every experiment module.
     """
     from repro.experiments import registry
-    module = registry.module(cell.experiment)
+    run_cell = registry.cell_runner(cell)
     start = time.perf_counter()
-    result = module.run_cell(cell)
+    result = run_cell(cell)
     return cell, result, time.perf_counter() - start
 
 
@@ -229,7 +244,8 @@ class SweepRunner:
     def run_cells(self, cells: Iterable[Cell]) -> Dict[Cell, Any]:
         """Run (or recall) every cell; returns ``{cell: result}``.
 
-        Duplicate cells are collapsed; the result mapping is keyed by
+        Duplicate cells are collapsed, so a simulation that several
+        experiments declare runs once; the result mapping is keyed by
         the cell itself, so assembly is independent of completion order
         — the property that makes ``--jobs N`` byte-identical to serial.
         """
@@ -296,6 +312,16 @@ class SweepRunner:
         self.stats.cached += batch.cached
         self.stats.ran += batch.ran
         self.stats.wall_s += batch.wall_s
+
+
+def run_sweep(cells: Callable[..., List[Cell]],
+              assemble: Callable[..., Any],
+              runner: Optional[SweepRunner] = None, **config: Any) -> Any:
+    """The body of a celled experiment's ``run()``: its ``cells(**config)``
+    through ``runner`` (serial and cacheless by default), assembled with
+    the same ``config``."""
+    runner = runner if runner is not None else SweepRunner()
+    return assemble(runner.run_cells(cells(**config)), **config)
 
 
 def run_experiment(experiment_id: str, scale: Scale = SMALL,

@@ -21,7 +21,7 @@ from repro.cluster.variability import LognormalSpeed
 from repro.core.engine import EngineOptions
 from repro.experiments.common import (GB, Scale, SMALL, ExperimentResult)
 from repro.experiments.runner import (Cell, SweepRunner, cell_scale,
-                                      make_cell)
+                                      make_cell, run_sweep)
 from repro.serve import StreamServer, Tenant
 
 __all__ = ["run", "cells", "run_cell", "assemble",
@@ -114,11 +114,8 @@ def run(scale: Scale = SMALL, seeds: Sequence[int] = (0,),
         rates: Sequence[float] = ARRIVAL_RATES,
         mechanisms: Sequence[str] = MECHANISMS,
         runner: Optional[SweepRunner] = None) -> ExperimentResult:
-    runner = runner if runner is not None else SweepRunner()
-    results = runner.run_cells(cells(scale=scale, seeds=seeds, rates=rates,
-                                     mechanisms=mechanisms))
-    return assemble(results, scale=scale, seeds=seeds, rates=rates,
-                    mechanisms=mechanisms)
+    return run_sweep(cells, assemble, runner, scale=scale, seeds=seeds,
+                     rates=rates, mechanisms=mechanisms)
 
 
 def _mean(runs: List[Dict[str, float]]) -> Dict[str, float]:

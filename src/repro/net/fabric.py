@@ -79,18 +79,18 @@ class NetFlow:
     """One transfer in flight through the fabric.
 
     A thin view over the fabric's columnar flow state: the authoritative
-    ``remaining``/``rate`` live in the arrays; the object mirrors
+    ``remaining`` and rate live in the arrays; the object mirrors
     ``remaining`` at allocation and completion boundaries and carries
-    the completion target and tag.  ``rate`` is *not* mirrored per
-    reallocation (that would be an O(flows) Python loop per flow
-    event); read ``Fabric._tab.col("rate")`` for live rates.
+    the completion target and tag.  It holds no rate (mirroring one per
+    reallocation would be an O(flows) Python loop per flow event); read
+    ``Fabric._tab.col("rate")`` for live rates.
     ``done`` is the completion target (the returned event or the
     caller's ``then``); it is cleared as it fires, so the event, whose
     value is this flow, is not reachable from it (DESIGN.md §8,
     "Garbage-collector cost").
     """
 
-    __slots__ = ("src", "dst", "size", "remaining", "rate", "cap", "done",
+    __slots__ = ("src", "dst", "size", "remaining", "cap", "done",
                  "started_at", "tag", "fid")
 
     def __init__(self, src: int, dst: int, size: float, cap: float,
@@ -100,7 +100,6 @@ class NetFlow:
         self.dst = dst
         self.size = float(size)
         self.remaining = float(size)
-        self.rate = 0.0
         self.cap = float(cap)
         self.done = done
         self.started_at = started_at
@@ -112,7 +111,7 @@ class NetFlow:
 
     def __repr__(self) -> str:  # pragma: no cover
         return (f"<NetFlow {self.src}->{self.dst} "
-                f"{self.remaining:.0f}/{self.size:.0f}B @{self.rate:.0f}B/s>")
+                f"{self.remaining:.0f}/{self.size:.0f}B>")
 
 
 class Fabric:

@@ -205,6 +205,16 @@ class MetricsRegistry:
             inst = self._histograms[key] = Histogram(key)
         return inst
 
+    def freeze_gauges(self) -> None:
+        """Pin every gauge to its current reading.
+
+        Drops the callbacks, and with them the live components they
+        reach (engine, cluster, devices), once the readings are final.
+        """
+        for gauge in self._gauges.values():
+            value = gauge.read()
+            gauge.fn = lambda value=value: value
+
     # -- read side (exporters, probes, reports) ---------------------------
     @property
     def counters(self) -> Dict[str, Counter]:

@@ -5,8 +5,9 @@ engine (or a raw-sim bench scenario) calls :meth:`bind` once the
 simulator exists; components register instruments against
 ``telemetry.registry``; ``bind`` installs an unbounded trace sink (the
 run log) and starts the gauge probe.  :meth:`finish` closes the probe
-with a final sample, closes the open decision blocks and detaches the
-sink.
+with a final sample, pins every gauge to its final reading (so the
+registry no longer reaches the engine, cluster and devices), closes the
+open decision blocks and detaches the sink.
 
 The sink records the offer loop's repeated decisions once (DESIGN.md
 §10).  The scheduler re-states an unchanged gate on every offer pass:
@@ -152,11 +153,12 @@ class Telemetry:
         self.probe.start()
 
     def finish(self, result: Any = None) -> None:
-        """Close out the run: final gauge sample, close the open decision
-        blocks, detach the sink, and record the result's headline
-        numbers into :attr:`meta`."""
+        """Close out the run: final gauge sample, pin the gauges to their
+        final readings, close the open decision blocks, detach the sink,
+        and record the result's headline numbers into :attr:`meta`."""
         if self.probe is not None:
             self.probe.stop(final=True)
+        self.registry.freeze_gauges()
         if self._sim is not None:
             self._sim.remove_trace_sink(self._sink)
             self.meta.setdefault("trace_evictions", self._sim.trace_evictions)

@@ -5,8 +5,8 @@ import pytest
 
 from repro.experiments.common import FULL, GB, MEDIUM, SMALL, Scale, \
     ExperimentResult
-from repro.experiments.registry import EXPERIMENTS, get, module, \
-    supports_cells
+from repro.experiments.registry import EXPERIMENTS, cell_runner, get, \
+    module, supports_cells
 from repro.experiments.table1_config import run as run_table1
 
 
@@ -73,8 +73,16 @@ class TestCellSupport:
             if supports_cells(exp_id):
                 mod = module(exp_id)
                 assert callable(mod.cells)
-                assert callable(mod.run_cell)
                 assert callable(mod.assemble)
+                for cell in mod.cells():
+                    assert callable(cell_runner(cell)), cell.label()
+
+    def test_job_cell_experiments_do_not_run_jobs_themselves(self):
+        for exp_id in ("fig05", "fig07", "fig08", "fig09", "fig13",
+                       "fig14"):
+            mod = module(exp_id)
+            assert not hasattr(mod, "run_cell"), exp_id
+            assert {cell.experiment for cell in mod.cells()} == {"job"}
 
     def test_table1_and_trace_are_not_celled(self):
         assert not supports_cells("table1")

@@ -3,8 +3,10 @@
 The headline acceptance test reproduces the validator's full cell batch
 three ways — serially, across a 4-process pool, and from a warm cache —
 and asserts the result mappings are byte-identical as canonical JSON.
-Everything else here is unit coverage of the fingerprint and cache
-machinery that makes that identity hold.
+The serial run also pins the batch's shape — one cell per distinct
+simulation — and the assembled tables of the experiments that declare
+shared job cells.  Everything else here is unit coverage of the
+fingerprint and cache machinery that makes that identity hold.
 """
 
 import json
@@ -13,7 +15,7 @@ import time
 
 import pytest
 
-from repro.experiments import registry
+from repro.experiments import jobcell, registry
 from repro.experiments import runner as runner_mod
 from repro.experiments.common import SMALL
 from repro.experiments.runner import (
@@ -55,9 +57,73 @@ def batch():
     return validate_batch()
 
 
+def inputs_key(spec, cluster_spec, options, speed_model):
+    """Hashable identity of one ``run_job`` call's inputs."""
+    speed = (None if speed_model is None else
+             (type(speed_model), tuple(sorted(vars(speed_model).items()))))
+    return spec, cluster_spec, options, speed
+
+
 @pytest.fixture(scope="module")
-def serial_bytes(batch):
-    return canonical(SweepRunner().run_cells(batch))
+def serial_run(batch):
+    """The serial sweep's results, and the inputs of every ``run_job``
+    call it made (recorded in each module that calls ``run_job``)."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for mod in {jobcell, *registry.MODULES.values()}:
+            real = getattr(mod, "run_job", None)
+            if real is None:
+                continue
+
+            def recording(spec, cluster_spec=None, options=None,
+                          speed_model=None, _real=real, **kw):
+                calls.append(inputs_key(spec, cluster_spec, options,
+                                        speed_model))
+                return _real(spec, cluster_spec=cluster_spec,
+                             options=options, speed_model=speed_model, **kw)
+
+            mp.setattr(mod, "run_job", recording)
+        results = SweepRunner().run_cells(batch)
+    return results, calls
+
+
+@pytest.fixture(scope="module")
+def serial_bytes(serial_run):
+    return canonical(serial_run[0])
+
+
+def test_each_distinct_cell_is_one_distinct_simulation(batch, serial_run):
+    _, calls = serial_run
+    distinct = set(batch)
+    assert len(distinct) == 62          # 75 simulations before sharing
+    assert len(calls) == len(distinct)
+    assert len(set(calls)) == len(calls)
+
+
+def test_job_cells_round_trip_their_inputs(batch):
+    for cell in set(batch):
+        if cell.experiment == jobcell.EXPERIMENT:
+            assert jobcell.job_cell(*jobcell.job_inputs(cell)) == cell
+
+
+def _table_json(result):
+    return json.dumps({"title": result.title, "headers": result.headers,
+                       "rows": result.rows, "notes": result.notes},
+                      sort_keys=True)
+
+
+def test_assembled_tables_match_the_pinned_goldens(serial_run):
+    # The JSON text compares floats exactly and NaN equal to NaN.
+    path = os.path.join(os.path.dirname(__file__), "..", "data",
+                        "experiment_tables.json")
+    with open(path) as fh:
+        golden = json.load(fh)
+    results, _ = serial_run
+    for exp_id in ("fig05", "fig07", "fig08", "fig09", "fig13", "fig14"):
+        table = registry.module(exp_id).assemble(results, scale=SMALL,
+                                                 seeds=SEEDS)
+        assert _table_json(table) == json.dumps(golden[exp_id],
+                                                sort_keys=True), exp_id
 
 
 class TestByteIdentity:
@@ -72,12 +138,12 @@ class TestByteIdentity:
         cache_dir = str(tmp_path / "cache")
         cold = SweepRunner(cache=True, cache_dir=cache_dir)
         assert canonical(cold.run_cells(batch)) == serial_bytes
-        assert cold.stats.ran == len(batch)
+        assert cold.stats.ran == len(set(batch))
 
         warm = SweepRunner(cache=True, cache_dir=cache_dir)
         assert canonical(warm.run_cells(batch)) == serial_bytes
         assert warm.stats.ran == 0
-        assert warm.stats.cached == len(batch)
+        assert warm.stats.cached == len(set(batch))
 
     @pytest.mark.skipif((os.cpu_count() or 1) < 2,
                         reason="needs >= 2 cores to beat serial")

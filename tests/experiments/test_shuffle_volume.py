@@ -8,6 +8,7 @@ moves strictly fewer bytes per iteration after the first.
 """
 
 import json
+import os
 
 import pytest
 
@@ -32,15 +33,21 @@ class TestRegistration:
     def test_cells_cover_the_three_panels(self):
         cells = fsv.cells()
         kinds = {c.kind for c in cells}
-        assert kinds == {"grid", "skew", "m3r"}
-        grid = [c for c in cells if c.kind == "grid"]
-        assert {c.params_dict["policy"] for c in grid} \
-            == set(fsv.POLICIES)
-        assert {c.params_dict["store"] for c in grid} == set(fsv.STORES)
-        skew = [c for c in cells if c.kind == "skew"]
-        assert {c.params_dict["skew"] for c in skew} == set(fsv.SKEWS)
+        assert kinds == {"groupby", "m3r"}
+        groupby = [c.params_dict for c in cells if c.kind == "groupby"]
+        grid = [p for p in groupby if p["skew"] == fsv.GRID_SKEW]
+        assert {p["policy"] for p in grid} == set(fsv.POLICIES)
+        assert {p["store"] for p in grid} == set(fsv.STORES)
+        skew = [p for p in groupby
+                if (p["policy"], p["store"]) == ("stock", "ssd")]
+        assert {p["skew"] for p in skew} == set(fsv.SKEWS)
         m3r = [c for c in cells if c.kind == "m3r"]
         assert {c.params_dict["stable"] for c in m3r} == {False, True}
+
+    def test_skew_panel_reuses_the_grid_jobs(self):
+        # 18 grid jobs, 8 skew jobs of which the 2 uniform-key ones are
+        # grid jobs, and 2 kMeans jobs.
+        assert len(fsv.cells()) == 18 + 8 - 2 + 2
 
     def test_cell_results_are_json_serialisable(self):
         cell = fsv.cells(scale=TINY)[-1]   # an m3r cell (list payload)
@@ -87,3 +94,14 @@ class TestAcceptance:
     def test_stock_volumes_are_mechanism_independent(self, table):
         stock = {r[2] for r in self._rows(table, "grid")}
         assert len(stock) == 1   # same job, volume independent of policy
+
+    def test_table_matches_the_pinned_golden(self, table):
+        # The JSON text compares floats exactly and NaN equal to NaN.
+        path = os.path.join(os.path.dirname(__file__), "..", "data",
+                            "experiment_tables.json")
+        with open(path) as fh:
+            golden = json.load(fh)["shuffle-volume@tiny"]
+        assert json.dumps({"title": table.title, "headers": table.headers,
+                           "rows": table.rows, "notes": table.notes},
+                          sort_keys=True) \
+            == json.dumps(golden, sort_keys=True)

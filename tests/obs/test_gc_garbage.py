@@ -231,3 +231,33 @@ class TestUntrackedRunLog:
         assert json.loads(trace.read_text())["traceEvents"] == \
             json.loads(json.dumps(chrome_trace(replay),
                                   default=str))["traceEvents"]
+
+
+class TestFinishReleasesTheRun:
+    def test_engine_freed_by_refcounting_after_finish(self):
+        """The gauges' callbacks reach the engine, cluster and devices;
+        ``finish`` pins them to their final readings, so the finished
+        engine goes as soon as its caller drops it, with no collector."""
+        import weakref
+
+        from repro.core.engine import SparkSim
+        tele = Telemetry(probe_period=0.25)
+        cluster = Cluster(hyperion(2), seed=0)
+        engine = SparkSim(cluster, groupby_spec(512 * MB,
+                                                shuffle_store="ssd"),
+                          EngineOptions(seed=0), telemetry=tele)
+        engine_ref, cluster_ref = weakref.ref(engine), weakref.ref(cluster)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            engine.run()
+            live = tele.registry.snapshot()["gauges"]
+            del engine, cluster
+            assert engine_ref() is None
+            assert cluster_ref() is None
+            assert tele.registry.snapshot()["gauges"] == live
+            assert any(key.startswith("engine.") for key in live)
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -19,6 +19,12 @@ the bench digests:
   :data:`~repro.bench.scenarios.SCENARIOS` entry's fingerprint digest at
   ``--quick`` and at full scale, which ``repro bench --check`` compares
   with as its ``golden`` verdict.
+* ``tables`` → ``tests/data/experiment_tables.json``: the assembled
+  table (title, headers, rows, notes) of every experiment that declares
+  shared job cells, at the validate batch's scale and seeds, plus the
+  shuffle-volume sweep at the two-node scale its tests run;
+  ``tests/experiments/test_runner.py`` and
+  ``tests/experiments/test_shuffle_volume.py`` compare them exactly.
 
 Run on a known-good tree to (re)generate one target:
 
@@ -26,6 +32,7 @@ Run on a known-good tree to (re)generate one target:
     PYTHONPATH=src python tools/capture_fingerprints.py fetch-paths
     PYTHONPATH=src python tools/capture_fingerprints.py explain
     PYTHONPATH=src python tools/capture_fingerprints.py bench
+    PYTHONPATH=src python tools/capture_fingerprints.py tables
 """
 
 from __future__ import annotations
@@ -234,6 +241,36 @@ def bench_digests() -> dict:
     return out
 
 
+#: Experiments whose assembled tables ``tables`` pins: the validate
+#: batch's job-cell experiments at (SMALL, seed 0), and shuffle-volume
+#: at the scale of its acceptance tests.
+TABLE_EXPERIMENTS = ("fig05", "fig07", "fig08", "fig09", "fig13", "fig14")
+TABLES_FILE = "experiment_tables.json"
+
+
+def table_json(result) -> dict:
+    """The pinned view of an ``ExperimentResult``: everything it renders."""
+    return {"title": result.title, "headers": list(result.headers),
+            "rows": [list(row) for row in result.rows],
+            "notes": list(result.notes)}
+
+
+def experiment_tables() -> dict:
+    from repro.experiments import fig_shuffle_volume, registry
+    from repro.experiments.common import SMALL, Scale
+    from repro.experiments.runner import SweepRunner
+    seeds = (0,)
+    batch = [cell for exp_id in TABLE_EXPERIMENTS
+             for cell in registry.module(exp_id).cells(scale=SMALL,
+                                                       seeds=seeds)]
+    results = SweepRunner().run_cells(batch)
+    out = {exp_id: table_json(registry.module(exp_id).assemble(
+        results, scale=SMALL, seeds=seeds)) for exp_id in TABLE_EXPERIMENTS}
+    out["shuffle-volume@tiny"] = table_json(fig_shuffle_volume.run(
+        scale=Scale("tiny", n_nodes=2), seeds=seeds))
+    return out
+
+
 def _data_path(name: str) -> str:
     return os.path.normpath(os.path.join(
         os.path.dirname(__file__), "..", "tests", "data", name))
@@ -260,9 +297,16 @@ def main(argv=None) -> None:
             fh.write("\n")
         print(f"wrote {GOLDEN_PATH}")
         return
+    if target == "tables":
+        path = _data_path(TABLES_FILE)
+        with open(path, "w") as fh:
+            json.dump(experiment_tables(), fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}")
+        return
     if target not in TARGETS:
         raise SystemExit(f"unknown target {target!r}; choose from "
-                         f"{sorted(TARGETS) + ['bench', 'explain']}")
+                         f"{sorted(TARGETS) + ['bench', 'explain', 'tables']}")
     cases, name = TARGETS[target]
     path = _data_path(name)
     os.makedirs(os.path.dirname(path), exist_ok=True)
