@@ -123,8 +123,9 @@ class StageRunner:
         self._remaining = len(tasks)
         self._finished: Set[int] = set()
         self._failures: Dict[int, int] = {}
-        #: task_id -> list of (node, started_at, attempt process)
-        self._attempts: Dict[int, List[Tuple[int, float, object]]] = {}
+        #: task_id -> list of (node, started_at, attempt process, task)
+        self._attempts: Dict[int, List[Tuple[int, float, object,
+                                             SimTask]]] = {}
         self.done = Event(sim, name="stage-done")
         # Instrumentation (pure recording; a disabled registry hands back
         # no-op instruments, so there are no ``if metrics`` hot-path
@@ -145,6 +146,7 @@ class StageRunner:
         self._m_declines = metrics.counter("sched.policy_declines", labels)
         self._retry_token = 0
         self._retry_deadline: Optional[float] = None
+        self._spec_token = 0
         sim.add_diagnostic(self.diagnostic_snapshot)
         # Deregister at stage end (success or failure): on a long-lived
         # simulator the diagnostic list must not grow per stage forever.
@@ -449,7 +451,7 @@ class StageRunner:
                     (horizon is None or crossing < horizon):
                 horizon = crossing
         if horizon is not None:
-            self._spec_token = getattr(self, "_spec_token", 0) + 1
+            self._spec_token += 1
             token = self._spec_token
             if self.sim._tracing:
                 self.sim.trace("spec-armed", at=horizon, token=token)
@@ -458,7 +460,7 @@ class StageRunner:
                 self._on_spec_check, token)
 
     def _on_spec_check(self, token: int) -> None:
-        if token == getattr(self, "_spec_token", 0) and \
+        if token == self._spec_token and \
                 not self.done.triggered:
             self._maybe_speculate()
 

@@ -21,6 +21,9 @@ from repro import (
     run_job,
 )
 from repro.core.faults import FaultPlan, StorageDegradation
+from repro.core.memory import ClusterMemory, MemoryConfig
+from repro.lustre.fs import LustreFileSystem
+from repro.workloads import groupby_spec, logistic_regression_spec
 
 GB = 1024.0 ** 3
 MB = 1024.0 ** 2
@@ -138,6 +141,59 @@ class TestCleanupReclaimsEverything:
             run_job(quiet_spec(), cluster=cluster, telemetry=telemetry,
                     options=EngineOptions(seed=seed), cleanup=True)
         assert n_instruments() == after_first
+
+
+class TestCleanupReleasesJobState:
+    """``run_job(cleanup=True)`` on the two artifact kinds that live
+    outside node-local volumes: Lustre shuffle files and cached RDD
+    partitions held in a managed heap's storage region."""
+
+    @pytest.mark.parametrize("fetch_mode", ["lustre-local", "lustre-shared"])
+    def test_lustre_shuffle_files_are_unlinked(self, fetch_mode,
+                                               monkeypatch):
+        unlinked = []
+        unlink = LustreFileSystem.unlink
+
+        def spy(fs, file_id):
+            unlinked.append(file_id)
+            unlink(fs, file_id)
+
+        monkeypatch.setattr(LustreFileSystem, "unlink", spy)
+        spec = groupby_spec(2 * GB, shuffle_store="lustre",
+                            fetch_mode=fetch_mode)
+        kept = Cluster(hyperion(4))
+        run_job(spec, cluster=kept, options=EngineOptions(seed=1))
+        written = set(kept.lustre.sizes)
+        assert written and not unlinked  # the job wrote shuffle files
+
+        cluster = Cluster(hyperion(4))
+        run_job(spec, cluster=cluster, options=EngineOptions(seed=1),
+                cleanup=True)
+        lustre = cluster.lustre
+        assert set(unlinked) == written
+        assert lustre.sizes == {} and lustre.locks == {}
+        for client in lustre.clients:
+            assert not client.dirty and not client.clean
+
+    def test_cached_partitions_leave_the_storage_region(self, monkeypatch):
+        pools = []
+        reserve = ClusterMemory.reserve_cache
+
+        def spy(memory, node, nbytes):
+            if memory not in pools:
+                pools.append(memory)
+            reserve(memory, node, nbytes)
+
+        monkeypatch.setattr(ClusterMemory, "reserve_cache", spy)
+        spec = logistic_regression_spec(2 * GB, iterations=3)
+        options = EngineOptions(seed=1, memory=MemoryConfig())
+        run_job(spec, cluster_spec=hyperion(4), options=options)
+        assert len(pools) == 1 and sum(pools[0].cache_used) > 0
+
+        run_job(spec, cluster_spec=hyperion(4), options=options,
+                cleanup=True)
+        assert len(pools) == 2
+        assert pools[1].cache_used == [0.0] * 4
 
 
 class TestRunJobArgumentConflicts:
