@@ -19,29 +19,42 @@ that makes such scenarios runnable:
   and dispatches them to registered listeners (the engine), applying
   storage degradation directly to the affected device pipes.
 
-Recovery itself — which partitions to recompute and where — is lineage
-bookkeeping owned by :class:`~repro.core.engine.SparkSim`; see
-:meth:`~repro.core.rdd.RDD.recompute_scope` for the RDD-level statement
-of the same rule.
+* :class:`LineageRecovery` — one job's lineage recovery: which lost
+  partitions to recompute (or only re-store) and where, run as a
+  ``recovery`` process; see :meth:`~repro.core.rdd.RDD.recompute_scope`
+  for the RDD-level statement of the same rule.
+
+A node crash loses the memory-resident map outputs (and any node-local
+shuffle files) of every partition cached there; a shuffle-output loss
+loses only the stored copy.  The lineage record — which partition
+produced how many intermediate bytes, and which logical shuffle source
+it belongs to — drives partial re-execution of exactly the producing
+map tasks, while per-source availability gates park dependent fetch
+tasks until the output is back.  Invariant: all partitions of a logical
+source recover onto ONE host, so a single redirect per source suffices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Set, Tuple,
+                    Union)
 
 import numpy as np
 
-from repro.sim.events import Event
+from repro.core.metrics import PhaseMetrics, TaskRecord
+from repro.sim.events import AllOf, Event
+from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.node import ComputeNode
+    from repro.core.engine import SparkSim
     from repro.sim.core import Simulator
     from repro.sim.fluid import FluidPipe
 
 __all__ = ["NodeCrash", "ExecutorLoss", "StorageDegradation",
            "ShuffleOutputLoss", "FaultPlan", "NodeLiveness",
-           "ShuffleAvailability", "FaultInjector"]
+           "ShuffleAvailability", "FaultInjector", "LineageRecovery"]
 
 
 @dataclass(frozen=True)
@@ -415,3 +428,200 @@ class FaultInjector:
         """
         for token in list(self._degraded):
             self._revert_degradation(token)
+
+
+class LineageRecovery:
+    """One job's recovery state: the lineage map, what is pending per
+    logical source, the recovery process, and the records of the
+    synthetic recovery phase.
+
+    Exists only when fault machinery is on.  The engine reports
+    :meth:`produced` outputs and sets :attr:`storing`, and drives
+    :meth:`lose`, :meth:`ensure`, :meth:`restarted`, :meth:`barrier` and
+    :meth:`phase`; recovery re-runs work through the engine's
+    ``_compute_body`` and ``_write_shuffle``."""
+
+    def __init__(self, engine: "SparkSim") -> None:
+        self.engine = engine
+        self.sim = engine.sim
+        self.metrics = engine.recovery
+        #: Per-source fetch gates and redirects (read by the fetch plan).
+        self.availability = ShuffleAvailability(engine.sim)
+        #: logical source -> partitions awaiting lineage recovery.
+        self.pending: Dict[int, Set[int]] = {}
+        #: logical source -> "full" (recompute + re-store) | "store".
+        self.mode: Dict[int, str] = {}
+        #: partition -> logical shuffle source it belongs to.
+        self.logical_of: Dict[int, int] = {}
+        #: Set when the first store stage starts: from then on a lost
+        #: output is addressed data that must be re-stored and gated.
+        self.storing = False
+        self.records: List[TaskRecord] = []
+        self._proc = None
+        self._idle: Optional[Event] = None
+        self._awaiting_restart: Optional[Event] = None
+        self._started_at = 0.0
+
+    # -- engine-facing --------------------------------------------------------
+    def produced(self, i: int, node: int) -> None:
+        """Partition ``i``'s map output was first computed on ``node``."""
+        self.logical_of[i] = node
+
+    def lose(self, node: int, parts, mode: str) -> None:
+        """Mark partitions ``parts`` (computed on ``node``) pending under
+        ``mode`` — a "full" loss upgrades a source, a "store" loss never
+        downgrades one — and, once storing has started, gate their
+        sources' fetches until recovery re-opens them."""
+        closed = set()
+        for i in parts:
+            s = self.logical_of.get(i, node)
+            self.pending.setdefault(s, set()).add(i)
+            if mode == "full" or self.mode.get(s) != "full":
+                self.mode[s] = mode
+            if self.storing and s not in closed:
+                self.availability.close(s)
+                closed.add(s)
+
+    def ensure(self) -> None:
+        """Start the recovery process if work is pending and none runs."""
+        if not self.pending:
+            return
+        if self._proc is not None and self._proc.is_alive:
+            return
+        if self._idle is None or self._idle.triggered:
+            self._idle = Event(self.sim, name="recovery-idle")
+        self._started_at = self.sim.now
+        self._proc = self.sim.process(self._loop(), name="recovery")
+
+    def restarted(self) -> None:
+        """A node rejoined: wake a loop that found every node dead."""
+        waiter, self._awaiting_restart = self._awaiting_restart, None
+        if waiter is not None and not waiter.triggered:
+            waiter.succeed()
+
+    def barrier(self):
+        """Wait out any in-flight recovery (no-op when idle)."""
+        while True:
+            idle = self._idle
+            if idle is None or idle.triggered:
+                return
+            yield idle
+
+    def phase(self) -> Optional[PhaseMetrics]:
+        """The synthetic ``recovery`` phase over every recovered
+        partition, or ``None`` when nothing was recovered."""
+        recs = self.records
+        if not recs:
+            return None
+        return PhaseMetrics("recovery", min(t.queued_at for t in recs),
+                            max(t.finished_at for t in recs), list(recs))
+
+    # -- the recovery process -------------------------------------------------
+    def _pick_host(self, prefer: Optional[int] = None) -> Optional[int]:
+        eng = self.engine
+        live = eng._liveness.live_nodes()
+        if not live:
+            return None
+        if prefer is not None and eng._liveness.alive(prefer):
+            return prefer
+        return min(live, key=lambda n: (float(eng.node_intermediate[n]
+                                              + eng.node_store_bytes[n]), n))
+
+    def _loop(self):
+        """Recover lost sources one at a time, all partitions of a source
+        onto one host, bounded by that host's core count."""
+        eng = self.engine
+        while self.pending:
+            source = min(self.pending)
+            parts = sorted(self.pending[source])
+            mode = self.mode.get(source, "full")
+            prefer = None
+            if mode == "store":
+                # Store-only recovery must run where the surviving map
+                # outputs live; if that node has since died, a crash
+                # handler upgraded the mode — but guard anyway.
+                prefer = eng._cache_locations.get(parts[0])
+                if prefer is None or not eng._liveness.alive(prefer):
+                    mode = self.mode[source] = "full"
+                    prefer = None
+            host = self._pick_host(prefer=prefer)
+            if host is None:
+                # Every node is dead: only a restart can unblock us (a
+                # plan with no restart surfaces as SimulationDeadlock
+                # with this process in the forensics).
+                self._awaiting_restart = Event(self.sim,
+                                               name="awaiting-restart")
+                yield self._awaiting_restart
+                continue
+            sem = Resource(self.sim, capacity=eng.cluster.spec.node.cores,
+                           name="recovery-slots")
+            procs = [self.sim.process(
+                        self._recover_partition(source, i, mode, host, sem),
+                        name=f"recover:{source}/{i}")
+                     for i in parts]
+            yield AllOf(self.sim, procs)
+            if not self.pending.get(source):
+                # The whole source is re-materialised (a mid-recovery
+                # crash of the host leaves partitions pending and loops).
+                self.pending.pop(source, None)
+                self.mode.pop(source, None)
+                if self.storing:
+                    eng.source_store_bytes[source] = sum(
+                        eng._partition_intermediate.get(i, 0.0)
+                        for i, s in self.logical_of.items() if s == source)
+                    self.availability.open(source, host)
+        self.metrics.recovery_time += self.sim.now - self._started_at
+        idle, self._idle = self._idle, None
+        self._proc = None
+        if idle is not None and not idle.triggered:
+            idle.succeed()
+
+    def _recover_partition(self, source: int, i: int, mode: str, host: int,
+                           sem: Resource):
+        """Re-execute (and, post-store, re-store) one lost partition.
+
+        Commits nothing if ``host`` dies underneath us: the partition
+        stays pending and the loop re-picks a host."""
+        eng = self.engine
+        spec = eng.spec
+        rec = self.metrics
+        queued = self.sim.now
+        with sem.request() as req:
+            yield req
+            size = eng._split_size(i)
+            inter = eng._partition_intermediate.get(
+                i, size * spec.intermediate_ratio)
+            if mode == "full":
+                body = eng._compute_body(i, size, self._noise(i), iteration=0)
+                yield self.sim.process(body(host), name=f"recompute:{i}")
+                if not eng._liveness.alive(host):
+                    return
+                eng._cache_locations[i] = host
+                self.logical_of[i] = source if self.storing else host
+                eng.node_intermediate[host] += inter
+                eng.node_task_counts[host] += 1
+                rec.tasks_recomputed += 1
+                rec.bytes_recomputed += inter
+            if self.storing and spec.shuffle_store is not None \
+                    and inter > 0:
+                # Round-aware: under per-iteration shuffling the re-store
+                # must land in the active round's bundle, or pinned
+                # reducers would fetch from a file that never existed.
+                yield eng._write_shuffle(host, inter, eng._current_round)
+                if not eng._liveness.alive(host):
+                    return
+                eng.node_store_bytes[host] += inter
+                rec.bytes_restored += inter
+            self.pending[source].discard(i)
+            self.records.append(TaskRecord(
+                task_id=i, phase="recovery", node=host, queued_at=queued,
+                started_at=queued, finished_at=self.sim.now, bytes=inter))
+
+    def _noise(self, i: int) -> float:
+        sigma = self.engine.spec.compute_noise_sigma
+        if sigma <= 0:
+            return 1.0
+        gen = np.random.default_rng(np.random.SeedSequence(
+            [self.engine.options.seed & 0xFFFFFFFF, i]
+            + list(b"recovery-noise")))
+        return float(gen.lognormal(mean=0.0, sigma=sigma))
