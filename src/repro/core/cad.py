@@ -115,8 +115,8 @@ class CongestionAwareDispatcher:
                                                  self.max_spacing)
 
     def on_abandon(self, node: int) -> None:
-        """An attempt on ``node`` ended without completing (interrupted
-        speculation loser, injected failure).  Release its in-flight
+        """An attempt on ``node`` ended without completing (abandoned
+        speculation loser or crash victim, injected failure).  Release its in-flight
         count; otherwise a node blocked on the concurrency cap would
         wait forever for a completion that can no longer arrive."""
         if self._in_flight.get(node, 0) > 0:

@@ -738,7 +738,7 @@ class SparkSim:
             self._lustre_files[file_id] = None
             return self.cluster.lustre.write(node, nbytes, file_id)
         # Record at issue time: allocation happens synchronously in
-        # write(), even for attempts later interrupted.
+        # write(), even for attempts later abandoned.
         key = (node, store, file_id)
         self._vol_files[key] = self._vol_files.get(key, 0.0) + nbytes
         return self.cluster.nodes[node].volume(store).write(nbytes, file_id)
@@ -913,7 +913,7 @@ class SparkSim:
                                node=node, bytes=spilled, frac=frac)
             # Run the base attempt, then pay the overflow: write it out
             # and read it back for the external-merge pass.  The claim
-            # in _vol_files covers attempts interrupted mid-spill (node
+            # in _vol_files covers attempts abandoned mid-spill (node
             # crash): cleanup() reclaims what the happy path deletes.
             yield from inner
             key = (node, cfg.spill_store, fid)

@@ -593,7 +593,7 @@ class LineageRecovery:
                 i, size * spec.intermediate_ratio)
             if mode == "full":
                 body = eng._compute_body(i, size, self._noise(i), iteration=0)
-                yield self.sim.process(body(host), name=f"recompute:{i}")
+                yield from body(host)
                 if not eng._liveness.alive(host):
                     return
                 eng._cache_locations[i] = host

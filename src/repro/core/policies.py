@@ -38,7 +38,7 @@ class SchedulingPolicy:
 
         Contract (the *wakeup protocol*): return either ``None`` —
         meaning any current declines are not time-based, so only a
-        cluster-state change (completion, interrupt, failure) can make a
+        cluster-state change (completion, abandonment, failure) can make a
         future offer succeed — or a timestamp **strictly greater than**
         ``now`` at which a declined offer should be repeated.  A policy
         that declines an offer because a deadline computed from the same

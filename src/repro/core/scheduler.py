@@ -11,7 +11,10 @@ ELB's description assumes.
 Fault tolerance follows Spark semantics: a failed task attempt is
 re-queued (up to ``max_attempt_failures`` times); with speculation
 enabled, straggling attempts get one backup copy and the first finisher
-wins while the loser is interrupted.
+wins while the loser is abandoned.  An attempt is an :class:`Attempt`
+record plus one process, the task's body, whose exit books it out; an
+abandoned attempt is booked out at once and its body, if started, runs
+on with its exit ignored (DESIGN.md §8, "Attempt lifecycle").
 
 With a :class:`~repro.core.faults.NodeLiveness` attached, the runner
 also survives whole-node faults (DESIGN.md §9): dead nodes are never
@@ -25,12 +28,15 @@ class PR 1 fixed for timers.
 from __future__ import annotations
 
 from bisect import insort
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
     Set, Tuple
 
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.sim import simtime
-from repro.sim.events import Event, Interrupt
+from repro.sim.events import URGENT, Event
+from repro.sim.process import Process
 from repro.core.cad import CongestionAwareDispatcher
 from repro.core.metrics import FailureRecord, TaskRecord
 from repro.core.policies import SchedulingPolicy
@@ -42,11 +48,22 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.memory import MemoryGate
     from repro.sim.core import Simulator
 
-__all__ = ["StageRunner", "StageFailed"]
+__all__ = ["Attempt", "StageRunner", "StageFailed"]
 
 
 class StageFailed(Exception):
     """A task exhausted its attempt budget."""
+
+
+@dataclass(eq=False)
+class Attempt:
+    """One launched attempt of a task, until it is booked out."""
+
+    task: SimTask
+    node: int
+    started: float
+    speculative: bool
+    abandoned: bool = False
 
 
 class StageRunner:
@@ -123,9 +140,8 @@ class StageRunner:
         self._remaining = len(tasks)
         self._finished: Set[int] = set()
         self._failures: Dict[int, int] = {}
-        #: task_id -> list of (node, started_at, attempt process, task)
-        self._attempts: Dict[int, List[Tuple[int, float, object,
-                                             SimTask]]] = {}
+        #: task_id -> its attempts not yet booked out, in launch order.
+        self._attempts: Dict[int, List[Attempt]] = {}
         self.done = Event(sim, name="stage-done")
         # Instrumentation (pure recording; a disabled registry hands back
         # no-op instruments, so there are no ``if metrics`` hot-path
@@ -239,10 +255,7 @@ class StageRunner:
         re-queueing would deadlock; the engine recovers them via lineage."""
         if self.done.triggered:
             return
-        for attempts in list(self._attempts.values()):
-            for n, _started, proc, _task in list(attempts):
-                if n == node and proc.is_alive:
-                    proc.interrupt("node-crash")
+        self._abandon_node(node, "node-crash")
         while True:
             task = self.queue.pop_pinned(node)
             if task is None:
@@ -255,11 +268,14 @@ class StageRunner:
         in-flight attempt there is abandoned and re-queued."""
         if self.done.triggered:
             return
-        for attempts in list(self._attempts.values()):
-            for n, _started, proc, _task in list(attempts):
-                if n == node and proc.is_alive:
-                    proc.interrupt("executor-loss")
+        self._abandon_node(node, "executor-loss")
         self._offer()
+
+    def _abandon_node(self, node: int, cause: str) -> None:
+        for attempts in self._attempts.values():
+            for attempt in attempts:
+                if attempt.node == node:
+                    self.abandon(attempt, cause)
 
     def on_node_restart(self, node: int) -> None:
         """A restarted node is fresh capacity: re-offer, or its slots
@@ -423,7 +439,7 @@ class StageRunner:
             task, _ = straggler
             # LATE places the backup away from the straggling attempt's
             # node — that node is the presumed cause of the slowness.
-            busy_node = self._attempts[task.task_id][0][0]
+            busy_node = self._attempts[task.task_id][0].node
             others = [n for n in free if n != busy_node]
             node = others[0] if others else free[0]
             spec.copies_launched += 1
@@ -444,9 +460,9 @@ class StageRunner:
         for task_id, attempts in self._attempts.items():
             if task_id in self._finished or len(attempts) != 1:
                 continue
-            if attempts[0][3].pinned is not None:
+            if attempts[0].task.pinned is not None:
                 continue
-            crossing = attempts[0][1] + threshold
+            crossing = attempts[0].started + threshold
             if not simtime.reached(now, crossing) and \
                     (horizon is None or crossing < horizon):
                 horizon = crossing
@@ -471,7 +487,7 @@ class StageRunner:
         for task_id, attempts in self._attempts.items():
             if task_id in self._finished or len(attempts) != 1:
                 continue
-            task, started = attempts[0][3], attempts[0][1]
+            task, started = attempts[0].task, attempts[0].started
             if task.pinned is not None:
                 continue  # a pinned task's data exists only on its node
             elapsed = now - started
@@ -480,7 +496,7 @@ class StageRunner:
                     best = (task, elapsed)
         return best
 
-    # -- launching ----------------------------------------------------------------
+    # -- attempt lifecycle ------------------------------------------------------
     def _launch(self, task: SimTask, node: int,
                 speculative: bool = False) -> None:
         self.free_slots[node] -= 1
@@ -497,66 +513,97 @@ class StageRunner:
             self.sim.trace("launch", task=task.task_id, node=node,
                            speculative=speculative, phase=task.phase,
                            queued=task.queued_at)
-        proc = self.sim.process(self._run_task(task, node, speculative),
-                                name=f"task:{task.phase}#{task.task_id}")
-        self._attempts.setdefault(task.task_id, []).append(
-            (node, self.sim.now, proc, task))
+        attempt = Attempt(task, node, self.sim.now, speculative)
+        self._attempts.setdefault(task.task_id, []).append(attempt)
+        self.sim.schedule_now(self._begin, (attempt,), URGENT)
 
-    def _run_task(self, task: SimTask, node: int, speculative: bool = False):
-        started = self.sim.now
-        interrupted = False
-        interrupt_cause = None
-        failed = False
-        try:
-            if self.task_overhead > 0:
-                yield self.sim.timeout(self.task_overhead)
-            inner = self.sim.process(task.body(node))
-            # Defuse: if this wrapper is interrupted (lost speculation
-            # race) the orphaned body may still fail later; that must not
-            # crash the simulation.
-            inner.defuse()
-            yield inner
-        except Interrupt as exc:
-            interrupted = True
-            interrupt_cause = exc.cause
-        except TaskAttemptFailure:
-            failed = True
-        finally:
-            if self.memory is not None:
-                self.memory.on_release(task, node)
-            self._release_slot(node)
-            self._forget_attempt(task.task_id, node, started)
+    def _begin(self, attempt: Attempt) -> None:
+        """The attempt's start entry: sit out the launch overhead."""
+        if self.task_overhead > 0:
+            self.sim.schedule_callback(self.task_overhead, self._start_body,
+                                       attempt)
+        else:
+            self.sim.schedule_now(self._start_body, (attempt,), URGENT)
 
-        if interrupted:
-            # The attempt never completes: release its in-flight count
-            # ourselves, or a throttled node blocked on concurrency
-            # would wait forever for a completion that cannot come.
-            if self.throttler is not None:
-                self.throttler.on_abandon(node)
-            if self.sim._tracing:
-                self.sim.trace("interrupt", task=task.task_id, node=node,
-                               cause=interrupt_cause)
-            if interrupt_cause in ("node-crash", "executor-loss"):
-                self._recover_attempt(task, interrupt_cause)
-            self._offer()
+    def _start_body(self, attempt: Attempt) -> None:
+        """Run the task's body, inline, as the attempt's one process."""
+        if attempt.abandoned:
             return
-        if failed:
+        task = attempt.task
+        body = Process(self.sim, self._body(task, attempt.node),
+                       name=f"task:{task.phase}#{task.task_id}")
+        body.add_callback(partial(self._on_exit, attempt))
+        body.start()
+
+    @staticmethod
+    def _body(task: SimTask, node: int):
+        """The task's body, with an attempt failure as its result."""
+        try:
+            yield from task.body(node)
+        except TaskAttemptFailure as failure:
+            return failure
+
+    def abandon(self, attempt: Attempt, cause: str) -> None:
+        """Give ``attempt`` up and book it out from one URGENT entry now;
+        a started body runs on, I/O and all, with its exit ignored."""
+        if not attempt.abandoned:
+            attempt.abandoned = True
+            self.sim.schedule_now(self._on_abandoned, (attempt, cause),
+                                  URGENT)
+
+    def _on_abandoned(self, attempt: Attempt, cause: str) -> None:
+        task, node = attempt.task, attempt.node
+        self._book_out(attempt)
+        # The attempt never completes: release its in-flight count
+        # ourselves, or a throttled node blocked on concurrency would
+        # wait forever for a completion that cannot come.
+        if self.throttler is not None:
+            self.throttler.on_abandon(node)
+        if self.sim._tracing:
+            self.sim.trace("interrupt", task=task.task_id, node=node,
+                           cause=cause)
+        if cause in ("node-crash", "executor-loss"):
+            self._recover_attempt(task, cause)
+        self._offer()
+
+    def _book_out(self, attempt: Attempt) -> None:
+        """Return the attempt's heap and slot and drop it from the table."""
+        task, node = attempt.task, attempt.node
+        if self.memory is not None:
+            self.memory.on_release(task, node)
+        self._release_slot(node)
+        attempts = self._attempts[task.task_id]
+        attempts.remove(attempt)
+        if not attempts:
+            del self._attempts[task.task_id]
+
+    def _on_exit(self, attempt: Attempt, body: Process) -> None:
+        """The body ended: book the attempt's completion or failure.
+
+        An abandoned attempt is booked out already.  A body that raised
+        anything but an attempt failure is left failed: the run raises.
+        """
+        if attempt.abandoned or not body.ok:
+            return
+        task, node = attempt.task, attempt.node
+        self._book_out(attempt)
+        if isinstance(body.value, TaskAttemptFailure):
             if self.throttler is not None:
                 self.throttler.on_abandon(node)
             self._handle_failure(task, node)
             self._offer()
             return
         if task.task_id in self._finished:
-            # A speculative copy lost the race after its twin finished
-            # between our completion and the interrupt; drop the result.
+            # A twin won while this attempt, re-queued after a failure,
+            # was still running; drop the result.
             self._offer()
             return
 
-        finished = self.sim.now
+        started, finished = attempt.started, self.sim.now
         self._finished.add(task.task_id)
         if self.sim._tracing:
             self.sim.trace("complete", task=task.task_id, node=node,
-                           speculative=speculative)
+                           speculative=attempt.speculative)
         record = TaskRecord(task_id=task.task_id, phase=task.phase,
                             node=node, queued_at=task.queued_at,
                             started_at=started, finished_at=finished,
@@ -588,12 +635,13 @@ class StageRunner:
                 self.throttler.on_complete(duration, node)
         if self.speculation is not None:
             self.speculation.on_complete(duration)
-            if speculative:
+            if attempt.speculative:
                 # Only a finish *by the backup copy* is a win for
                 # speculation; the original attempt winning the race
                 # (with its twin still alive) is not.
                 self.speculation.copies_won += 1
-            self._interrupt_copies(task.task_id)
+            for twin in self._attempts.get(task.task_id, ()):
+                self.abandon(twin, "speculative twin finished")
         if self.on_complete is not None:
             self.on_complete(task, node, record)
         self._remaining -= 1
@@ -601,21 +649,6 @@ class StageRunner:
             self.done.succeed(self.records)
         else:
             self._offer()
-
-    def _forget_attempt(self, task_id: int, node: int,
-                        started: float) -> None:
-        attempts = self._attempts.get(task_id)
-        if not attempts:
-            return
-        attempts[:] = [a for a in attempts
-                       if not (a[0] == node and a[1] == started)]
-        if not attempts:
-            del self._attempts[task_id]
-
-    def _interrupt_copies(self, task_id: int) -> None:
-        for node, started, proc, task in self._attempts.get(task_id, []):
-            if proc.is_alive:
-                proc.interrupt("speculative twin finished")
 
     def _handle_failure(self, task: SimTask, node: int) -> None:
         count = self._failures.get(task.task_id, 0) + 1
@@ -646,7 +679,7 @@ class StageRunner:
     # -- forensics & invariants ---------------------------------------------------
     def diagnostic_snapshot(self) -> Dict[str, object]:
         """State summary for :class:`~repro.sim.core.SimulationDeadlock`."""
-        running = {tid: [a[0] for a in attempts]
+        running = {tid: [a.node for a in attempts]
                    for tid, attempts in self._attempts.items()}
         snap: Dict[str, object] = {
             "stage": "done" if self.done.triggered else "running",

@@ -22,7 +22,7 @@ providing the substrate for every simulated subsystem in this package:
 """
 
 from repro.sim.core import SimulationDeadlock, Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Interrupt, Timeout
+from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.fluid import FluidPipe, Flow
@@ -36,7 +36,6 @@ __all__ = [
     "Event",
     "Flow",
     "FluidPipe",
-    "Interrupt",
     "Process",
     "RandomStreams",
     "Resource",

@@ -8,7 +8,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, \
     Optional, Union
 
-from repro.sim.events import NORMAL, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.trace import TraceEvent
 
@@ -174,7 +174,11 @@ class Simulator:
         return Timeout(self, delay, value, name)
 
     def process(self, generator: Generator, name: str = "") -> Process:
-        return Process(self, generator, name)
+        """Start ``generator`` as a process from an URGENT entry now."""
+        proc = Process(self, generator, name)
+        self._seq = seq = self._seq + 1
+        heapq.heappush(self._queue, (self._now, URGENT, seq, proc.start, ()))
+        return proc
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

@@ -15,12 +15,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.sim.core import Simulator
 
-# Scheduling priorities: urgent events (e.g. interrupts, resource releases)
-# run before normal events scheduled at the same timestamp.
+# Scheduling priorities: urgent events (e.g. process starts, resource
+# grants) run before normal events scheduled at the same timestamp.
 URGENT = 0
 NORMAL = 1
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "Interrupt", "URGENT", "NORMAL"]
+__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "URGENT", "NORMAL"]
 
 #: Marker for "no outcome yet" in :attr:`Event._value`.
 _PENDING = object()
@@ -257,10 +257,3 @@ class AnyOf(_Condition):
             return
         self.succeed(self._collect())
 
-
-class Interrupt(Exception):
-    """Raised inside a process that has been interrupted."""
-
-    @property
-    def cause(self) -> Any:
-        return self.args[0] if self.args else None

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from heapq import heappush
-from inspect import getgeneratorstate
 from types import GeneratorType
-from typing import TYPE_CHECKING, Any, Generator, Optional
+from typing import TYPE_CHECKING, Generator
 
-from repro.sim.events import _PENDING, URGENT, Event, Interrupt
+from repro.sim.events import _PENDING, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -21,7 +19,6 @@ START = Event(None, "<start>")  # type: ignore[arg-type]
 START.callbacks = None
 START._ok = True
 START._value = None
-_START_ARGS = (START,)
 
 
 class Process(Event):
@@ -33,12 +30,16 @@ class Process(Event):
     itself an event that triggers with the generator's return value, so
     processes can wait on one another.
 
-    A process starts from one bare ``(now, URGENT, seq, _resume,
-    (START,))`` timer entry: the same heap key, and so the same dispatch
-    order and count, as an URGENT event, without allocating one.
+    A new process is idle: :meth:`start` runs it to its first yield.
+    :meth:`Simulator.process <repro.sim.core.Simulator.process>` starts
+    it from one bare ``(now, URGENT, seq, start, ())`` timer entry: the
+    same heap key, and so the same dispatch order and count, as an
+    URGENT event, without allocating one.  A process resumes only from
+    the events it yields, and ends only when its generator returns or
+    raises.
     """
 
-    __slots__ = ("_generator", "_target")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: Generator,
                  name: str = "") -> None:
@@ -47,57 +48,18 @@ class Process(Event):
             raise TypeError(f"{generator!r} is not a generator")
         super().__init__(sim, name or getattr(generator, "__name__", ""))
         self._generator = generator
-        # None until the first yield parks the process on an event.
-        self._target: Optional[Event] = None
-        sim._seq = seq = sim._seq + 1
-        heappush(sim._queue, (sim._now, URGENT, seq, self._resume,
-                              _START_ARGS))
 
     @property
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    @property
-    def target(self) -> Optional[Event]:
-        """The event this process is currently waiting on."""
-        return self._target
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self._value is not _PENDING:
-            raise RuntimeError(f"{self!r} has already terminated")
-        # Throwing into a generator that has not reached its first yield
-        # would raise *outside* the body's try/except (the frame has not
-        # been entered), crashing the simulation instead of delivering
-        # the interrupt.  Leave the start entry in place so the body
-        # runs to its first yield first; the interrupt event, enqueued
-        # behind it at the same timestamp, then lands inside the body.
-        started = getgeneratorstate(self._generator) != "GEN_CREATED"
-        if started and self._target is not None:
-            self._target.remove_callback(self._resume)
-        fail = Event(self.sim, name="<interrupt>")
-        fail._ok = False
-        fail._value = Interrupt(cause)
-        fail._defused = True
-        fail.add_callback(self._resume)
-        self.sim._enqueue(fail, URGENT)
-        if started:
-            self._target = fail
+    def start(self) -> None:
+        """Run the generator to its first yield, inline, at the current
+        time."""
+        self._resume(START)
 
     # -- stepping ----------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        if self._value is not _PENDING:
-            # A deferred interrupt raced with normal completion (the body
-            # finished on its very first advance); nothing to deliver.
-            event._defused = True
-            return
-        target = self._target
-        if target is not None and target is not event:
-            # Resumed by a deferred interrupt while parked on a real
-            # event: deregister from it, or its later processing would
-            # resume a finished generator.
-            target.remove_callback(self._resume)
-        self._target = None
         generator = self._generator
         while True:
             try:
@@ -128,7 +90,6 @@ class Process(Event):
             if callbacks is not None:
                 # Event still pending: park until it is processed.
                 callbacks.append(self._resume)
-                self._target = next_event
                 return
             # Event already processed: loop and feed its outcome immediately.
             event = next_event

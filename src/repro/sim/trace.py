@@ -38,7 +38,7 @@ kind               meaning / payload
 ``retry-fired``    a wakeup timer fired (``token``, ``stale``)
 ``spec-armed``     the speculation-horizon timer was armed (``at``, ``token``)
 ``complete``       an attempt finished and won (``task``, ``node``)
-``interrupt``      an attempt was interrupted (``task``, ``node``)
+``interrupt``      an attempt was abandoned (``task``, ``node``, ``cause``)
 ``failure``        an attempt failed (``task``, ``node``, ``count``)
 =================  ==========================================================
 

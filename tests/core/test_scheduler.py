@@ -5,10 +5,14 @@ import pytest
 
 from repro.core.cad import CongestionAwareDispatcher
 from repro.core.elb import EnhancedLoadBalancer
+from repro.core.faults import NodeLiveness
+from repro.core.memory import ClusterMemory, MemoryGate
 from repro.core.policies import DelayScheduling, LocalityFirstPolicy
 from repro.core.scheduler import StageRunner
+from repro.core.speculation import TaskAttemptFailure
 from repro.core.task import SimTask, TaskQueue
-from repro.sim import Simulator
+from repro.sim import FluidPipe, Simulator
+from repro.sim import process as sim_process
 
 
 def make_tasks(sim, n, duration=1.0, preferred=None, pinned=None):
@@ -336,7 +340,7 @@ class TestCAD:
 
     def test_interrupted_attempt_releases_concurrency_slot(self):
         """A node blocked on CAD's concurrency cap must not lose its
-        wakeup when the last running task on it is *interrupted* rather
+        wakeup when the last running task on it is *abandoned* rather
         than completed: the abandoned attempt has to release its
         in-flight count or the pending task waits forever."""
         sim = Simulator()
@@ -351,12 +355,138 @@ class TestCAD:
         assert len(runner.records) == 0
 
         def kill_running_attempt():
-            node, started, proc, task = runner._attempts[0][0]
-            proc.interrupt("node drained")
+            runner.abandon(runner._attempts[0][0], "node drained")
 
         sim.schedule_callback(1.0, kill_running_attempt)
         sim.run(until=5.0)
         # The freed concurrency slot let task 1 launch right away.
-        started = {tid: a[0][1] for tid, a in runner._attempts.items()}
+        started = {tid: a[0].started for tid, a in runner._attempts.items()}
         assert started == {1: pytest.approx(1.0)}
         assert runner.wakeup_invariant_violation() is None
+
+
+class TestAbandon:
+    """An attempt is abandoned by bookkeeping: the scheduler never throws
+    into its body, and every attempt is booked out exactly once."""
+
+    def _stage(self, sim, bodies, n_nodes=2, cores=2, overhead=0.05,
+               **kwargs):
+        tasks = [SimTask(task_id=i, phase="compute", body=body)
+                 for i, body in enumerate(bodies)]
+        return StageRunner(sim, n_nodes, cores, tasks,
+                           policy=LocalityFirstPolicy(),
+                           task_overhead=overhead, **kwargs)
+
+    @pytest.mark.parametrize("overhead", [0.0, 0.05])
+    def test_crash_in_the_launch_timestep_never_starts_the_body(
+            self, overhead):
+        sim = Simulator()
+        started = []
+
+        def body(node):
+            started.append((node, sim.now))
+            yield sim.timeout(1.0)
+
+        mem = ClusterMemory(2, heap_bytes=4.0)
+        lv = NodeLiveness(2)
+        runner = self._stage(sim, [body] * 2, cores=1, overhead=overhead,
+                             liveness=lv,
+                             memory=MemoryGate(mem, ideal_task_heap=1.0))
+        done = runner.run()
+        assert [a[0].node for a in runner._attempts.values()] == [0, 1]
+        lv.mark_dead(1)
+        runner.on_node_crash(1)   # before either attempt's start entry
+        sim.run(until=done)
+        # Node 1's body never ran; its task re-ran on node 0 afterwards.
+        assert started == [(0, overhead), (0, 1.0 + 2 * overhead)]
+        assert runner.crash_requeues == 1
+        # Slot and heap came back exactly once each.
+        assert runner.free_slots == [1, 1]
+        assert mem.exec_used == [0.0, 0.0] and mem.exec_count == [0, 0]
+        assert not runner._attempts
+
+    def test_abandoned_body_keeps_its_io_and_its_late_failure_is_ignored(
+            self):
+        sim = Simulator()
+        disk = FluidPipe(sim, 100.0, name="disk")
+        writes, finished = [], []
+
+        def body(node):
+            if node == 1 and not writes:
+                writes.append(sim.now)
+                yield disk.transfer(300.0)
+                finished.append(sim.now)
+                raise TaskAttemptFailure("disk error after the abandon")
+            yield sim.timeout(1.0)
+
+        runner = self._stage(sim, [body] * 2, cores=1, overhead=0.0)
+        sim.enable_trace()
+        done = runner.run()
+        sim.schedule_callback(1.0, runner.on_executor_loss, 1)
+        sim.run(until=done)
+        sim.run()
+        # The orphaned body's I/O reached the disk and it failed later,
+        # which neither crashed the run nor counted as a failure.
+        assert disk.bytes_completed == pytest.approx(300.0)
+        assert finished == [pytest.approx(3.0)]
+        assert runner.attempt_failures == 0
+        assert sorted(r.task_id for r in runner.records) == [0, 1]
+        assert [e.data["cause"] for e in sim.trace_events("interrupt")] \
+            == ["executor-loss"]
+
+    def test_crash_and_executor_loss_in_one_instant_book_each_attempt_once(
+            self):
+        sim = Simulator()
+
+        def body(node):
+            yield sim.timeout(2.0)
+
+        mem = ClusterMemory(2, heap_bytes=4.0)
+        lv = NodeLiveness(2)
+        runner = self._stage(sim, [body] * 4, liveness=lv,
+                             memory=MemoryGate(mem, ideal_task_heap=1.0))
+        sim.enable_trace()
+        done = runner.run()
+
+        def faults():
+            runner.on_executor_loss(1)
+            lv.mark_dead(1)
+            runner.on_node_crash(1)
+
+        sim.schedule_callback(1.0, faults)
+        sim.run(until=done)
+        interrupts = [(e.data["task"], e.data["node"], e.data["cause"])
+                      for e in sim.trace_events("interrupt")]
+        assert interrupts == [(1, 1, "executor-loss"),
+                              (3, 1, "executor-loss")]
+        assert runner.crash_requeues == 2
+        assert sorted(r.task_id for r in runner.records) == [0, 1, 2, 3]
+        assert all(r.node == 0 for r in runner.records)
+        assert runner.free_slots == [2, 2]
+        assert mem.exec_used == [0.0, 0.0] and mem.exec_count == [0, 0]
+
+    def test_a_stage_makes_one_process_per_attempt(self, monkeypatch):
+        built = []
+        init = sim_process.Process.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sim_process.Process, "__init__", counting_init)
+        sim = Simulator()
+        failed = set()
+
+        def body(node):
+            yield sim.timeout(1.0)
+            if node == 0 and not failed:
+                failed.add(node)
+                raise TaskAttemptFailure("first attempt on node 0")
+
+        runner = self._stage(sim, [body] * 5)
+        sim.enable_trace()
+        done = runner.run()
+        sim.run(until=done)
+        launches = len(sim.trace_events("launch"))
+        assert launches == 6 and runner.attempt_failures == 1
+        assert len(built) == launches

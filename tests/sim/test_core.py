@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Interrupt, Simulator, Timeout
+from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
 from repro.sim.core import EmptySchedule
 
 
@@ -309,89 +309,6 @@ class TestProcesses:
         sim.process(proc())
         sim.run()
         assert "non-event" in str(caught[0])
-
-    def test_interrupt_waiting_process(self):
-        sim = Simulator()
-        trace = []
-
-        def sleeper():
-            try:
-                yield sim.timeout(100.0)
-            except Interrupt as i:
-                trace.append((sim.now, i.cause))
-
-        p = sim.process(sleeper())
-        sim.schedule_callback(3.0, p.interrupt, "wakeup")
-        sim.run()
-        assert trace == [(3.0, "wakeup")]
-
-    def test_interrupt_terminated_process_raises(self):
-        sim = Simulator()
-
-        def quick():
-            yield sim.timeout(1.0)
-
-        p = sim.process(quick())
-        sim.run()
-        with pytest.raises(RuntimeError):
-            p.interrupt()
-
-    def test_interrupt_before_first_yield_lands_inside_the_body(self):
-        """Regression: interrupting a process that has not yet started
-        (its generator is still GEN_CREATED — e.g. a node crash in the
-        same timestep as a task launch) used to throw *outside* the
-        body's try/except and crash the simulation.  The interrupt must
-        instead be delivered after the body reaches its first yield."""
-        sim = Simulator()
-        trace = []
-
-        def body():
-            try:
-                yield sim.timeout(100.0)
-                trace.append("finished")
-            except Interrupt as i:
-                trace.append(("interrupted", sim.now, i.cause))
-
-        p = sim.process(body())
-        p.interrupt("crash")    # before the <init> event has run
-        sim.run()
-        assert trace == [("interrupted", 0.0, "crash")]
-        assert p.triggered
-
-    def test_interrupt_before_start_races_instant_completion(self):
-        """The deferred interrupt must be defused if the body completes
-        on its very first advance — nothing is left to deliver."""
-        sim = Simulator()
-
-        def instant():
-            return "done"
-            yield  # pragma: no cover
-
-        p = sim.process(instant())
-        p.interrupt("too-late")
-        sim.run()
-        assert p.ok and p.value == "done"
-
-    def test_interrupted_process_deregisters_from_parked_event(self):
-        """A process parked on a real event and then interrupted must
-        drop its callback from that event, or the event's later firing
-        would resume a finished generator."""
-        sim = Simulator()
-        gate = sim.event()
-        trace = []
-
-        def waiter():
-            try:
-                yield gate
-            except Interrupt:
-                trace.append("interrupted")
-
-        p = sim.process(waiter())
-        sim.schedule_callback(1.0, p.interrupt)
-        sim.schedule_callback(2.0, gate.succeed)
-        sim.run()
-        assert trace == ["interrupted"]
-        assert p.triggered
 
     def test_process_yields_already_processed_event(self):
         sim = Simulator()

@@ -16,7 +16,7 @@ from repro.cluster.spec import hyperion
 from repro.core.engine import run_job
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import AllOf, AnyOf, Simulator, fastdrain
+from repro.sim import AllOf, AnyOf, Process, Simulator, fastdrain
 from repro.sim.events import URGENT
 from repro.sim.fluid import FluidPipe
 from repro.storage.device import BlockDevice
@@ -89,21 +89,27 @@ class TestProcessStart:
         sim.run()
         assert seen == [3.5, 4.5]
 
-    def test_interrupt_before_first_step_lands_inside_body(self):
+    def test_start_runs_inline_from_the_callers_dispatch(self):
+        """``Process.start`` runs the body to its first yield at once,
+        with no heap entry and no dispatch of its own."""
         sim = Simulator()
-        caught = []
+        sim.run(until=1.0)
+        seen = []
 
         def body():
-            try:
-                yield sim.timeout(10.0)
-            except Exception as exc:  # noqa: BLE001 - record any interrupt
-                caught.append((type(exc).__name__, sim.now))
+            seen.append(sim.now)
+            yield sim.timeout(1.0)
+            return "done"
 
-        proc = sim.process(body())
-        assert proc.target is None
-        proc.interrupt("early")
+        proc = Process(sim, body())
+        seq = sim._seq
+        proc.start()
+        assert seen == [1.0]
+        assert sim._seq == seq + 1  # the timeout's entry, nothing else
         sim.run()
-        assert caught == [("Interrupt", 0.0)]
+        assert proc.value == "done"
+        # The timeout and the process's own completion.
+        assert sim.events_dispatched == 2
 
 
 class TestScheduleNow:
@@ -352,11 +358,13 @@ class TestNanDelays:
 #: re-pins them (DESIGN.md §8 lists the shuffle fetch pump's).  Which
 #: outcomes a run produces is pinned by the fingerprints in
 #: ``tests/data``, the behaviour oracle; these counts only catch an
-#: unintended change in the entry count.
+#: unintended change in the entry count.  A task attempt costs two
+#: entries fewer since its body became its only process (DESIGN.md §8,
+#: "Attempt lifecycle").
 PINNED_COUNTS = {
-    "groupby-ssd-stock": (2304, 2308),
-    "groupby-lustre-shared": (4205, 4206),
-    "grep-hdfs": (3665, 3746),
+    "groupby-ssd-stock": (2112, 2116),
+    "groupby-lustre-shared": (4045, 4046),
+    "grep-hdfs": (3025, 3106),
 }
 
 

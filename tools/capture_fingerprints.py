@@ -169,6 +169,14 @@ EXPLAIN_CASES = [
       "4", "--store", "ssd", "--elb", "--cad", "--mem-frac", "0.5",
       "--mem-elastic", "--delay-scheduling", "--seed", "3",
       "--segments", "8"]),
+    # Every way an attempt is abandoned: lost speculation races, attempt
+    # failures and a node crash, so the trace order of the interrupt
+    # bookkeeping is pinned, not only the results.
+    ("explain_abandon.txt",
+     ["explain", "--workload", "groupby", "--data-gb", "32", "--nodes",
+      "4", "--store", "ssd", "--cad", "--speculation", "--failure-rate",
+      "0.05", "--speed-sigma", "0.5", "--seed", "11", "--crash",
+      "1@1.0:3.0"]),
 ]
 
 EXPLAIN_DIR = "explain_golden"
