@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.sim.resources import Resource
 from repro.storage.ramdisk import RamDisk
 from repro.storage.ssd import SSDDevice
 from repro.storage.volume import LocalVolume
@@ -17,10 +16,11 @@ __all__ = ["ComputeNode"]
 
 
 class ComputeNode:
-    """A compute node: cores, local storage volumes, and a speed factor.
+    """A compute node: local storage volumes and a speed factor.
 
-    * ``cores`` is a :class:`Resource` with one slot per hardware core —
-      the executor's task slots.
+    Its task slots are not modelled here: a stage's runner holds one
+    slot per ``spec.cores`` core of every node.
+
     * ``volumes`` maps mount names (``"ramdisk"``, ``"ssd"``) to
       :class:`LocalVolume` s.  The RAMDisk is used raw (it *is* memory);
       the SSD sits behind a page cache (ext4 in the paper).
@@ -36,7 +36,6 @@ class ComputeNode:
         self.node_id = node_id
         self.spec = spec
         self.speed_factor = float(speed_factor)
-        self.cores = Resource(sim, capacity=spec.cores, name=f"n{node_id}.cores")
 
         ramdisk = RamDisk(sim, capacity_bytes=spec.ramdisk_usable_bytes,
                           read_bw=spec.ramdisk_read_bw,

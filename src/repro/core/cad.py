@@ -21,19 +21,30 @@ the paper measures a 41.2 % faster storing phase at 700 GB–1.5 TB.
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Optional
+from math import inf
+from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
+from repro.core.scheduler import AdmissionGate
 from repro.obs.registry import NULL_REGISTRY
 from repro.sim import simtime
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.task import SimTask
     from repro.obs.registry import MetricsRegistry
+    from repro.sim.core import Simulator
 
 __all__ = ["CongestionAwareDispatcher"]
 
 
-class CongestionAwareDispatcher:
-    """Adaptive per-node dispatch throttle for storing-phase tasks."""
+class CongestionAwareDispatcher(AdmissionGate):
+    """Adaptive per-node dispatch throttle for storing-phase tasks.
+
+    An admission gate of the stage runner: a decline is traced as
+    ``throttle``, and a completion that moves the delay as ``cad-step``.
+    """
+
+    kind = "throttle"
+    counter = "sched.throttle_declines"
 
     def __init__(self, step: float = 0.05, trigger_ratio: float = 2.0,
                  relax_ratio: float = 0.5, window: int = 25,
@@ -68,6 +79,7 @@ class CongestionAwareDispatcher:
         self._last_high: Optional[float] = None
         self._next_allowed: Dict[int, float] = {}
         self._in_flight: Dict[int, int] = {}
+        self._sim: Optional["Simulator"] = None
         # Statistics, mirrored into the registry so `repro report` sees
         # them (a disabled registry hands back the shared no-op).
         self.increases = 0
@@ -76,13 +88,11 @@ class CongestionAwareDispatcher:
         self._m_increases = reg.counter("cad.delay_increases_total")
         self._m_decreases = reg.counter("cad.delay_decreases_total")
 
-    # -- dispatch gating ------------------------------------------------------
-    @property
-    def throttling(self) -> bool:
-        """True once the congestion signal has raised a nonzero delay."""
-        return self.delay > 0
+    def attach(self, sim: "Simulator", wake: Callable[[], None]) -> None:
+        self._sim = sim
 
-    def ready(self, node: int, now: float) -> bool:
+    # -- dispatch gating ------------------------------------------------------
+    def check(self, node: int, now: float) -> Optional[float]:
         """May ``node`` dispatch another storing task right now?
 
         Two gates once congestion is detected: dispatches are spaced by
@@ -90,22 +100,31 @@ class CongestionAwareDispatcher:
         node's in-flight storing tasks are held at ``target_concurrency``
         so outstanding device operations can complete — queue depths at
         or below the device's efficient range stop the interference
-        feedback loop of Fig 8(d).
+        feedback loop of Fig 8(d).  A pacing block wakes at its strictly
+        future release time (the same ``reached`` test the runner's
+        retry arming uses); a concurrency block waits for an exit.
         """
-        if not simtime.reached(now, self._next_allowed.get(node, 0.0)):
-            # Epsilon-consistent with the scheduler's retry arming: a
-            # "not ready" verdict here always corresponds to a pacing
-            # gate strictly in the future, never "retry now".
-            return False
-        if self.throttling and \
+        t = self._next_allowed.get(node, 0.0)
+        if not simtime.reached(now, t):
+            return t
+        if self.delay > 0 and \
                 self._in_flight.get(node, 0) >= self.target_concurrency:
-            return False
-        return True
+            return inf
+        return None
 
-    def retry_at(self, node: int) -> float:
-        return self._next_allowed.get(node, 0.0)
+    def why(self, node: int, now: float) -> Dict[str, object]:
+        t = self._next_allowed.get(node, 0.0)
+        info: Dict[str, object]
+        if simtime.reached(now, t):
+            info = {"reason": "concurrency"}
+        else:
+            info = {"reason": "pacing", "retry_at": t}
+        info.update(delay=self.delay, in_flight=self._in_flight.get(node, 0),
+                    target=self.target_concurrency,
+                    window_avg=self._window_avg, baseline=self._baseline)
+        return info
 
-    def on_launch(self, node: int, now: float) -> None:
+    def on_launch(self, task: "SimTask", node: int, now: float) -> None:
         self._in_flight[node] = self._in_flight.get(node, 0) + 1
         if self.delay > 0:
             # The pacing component is bounded: the in-flight cap carries
@@ -114,28 +133,27 @@ class CongestionAwareDispatcher:
             self._next_allowed[node] = now + min(self.delay,
                                                  self.max_spacing)
 
-    def on_abandon(self, node: int) -> None:
-        """An attempt on ``node`` ended without completing (abandoned
-        speculation loser or crash victim, injected failure).  Release its in-flight
-        count; otherwise a node blocked on the concurrency cap would
-        wait forever for a completion that can no longer arrive."""
+    # -- feedback -----------------------------------------------------------------
+    def on_exit(self, task: "SimTask", node: int,
+                duration: Optional[float]) -> None:
+        """An attempt on ``node`` ended: release its in-flight count and
+        feed a completed ShuffleMapTask's execution time.
+
+        An attempt that ended without completing (``duration`` is
+        ``None``: a failure, a speculation loser, a crash victim) only
+        releases its count; otherwise a node blocked on the concurrency
+        cap would wait forever for a completion that can no longer
+        arrive.  While the running average sits above ``trigger_ratio``
+        × the uncongested baseline, every completion adds another
+        ``step`` to the dispatch interval — the controller keeps backing
+        off until the congestion signal clears (or ``max_delay`` is
+        hit).  When the average falls to ``relax_ratio`` of the level
+        that caused the last increase, the interval is stepped back down.
+        """
         if self._in_flight.get(node, 0) > 0:
             self._in_flight[node] -= 1
-
-    # -- feedback -----------------------------------------------------------------
-    def on_complete(self, duration: float,
-                    node: Optional[int] = None) -> None:
-        """Feed one completed ShuffleMapTask's execution time.
-
-        While the running average sits above ``trigger_ratio`` × the
-        uncongested baseline, every completion adds another ``step`` to
-        the dispatch interval — the controller keeps backing off until
-        the congestion signal clears (or ``max_delay`` is hit).  When the
-        average falls to ``relax_ratio`` of the level that caused the
-        last increase, the interval is stepped back down.
-        """
-        if node is not None and self._in_flight.get(node, 0) > 0:
-            self._in_flight[node] -= 1
+        if duration is None:
+            return
         self._recent.append(duration)
         if len(self._recent) < self.window:
             return
@@ -144,6 +162,7 @@ class CongestionAwareDispatcher:
         if self._baseline is None:
             self._baseline = avg
             return
+        prev = self.delay
         if avg >= self.trigger_ratio * self._baseline:
             self.delay = min(self.max_delay, self.delay + self.step)
             self._last_high = avg
@@ -155,3 +174,10 @@ class CongestionAwareDispatcher:
             self._last_high = max(self._baseline, avg / self.relax_ratio)
             self.decreases += 1
             self._m_decreases.inc()
+        if self._sim._tracing and self.delay != prev:
+            # The feedback step, with the state that justified it.
+            self._sim.trace(
+                "cad-step", node=node,
+                step="increase" if self.delay > prev else "decrease",
+                prev=prev, delay=self.delay, window_avg=avg,
+                baseline=self._baseline, trigger_ratio=self.trigger_ratio)

@@ -466,14 +466,17 @@ class SparkSim:
 
     # -- the stage builder ----------------------------------------------------
     def _stage(self, phase: str, stream: str, items, policy,
-               spill: bool = False, **runner_kw):
+               spill: bool = False,
+               cad: Optional[CongestionAwareDispatcher] = None,
+               **runner_kw):
         """Build, run and finish one stage; returns its task records.
 
         ``items`` holds one ``(task_id, body, nbytes, preferred, pinned)``
         per task.  The stage's memory gate is created before any body is
-        wrapped (spill wrappers close over it); ``runner_kw`` carries the
-        stage's own runner arguments (speculation, throttler,
-        ``on_complete``), the job-wide ones are added here."""
+        wrapped (spill wrappers close over it) and checked after ``cad``;
+        ``runner_kw`` carries the stage's own runner arguments
+        (speculation, ``on_complete``), the job-wide ones are added
+        here."""
         gate = self._memory_gate()
         tasks = [self._task(phase, stream, gate, spill, *item)
                  for item in items]
@@ -482,19 +485,16 @@ class SparkSim:
             self.sim, self.cluster.n_nodes, self.cluster.spec.node.cores,
             tasks, policy=policy, task_overhead=self.conf.task_overhead,
             liveness=self._liveness, failure_log=self._failure_log,
-            metrics=self.metrics, memory=gate,
+            metrics=self.metrics,
+            gates=tuple(g for g in (cad, gate) if g is not None),
             slots=lease.slots if lease is not None else None,
             slot_listener=lease.slot_freed if lease is not None else None,
             **runner_kw)
         self._active_runner = runner
         if lease is not None:
             lease.attach(runner)
-        if gate is not None:
-            gate.attach(runner)
         records = yield runner.run()
         self._active_runner = None
-        if gate is not None:
-            gate.detach()
         if lease is not None:
             lease.detach(runner)
         if self.recovery is not None:
@@ -706,15 +706,15 @@ class SparkSim:
             self.node_store_bytes[node] += task.bytes
             self.source_store_bytes[node] += task.bytes
 
-        throttler = None
+        cad = None
         if self.options.cad:
-            throttler = CongestionAwareDispatcher(metrics=self.metrics)
-            self.cad_controller = throttler
+            cad = CongestionAwareDispatcher(metrics=self.metrics)
+            self.cad_controller = cad
             if self.metrics.enabled:
-                obs_wiring.register_cad(self.metrics, throttler)
+                obs_wiring.register_cad(self.metrics, cad)
         return (yield from self._stage(
-            "store", "store", items, LocalityFirstPolicy(),
-            throttler=throttler, on_complete=on_complete))
+            "store", "store", items, LocalityFirstPolicy(), cad=cad,
+            on_complete=on_complete))
 
     def _store_body(self, node: int, nbytes: float, noise: float,
                     iteration: Optional[int]):

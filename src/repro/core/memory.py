@@ -22,26 +22,31 @@ Four pieces:
   serve layer shares ONE instance across concurrent jobs, so tenants
   genuinely contend for heap the way they contend for cores.
 * :class:`MemoryGate` — the per-stage admission gate, the same
-  offer/decline shape as ELB's veto and CAD's throttle: the stage
-  runner consults it per free node, and it either declines the offer
-  (rigid mode: queueing delay instead of spill) or shrinks the launch
-  (elastic mode: more concurrency, some spill I/O).
+  :class:`~repro.core.scheduler.AdmissionGate` protocol as CAD's
+  throttle: the stage runner consults it per free node, and it either
+  declines the offer (rigid mode: queueing delay instead of spill) or
+  shrinks the launch (elastic mode: more concurrency, some spill I/O).
 
 Stall-freedom (the PR 1 lost-wakeup discipline): a memory decline is
 always re-offered — completions on the same runner re-offer as usual,
-:meth:`ClusterMemory.release` notifies every attached gate so *other*
-jobs' runners wake when heap frees, and a node with zero outstanding
-execution reservations always admits one task (shrunk to the floor if
-need be), so the cluster can never deadlock on memory alone.
+:meth:`ClusterMemory.release` notifies every attached gate, which wakes
+its runner, so *other* jobs' stages re-offer when heap frees, and a node
+with zero outstanding execution reservations always admits one task
+(shrunk to the floor if need be), so the cluster can never deadlock on
+memory alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import inf
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+
+from repro.core.scheduler import AdmissionGate
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.task import SimTask
+    from repro.sim.core import Simulator
 
 __all__ = ["MemoryConfig", "SpillCurve", "ClusterMemory", "MemoryGate"]
 
@@ -203,15 +208,16 @@ class ClusterMemory:
             self._listeners.remove(fn)
 
 
-class MemoryGate:
+class MemoryGate(AdmissionGate):
     """Per-stage memory admission: decline offers or shrink launches.
 
     The :class:`~repro.core.scheduler.StageRunner` consults
-    :meth:`can_launch` per free node in its offer sweep (after the CAD
-    throttler, before the policy), calls :meth:`on_launch` when a task
-    starts and :meth:`on_release` when its attempt exits — exactly the
-    throttler's integration points, so the lost-wakeup reasoning carries
-    over unchanged.
+    :meth:`check` per free node in its offer sweep (after CAD, before
+    the policy), calls :meth:`on_launch` when a task starts and
+    :meth:`on_release` when its attempt is booked out.  A decline waits
+    for a heap release: the gate listens to the shared
+    :class:`ClusterMemory` while attached and wakes its runner on every
+    release, its own runner's included.
 
     Grant rule per launch attempt:
 
@@ -227,6 +233,9 @@ class MemoryGate:
     drift could wedge an empty node forever.
     """
 
+    kind = "mem-decline"
+    counter = "sched.mem_declines"
+
     def __init__(self, memory: ClusterMemory, ideal_task_heap: float,
                  elastic: bool = False, min_task_frac: float = 0.25) -> None:
         if ideal_task_heap <= 0:
@@ -240,23 +249,29 @@ class MemoryGate:
         #: live attempt (a list: a speculative twin may land on the same
         #: node as the original).
         self._grants: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-        self._runner = None
+        self._wake: Optional[Callable[[], None]] = None
         # Counters (read by obs wiring / the engine's MemoryMetrics).
         self.declines = 0
         self.tasks_shrunk = 0
         self.min_granted_frac = 1.0
 
     # -- scheduler-facing -------------------------------------------------------
-    def can_launch(self, node: int) -> bool:
+    def check(self, node: int, now: float) -> Optional[float]:
         free = self.memory.free(node)
         if free + _EPS >= self.ideal:
-            return True
+            return None
         if self.memory.exec_count[node] == 0:
-            return True  # progress guarantee: an empty node always admits
+            return None  # progress guarantee: an empty node always admits
         if self.elastic and free + _EPS >= self.min_frac * self.ideal:
-            return True
+            return None
         self.declines += 1
-        return False
+        return inf  # a heap release wakes the runner
+
+    def why(self, node: int, now: float) -> Dict[str, object]:
+        return {"free": self.memory.free(node), "demand": self.ideal,
+                "elastic": self.elastic,
+                "floor": (self.min_frac * self.ideal if self.elastic
+                          else self.ideal)}
 
     def grant_for(self, node: int, ideal: Optional[float] = None) -> float:
         """Heap the next launch on ``node`` would be granted."""
@@ -268,7 +283,7 @@ class MemoryGate:
             return ideal
         return max(self.min_frac * ideal, free)
 
-    def on_launch(self, task: "SimTask", node: int) -> None:
+    def on_launch(self, task: "SimTask", node: int, now: float) -> None:
         ideal = task.heap_bytes if task.heap_bytes else self.ideal
         grant = self.grant_for(node, ideal)
         self.memory.reserve(node, grant)
@@ -298,18 +313,30 @@ class MemoryGate:
             return 1.0
         return grants[-1][1]
 
+    def wake_pending(self) -> bool:
+        """Some task holds heap, so its release will wake this stage.
+        (With nothing outstanding anywhere the progress guarantee
+        admits, so a memory decline is never the last word.)"""
+        return self.memory.has_outstanding()
+
+    def diagnostics(self) -> Dict[str, object]:
+        mem = self.memory
+        return {"memory": {"heap_bytes": mem.heap_bytes,
+                           "exec_used": list(mem.exec_used),
+                           "exec_count": list(mem.exec_count),
+                           "declines": self.declines}}
+
     # -- cross-runner wakeup ----------------------------------------------------
-    def attach(self, runner) -> None:
-        """Bind the stage runner and subscribe to cluster-wide releases,
-        so heap freed by *another* job's task re-offers this stage."""
-        self._runner = runner
+    def attach(self, sim: "Simulator", wake: Callable[[], None]) -> None:
+        """Subscribe to cluster-wide releases, so heap freed by any task,
+        another job's included, re-offers this stage."""
+        self._wake = wake
         self.memory.add_listener(self._on_release_anywhere)
 
     def detach(self) -> None:
         self.memory.remove_listener(self._on_release_anywhere)
-        self._runner = None
+        self._wake = None
 
     def _on_release_anywhere(self, node: int) -> None:
-        runner = self._runner
-        if runner is not None and not runner.done.triggered:
-            runner._offer()
+        if self._wake is not None:
+            self._wake()

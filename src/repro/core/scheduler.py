@@ -16,10 +16,15 @@ record plus one process, the task's body, whose exit books it out; an
 abandoned attempt is booked out at once and its body, if started, runs
 on with its exit ignored (DESIGN.md §8, "Attempt lifecycle").
 
+Admission gates sit between a free slot and the policy: CAD and the
+memory gate answer one :class:`AdmissionGate` protocol (DESIGN.md §7),
+and every decline, a gate's or the policy's, is counted and traced
+through one path.
+
 With a :class:`~repro.core.faults.NodeLiveness` attached, the runner
 also survives whole-node faults (DESIGN.md §9): dead nodes are never
 offered, a crash abandons the node's in-flight attempts (through the
-same CAD ``on_abandon`` path as speculation losers) and purges queued
+same gate ``on_exit`` path as speculation losers) and purges queued
 tasks pinned to it (their input died with the node — the engine recovers
 them through lineage), and a restart re-offers, closing the lost-wakeup
 class PR 1 fixed for timers.
@@ -30,6 +35,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from functools import partial
+from math import inf
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, \
     Set, Tuple
 
@@ -37,7 +43,6 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.sim import simtime
 from repro.sim.events import URGENT, Event
 from repro.sim.process import Process
-from repro.core.cad import CongestionAwareDispatcher
 from repro.core.metrics import FailureRecord, TaskRecord
 from repro.core.policies import SchedulingPolicy
 from repro.core.speculation import SpeculativeExecution, TaskAttemptFailure
@@ -45,14 +50,69 @@ from repro.core.task import SimTask, TaskQueue
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.faults import NodeLiveness
-    from repro.core.memory import MemoryGate
     from repro.sim.core import Simulator
 
-__all__ = ["Attempt", "StageRunner", "StageFailed"]
+__all__ = ["AdmissionGate", "Attempt", "StageRunner", "StageFailed"]
 
 
 class StageFailed(Exception):
     """A task exhausted its attempt budget."""
+
+
+class AdmissionGate:
+    """An offer-time admission gate: CAD, the memory gate (DESIGN.md §7).
+
+    ``check`` returns ``None`` to admit ``node`` or the gate's wake: a
+    strictly future time, or ``inf`` when only an exit on the node or a
+    call of the ``wake`` handed to :meth:`attach` can lift the block.
+    The runner counts each decline under ``counter`` and traces it as
+    ``kind`` with ``node`` first and :meth:`why`'s pure-read payload
+    after.  ``duration`` is ``None`` for a failed or abandoned attempt.
+    """
+
+    kind = ""
+    counter = ""
+
+    def attach(self, sim: "Simulator", wake: Callable[[], None]) -> None:
+        pass
+
+    def detach(self) -> None:
+        pass
+
+    def check(self, node: int, now: float) -> Optional[float]:
+        raise NotImplementedError
+
+    def why(self, node: int, now: float) -> Dict[str, object]:
+        raise NotImplementedError
+
+    def on_launch(self, task: SimTask, node: int, now: float) -> None:
+        pass
+
+    def on_release(self, task: SimTask, node: int) -> None:
+        pass
+
+    def on_exit(self, task: SimTask, node: int,
+                duration: Optional[float]) -> None:
+        pass
+
+    def wake_pending(self) -> bool:
+        return False
+
+    def diagnostics(self) -> Dict[str, object]:
+        return {}
+
+
+class _PolicyDecline:
+    """The policy's own decline, counted and traced like a gate's."""
+
+    kind = "decline"
+
+    def __init__(self, policy: SchedulingPolicy, queue: TaskQueue) -> None:
+        self.policy = policy
+        self.queue = queue
+
+    def why(self, node: int, now: float) -> Dict[str, object]:
+        return self.policy.decline_info(node, self.queue, now)
 
 
 @dataclass(eq=False)
@@ -67,11 +127,18 @@ class Attempt:
 
 
 class StageRunner:
-    """Runs one stage's tasks across the cluster under a policy."""
+    """Runs one stage's tasks across the cluster under a policy.
+
+    ``gates`` are checked per free node in order (the engine passes CAD,
+    then the memory gate) before the policy.  The runner attaches each
+    gate, traces its declines as ``throttle``/``mem-decline`` with the
+    gate's own payload, and detaches it when the stage ends; CAD traces
+    its ``cad-step`` feedback from ``on_exit`` itself.
+    """
 
     def __init__(self, sim: "Simulator", n_nodes: int, cores_per_node: int,
                  tasks: Sequence[SimTask], policy: SchedulingPolicy,
-                 throttler: Optional[CongestionAwareDispatcher] = None,
+                 gates: Sequence[AdmissionGate] = (),
                  speculation: Optional[SpeculativeExecution] = None,
                  task_overhead: float = 0.0,
                  max_attempt_failures: int = 3,
@@ -81,20 +148,11 @@ class StageRunner:
                  failure_log: Optional[List[FailureRecord]] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  slots: Optional[Sequence[int]] = None,
-                 slot_listener: Optional[Callable[[int], None]] = None,
-                 memory: Optional["MemoryGate"] = None
+                 slot_listener: Optional[Callable[[int], None]] = None
                  ) -> None:
         self.sim = sim
         self.n_nodes = n_nodes
         self.policy = policy
-        self.throttler = throttler
-        #: Memory admission gate (DESIGN.md §13); ``None`` = unmanaged.
-        #: Same offer/decline integration points as the CAD throttler:
-        #: consulted per node in the offer sweep, notified at launch and
-        #: at attempt exit.  Declines are re-offered by completions here
-        #: and by heap releases anywhere (the gate subscribes to the
-        #: shared ClusterMemory when the engine attaches it).
-        self.memory = memory
         self.liveness = liveness
         self.failure_log = failure_log
         #: Pinned tasks abandoned because their node died with their data.
@@ -155,21 +213,32 @@ class StageRunner:
         self._m_requeues = metrics.counter("sched.crash_requeues", labels)
         self._m_duration = metrics.histogram("sched.task_duration_s", labels)
         # Decision counters (audit visibility: every declined offer by
-        # gate — CAD throttle, memory gate, policy/ELB decline).
-        self._m_throttles = metrics.counter("sched.throttle_declines",
-                                            labels)
-        self._m_mem_declines = metrics.counter("sched.mem_declines", labels)
-        self._m_declines = metrics.counter("sched.policy_declines", labels)
+        # gate — CAD throttle, memory gate, policy/ELB decline), created
+        # for every stage, gated or not.
+        for name in ("sched.throttle_declines", "sched.mem_declines"):
+            metrics.counter(name, labels)
+        self._policy_decline = (_PolicyDecline(policy, self.queue),
+                                metrics.counter("sched.policy_declines",
+                                                labels))
+        #: (gate, its decline counter) in check order: CAD, then memory.
+        self._gates = tuple((gate, metrics.counter(gate.counter, labels))
+                            for gate in gates)
+        for gate in gates:
+            gate.attach(sim, self._offer)
         self._retry_token = 0
         self._retry_deadline: Optional[float] = None
         self._spec_token = 0
         sim.add_diagnostic(self.diagnostic_snapshot)
         # Deregister at stage end (success or failure): on a long-lived
         # simulator the diagnostic list must not grow per stage forever.
-        self.done.add_callback(
-            lambda _ev: sim.remove_diagnostic(self.diagnostic_snapshot))
+        self.done.add_callback(self._on_done)
         if self._remaining == 0:
             self.done.succeed(self.records)
+
+    def _on_done(self, _ev: Event) -> None:
+        self.sim.remove_diagnostic(self.diagnostic_snapshot)
+        for gate, _ in self._gates:
+            gate.detach()
 
     # -- public -----------------------------------------------------------------
     def run(self) -> Event:
@@ -315,13 +384,14 @@ class StageRunner:
         if self.sim._tracing:
             self.sim.trace("offer", free_slots=list(self.free_slots),
                            pending=len(self.queue))
+        gates = self._gates
         while len(self.queue) > 0:
             free = self._free_nodes()
             if not free:
                 return
             order = self.policy.node_order(free)
             launched_any = False
-            throttle_retry: Optional[float] = None
+            gate_retry = inf
             for node in order:
                 if len(self.queue) == 0:
                     # Nothing left to place: the remaining nodes in this
@@ -332,76 +402,37 @@ class StageRunner:
                     break
                 if self.free_slots[node] <= 0:
                     continue
-                if self.throttler is not None and \
-                        not self.throttler.ready(node, now):
-                    self._m_throttles.inc()
-                    t = self.throttler.retry_at(node)
-                    if not simtime.reached(now, t):
-                        # Pacing gate: ready() declined with the same
-                        # reached() test, so t is strictly future and a
-                        # timer can be armed.
-                        throttle_retry = t if throttle_retry is None \
-                            else min(throttle_retry, t)
-                        if self.sim._tracing:
-                            self.sim.trace("throttle", node=node,
-                                           reason="pacing", retry_at=t,
-                                           **self._throttle_state(node))
-                    else:
-                        # Blocked on concurrency; the next completion or
-                        # abandoned attempt on the node re-offers.
-                        if self.sim._tracing:
-                            self.sim.trace("throttle", node=node,
-                                           reason="concurrency",
-                                           **self._throttle_state(node))
-                    continue
-                if self.memory is not None and \
-                        not self.memory.can_launch(node):
-                    # Not enough free heap for a launch (rigid: one ideal
-                    # heap; elastic: the shrink floor).  Re-offered by a
-                    # completion here or a heap release anywhere.
-                    self._m_mem_declines.inc()
-                    if self.sim._tracing:
-                        gate = self.memory
-                        self.sim.trace(
-                            "mem-decline", node=node,
-                            free=gate.memory.free(node),
-                            demand=gate.ideal,
-                            elastic=gate.elastic,
-                            floor=(gate.min_frac * gate.ideal
-                                   if gate.elastic else gate.ideal))
-                    continue
-                task = self.policy.select(node, self.queue, now)
-                if task is None:
-                    self._m_declines.inc()
-                    if self.sim._tracing:
-                        # decline_info is a pure read re-deriving the
-                        # decision's justifying state (reason + numbers)
-                        # for the audit log.
-                        self.sim.trace(
-                            "decline", node=node,
-                            **self.policy.decline_info(node, self.queue,
-                                                       now))
-                    continue
-                self._launch(task, node)
-                launched_any = True
+                # The first decline ends the node's turn: gates in order,
+                # then the policy, whose own retry time comes from
+                # next_retry below.
+                for gate, declines in gates:
+                    wake = gate.check(node, now)
+                    if wake is not None:
+                        break
+                else:
+                    task = self.policy.select(node, self.queue, now)
+                    if task is not None:
+                        self._launch(task, node)
+                        launched_any = True
+                        continue
+                    gate, declines = self._policy_decline
+                    wake = inf
+                declines.inc()
+                if self.sim._tracing:
+                    # why() is a pure read re-deriving the decision's
+                    # justifying state (reason + numbers) for the audit.
+                    self.sim.trace(gate.kind, node=node,
+                                   **gate.why(node, now))
+                if wake < gate_retry:
+                    gate_retry = wake
             if not launched_any:
                 retry = self.policy.next_retry(self.queue, now)
-                if throttle_retry is not None:
-                    retry = throttle_retry if retry is None \
-                        else min(retry, throttle_retry)
-                if retry is not None and retry > now:
+                if retry is None or gate_retry < retry:
+                    retry = gate_retry
+                if now < retry < inf:
                     self._arm_retry(retry)
                 break
         self._maybe_speculate()
-
-    def _throttle_state(self, node: int) -> Dict[str, object]:
-        """CAD state justifying a throttle decision (tracing only)."""
-        thr = self.throttler
-        return {"delay": thr.delay,
-                "in_flight": thr._in_flight.get(node, 0),
-                "target": thr.target_concurrency,
-                "window_avg": thr._window_avg,
-                "baseline": thr._baseline}
 
     def _arm_retry(self, when: float) -> None:
         self._retry_token += 1
@@ -427,10 +458,10 @@ class StageRunner:
             return
         now = self.sim.now
         while True:
-            free = self._free_nodes()
-            if self.memory is not None:
-                # Backup copies obey the memory gate like any launch.
-                free = [n for n in free if self.memory.can_launch(n)]
+            # Backup copies obey the gates like any launch.
+            free = [n for n in self._free_nodes()
+                    if all(gate.check(n, now) is None
+                           for gate, _ in self._gates)]
             if not free:
                 break
             straggler = self._pick_straggler(now)
@@ -505,10 +536,8 @@ class StageRunner:
         self._m_launches.inc()
         if speculative:
             self._m_spec.inc()
-        if self.throttler is not None:
-            self.throttler.on_launch(node, self.sim.now)
-        if self.memory is not None:
-            self.memory.on_launch(task, node)
+        for gate, _ in self._gates:
+            gate.on_launch(task, node, self.sim.now)
         if self.sim._tracing:
             self.sim.trace("launch", task=task.task_id, node=node,
                            speculative=speculative, phase=task.phase,
@@ -554,11 +583,10 @@ class StageRunner:
     def _on_abandoned(self, attempt: Attempt, cause: str) -> None:
         task, node = attempt.task, attempt.node
         self._book_out(attempt)
-        # The attempt never completes: release its in-flight count
-        # ourselves, or a throttled node blocked on concurrency would
-        # wait forever for a completion that cannot come.
-        if self.throttler is not None:
-            self.throttler.on_abandon(node)
+        # The attempt never completes: tell the gates now, or a node
+        # blocked on CAD's concurrency cap would wait forever for a
+        # completion that cannot come.
+        self._exit_gates(task, node, None)
         if self.sim._tracing:
             self.sim.trace("interrupt", task=task.task_id, node=node,
                            cause=cause)
@@ -569,8 +597,8 @@ class StageRunner:
     def _book_out(self, attempt: Attempt) -> None:
         """Return the attempt's heap and slot and drop it from the table."""
         task, node = attempt.task, attempt.node
-        if self.memory is not None:
-            self.memory.on_release(task, node)
+        for gate, _ in self._gates:
+            gate.on_release(task, node)
         self._release_slot(node)
         attempts = self._attempts[task.task_id]
         attempts.remove(attempt)
@@ -588,8 +616,7 @@ class StageRunner:
         task, node = attempt.task, attempt.node
         self._book_out(attempt)
         if isinstance(body.value, TaskAttemptFailure):
-            if self.throttler is not None:
-                self.throttler.on_abandon(node)
+            self._exit_gates(task, node, None)
             self._handle_failure(task, node)
             self._offer()
             return
@@ -613,26 +640,7 @@ class StageRunner:
         self._m_completions.inc()
         self._m_duration.observe(duration)
         self.policy.on_complete(task, node, duration)
-        if self.throttler is not None:
-            if self.sim._tracing:
-                # Observe whether this completion moved the CAD delay so
-                # the audit log records the feedback step with the state
-                # that justified it (identical on_complete call either
-                # way — tracing reads, never steers).
-                thr = self.throttler
-                before = thr.delay
-                thr.on_complete(duration, node)
-                if thr.delay != before:
-                    self.sim.trace(
-                        "cad-step", node=node,
-                        step=("increase" if thr.delay > before
-                              else "decrease"),
-                        prev=before, delay=thr.delay,
-                        window_avg=thr._window_avg,
-                        baseline=thr._baseline,
-                        trigger_ratio=thr.trigger_ratio)
-            else:
-                self.throttler.on_complete(duration, node)
+        self._exit_gates(task, node, duration)
         if self.speculation is not None:
             self.speculation.on_complete(duration)
             if attempt.speculative:
@@ -649,6 +657,11 @@ class StageRunner:
             self.done.succeed(self.records)
         else:
             self._offer()
+
+    def _exit_gates(self, task: SimTask, node: int,
+                    duration: Optional[float]) -> None:
+        for gate, _ in self._gates:
+            gate.on_exit(task, node, duration)
 
     def _handle_failure(self, task: SimTask, node: int) -> None:
         count = self._failures.get(task.task_id, 0) + 1
@@ -696,14 +709,8 @@ class StageRunner:
         if any(self._owed_slots.values()):
             snap["owed_slots"] = {n: k for n, k in self._owed_slots.items()
                                   if k > 0}
-        if self.memory is not None:
-            mem = self.memory.memory
-            snap["memory"] = {
-                "heap_bytes": mem.heap_bytes,
-                "exec_used": list(mem.exec_used),
-                "exec_count": list(mem.exec_count),
-                "declines": self.memory.declines,
-            }
+        for gate, _ in self._gates:
+            snap.update(gate.diagnostics())
         violation = self.wakeup_invariant_violation()
         if violation is not None:
             snap["invariant_violation"] = violation
@@ -732,12 +739,8 @@ class StageRunner:
             return None  # a running attempt's exit always re-offers
         if self._retry_deadline is not None:
             return None  # an armed wakeup timer will re-offer
-        if self.memory is not None and self.memory.memory.has_outstanding():
-            # Another job's task holds heap: its release notifies our
-            # gate, which re-offers.  (With nothing outstanding anywhere
-            # the gate's progress guarantee admits, so a memory decline
-            # can never be the last word.)
-            return None
+        if any(gate.wake_pending() for gate, _ in self._gates):
+            return None  # e.g. another job's heap release will re-offer
         pending = [t.task_id for t in self.queue.pending()]
         return (f"pending tasks {pending} with free slots on nodes {free} "
                 f"but no armed wakeup and no running attempts")

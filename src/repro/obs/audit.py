@@ -1,11 +1,14 @@
 """Scheduler decision audit: every veto/throttle/decline with the state
 that justified it.
 
-The offer loop already traces its decisions (``decline``, ``throttle``,
-``mem-decline``, ``cad-step``); since PR 10 those payloads carry the
-*justifying state* — the node volume vs. the cluster average behind an
-ELB veto, the CAD running mean vs. its trigger threshold behind a
-throttle step, the free heap vs. demand behind a memory decline.  This
+The offer loop already traces its decisions: the stage runner traces
+``decline`` from the policy's ``decline_info`` and ``throttle`` and
+``mem-decline`` from the declining admission gate's own ``why``
+payload, and CAD traces its ``cad-step`` when a completion moves its
+delay.  Those payloads carry the *justifying state* — the node volume
+vs. the cluster average behind an ELB veto, the CAD running mean vs.
+its trigger threshold behind a throttle step, the free heap vs. demand
+behind a memory decline.  This
 module folds the event stream (a run log's
 :class:`~repro.obs.eventlog.EventLog`, of which it reads the decision
 kinds only, or ``(t, kind, payload)`` tuples or :class:`TraceEvent`

@@ -5,8 +5,8 @@ providing the substrate for every simulated subsystem in this package:
 
 * :class:`~repro.sim.core.Simulator` — the event loop.
 * :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.AllOf`, :class:`~repro.sim.events.AnyOf` —
-  waitable events with success/failure propagation.
+  :class:`~repro.sim.events.AllOf` — waitable events with
+  success/failure propagation.
 * :class:`~repro.sim.process.Process` — a generator that yields events.
 * :class:`~repro.sim.resources.Resource`,
   :class:`~repro.sim.resources.Container`,
@@ -22,7 +22,7 @@ providing the substrate for every simulated subsystem in this package:
 """
 
 from repro.sim.core import SimulationDeadlock, Simulator
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.resources import Container, Resource, Store
 from repro.sim.fluid import FluidPipe, Flow
@@ -31,7 +31,6 @@ from repro.sim.trace import TraceEvent
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "Container",
     "Event",
     "Flow",

@@ -8,7 +8,7 @@ from collections import deque
 from typing import Any, Callable, Dict, Generator, Iterable, List, \
     Optional, Union
 
-from repro.sim.events import NORMAL, URGENT, AllOf, AnyOf, Event, Timeout
+from repro.sim.events import NORMAL, URGENT, AllOf, Event, Timeout
 from repro.sim.process import Process
 from repro.sim.trace import TraceEvent
 
@@ -182,9 +182,6 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def schedule_callback(self, delay: float, fn, *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` sim-time units.

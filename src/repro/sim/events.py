@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 URGENT = 0
 NORMAL = 1
 
-__all__ = ["Event", "Timeout", "AllOf", "AnyOf", "URGENT", "NORMAL"]
+__all__ = ["Event", "Timeout", "AllOf", "URGENT", "NORMAL"]
 
 #: Marker for "no outcome yet" in :attr:`Event._value`.
 _PENDING = object()
@@ -130,10 +130,6 @@ class Event:
             raise RuntimeError(f"event {self!r} already processed")
         self.callbacks.append(cb)
 
-    def remove_callback(self, cb: Callable[["Event"], None]) -> None:
-        if self.callbacks is not None and cb in self.callbacks:
-            self.callbacks.remove(cb)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "processed" if self.processed else (
             "triggered" if self.triggered else "pending")
@@ -160,8 +156,8 @@ class Timeout(Event):
         heappush(sim._queue, (sim._now + delay, NORMAL, seq, None, self))
 
 
-class _Condition(Event):
-    """Base for AllOf / AnyOf composite events."""
+class AllOf(Event):
+    """Succeeds when every child event has succeeded; fails on first failure."""
 
     __slots__ = ("events", "_count")
 
@@ -186,7 +182,15 @@ class _Condition(Event):
             self.succeed(ConditionValue({}))
 
     def _check(self, ev: Event) -> None:
-        raise NotImplementedError
+        if self._value is not _PENDING:
+            return
+        if not ev._ok:
+            ev._defused = True
+            self.fail(ev._value)
+            return
+        self._count += 1
+        if self._count == len(self.events):
+            self.succeed(self._collect())
 
     def _collect(self) -> "ConditionValue":
         return ConditionValue({e: e._value for e in self.events
@@ -224,36 +228,3 @@ class ConditionValue:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ConditionValue({self._dict!r})"
-
-
-class AllOf(_Condition):
-    """Succeeds when every child event has succeeded; fails on first failure."""
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not ev._ok:
-            ev._defused = True
-            self.fail(ev._value)
-            return
-        self._count += 1
-        if self._count == len(self.events):
-            self.succeed(self._collect())
-
-
-class AnyOf(_Condition):
-    """Succeeds when any child event succeeds; fails on first failure."""
-
-    __slots__ = ()
-
-    def _check(self, ev: Event) -> None:
-        if self._value is not _PENDING:
-            return
-        if not ev._ok:
-            ev._defused = True
-            self.fail(ev._value)
-            return
-        self.succeed(self._collect())
-

@@ -12,7 +12,10 @@ event unbounded — the structured run log reads each event's
 :attr:`TraceEvent.record` tuple into its columnar store
 (:mod:`repro.obs.eventlog`).
 
-Event kinds emitted by the stage runner:
+Event kinds emitted by the stage runner (``throttle`` and
+``mem-decline`` are an admission gate's decline, traced by the runner
+with the gate's own ``why`` payload after ``node``) and by CAD
+(``cad-step``, from its exit hook):
 
 =================  ==========================================================
 kind               meaning / payload
@@ -25,7 +28,7 @@ kind               meaning / payload
                    scheduling's ``wait``/``reference``/``deadline``)
 ``launch``         a task attempt started (``task``, ``node``,
                    ``speculative``, ``phase``, ``queued``)
-``throttle``       CAD blocked a node (``node``, ``reason``,
+``throttle``       CAD blocked a node (``node``, ``reason``, for pacing
                    ``retry_at``, plus the gate state: ``delay``,
                    ``in_flight``, ``target``, ``window_avg``,
                    ``baseline``)

@@ -104,7 +104,7 @@ class TestComputeNode:
     def test_node_has_cores_and_volumes(self):
         sim = Simulator()
         node = ComputeNode(sim, 0, NodeSpec())
-        assert node.cores.capacity == 16
+        assert node.spec.cores == 16
         assert set(node.volumes) == {"ramdisk", "ssd"}
 
     def test_compute_scales_with_speed_factor(self):

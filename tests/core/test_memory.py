@@ -130,31 +130,31 @@ class TestMemoryGate:
         mem = ClusterMemory(1, heap_bytes=2 * GB)
         gate = MemoryGate(mem, ideal_task_heap=GB)
         t0, t1 = _Task(0), _Task(1)
-        assert gate.can_launch(0)
-        gate.on_launch(t0, 0)
-        assert gate.can_launch(0)
-        gate.on_launch(t1, 0)
-        assert not gate.can_launch(0)
+        assert gate.check(0, 0.0) is None
+        gate.on_launch(t0, 0, 0.0)
+        assert gate.check(0, 0.0) is None
+        gate.on_launch(t1, 0, 0.0)
+        assert gate.check(0, 0.0) is not None
         assert gate.declines == 1
         assert t0.mem_frac == 1.0 and t1.mem_frac == 1.0
         gate.on_release(t0, 0)
-        assert gate.can_launch(0)
+        assert gate.check(0, 0.0) is None
 
     def test_elastic_shrinks_into_remainder(self):
         mem = ClusterMemory(1, heap_bytes=2.5 * GB)
         gate = MemoryGate(mem, ideal_task_heap=GB, elastic=True,
                           min_task_frac=0.25)
         for tid in (0, 1):
-            gate.on_launch(_Task(tid), 0)
+            gate.on_launch(_Task(tid), 0, 0.0)
         t2 = _Task(2)
-        assert gate.can_launch(0)
-        gate.on_launch(t2, 0)
+        assert gate.check(0, 0.0) is None
+        gate.on_launch(t2, 0, 0.0)
         assert t2.mem_frac == pytest.approx(0.5)
         assert gate.tasks_shrunk == 1
         assert gate.min_granted_frac == pytest.approx(0.5)
         assert gate.frac_of(2, 0) == pytest.approx(0.5)
         # Below the floor: 0 remaining < 0.25 * ideal.
-        assert not gate.can_launch(0)
+        assert gate.check(0, 0.0) is not None
 
     def test_progress_guarantee_on_empty_node(self):
         """A node with no executing reservations always admits, however
@@ -162,18 +162,18 @@ class TestMemoryGate:
         mem = ClusterMemory(1, heap_bytes=0.1 * GB)
         gate = MemoryGate(mem, ideal_task_heap=GB)
         t = _Task(0)
-        assert gate.can_launch(0)
-        gate.on_launch(t, 0)
-        assert not gate.can_launch(0)
+        assert gate.check(0, 0.0) is None
+        gate.on_launch(t, 0, 0.0)
+        assert gate.check(0, 0.0) is not None
         gate.on_release(t, 0)
-        assert gate.can_launch(0)
+        assert gate.check(0, 0.0) is None
 
     def test_release_frees_what_was_granted(self):
         mem = ClusterMemory(1, heap_bytes=1.5 * GB)
         gate = MemoryGate(mem, ideal_task_heap=GB, elastic=True)
         t0, t1 = _Task(0), _Task(1)
-        gate.on_launch(t0, 0)        # full GB
-        gate.on_launch(t1, 0)        # shrunk 0.5 GB
+        gate.on_launch(t0, 0, 0.0)   # full GB
+        gate.on_launch(t1, 0, 0.0)   # shrunk 0.5 GB
         assert mem.free(0) == pytest.approx(0.0)
         gate.on_release(t1, 0)
         assert mem.free(0) == pytest.approx(0.5 * GB)
@@ -184,7 +184,7 @@ class TestMemoryGate:
         mem = ClusterMemory(1, heap_bytes=4 * GB)
         gate = MemoryGate(mem, ideal_task_heap=GB)
         big = _Task(0, heap_bytes=3 * GB)
-        gate.on_launch(big, 0)
+        gate.on_launch(big, 0, 0.0)
         assert mem.free(0) == pytest.approx(GB)
 
 

@@ -1,5 +1,7 @@
 """Tests for the stage runner, policies, ELB and CAD."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,9 +10,10 @@ from repro.core.elb import EnhancedLoadBalancer
 from repro.core.faults import NodeLiveness
 from repro.core.memory import ClusterMemory, MemoryGate
 from repro.core.policies import DelayScheduling, LocalityFirstPolicy
-from repro.core.scheduler import StageRunner
+from repro.core.scheduler import AdmissionGate, StageRunner
 from repro.core.speculation import TaskAttemptFailure
 from repro.core.task import SimTask, TaskQueue
+from repro.obs.registry import MetricsRegistry
 from repro.sim import FluidPipe, Simulator
 from repro.sim import process as sim_process
 
@@ -76,10 +79,10 @@ class TestTaskQueue:
 
 class TestStageRunner:
     def run_stage(self, sim, tasks, n_nodes=2, cores=2, policy=None,
-                  throttler=None, overhead=0.0):
+                  gates=(), overhead=0.0):
         runner = StageRunner(sim, n_nodes, cores, tasks,
                              policy=policy or LocalityFirstPolicy(),
-                             throttler=throttler, task_overhead=overhead)
+                             gates=gates, task_overhead=overhead)
         done = runner.run()
         sim.run(until=done)
         return runner
@@ -245,52 +248,64 @@ class TestELB:
                                  threshold=-0.1)
 
 
+def attached_cad(**kwargs):
+    """A CAD gate bound to a simulator, as a stage runner binds it."""
+    cad = CongestionAwareDispatcher(**kwargs)
+    cad.attach(Simulator(), lambda: None)
+    return cad
+
+
+def complete(cad, duration, node=0):
+    """Feed one completed attempt's execution time."""
+    cad.on_exit(None, node, duration)
+
+
 class TestCAD:
     def test_no_throttle_initially(self):
         cad = CongestionAwareDispatcher()
-        assert cad.ready(0, 0.0)
+        assert cad.check(0, 0.0) is None
         assert cad.delay == 0.0
 
     def test_delay_grows_while_congested(self):
-        cad = CongestionAwareDispatcher(step=0.05, window=5)
+        cad = attached_cad(step=0.05, window=5)
         for _ in range(5):
-            cad.on_complete(1.0)   # establishes the baseline
+            complete(cad, 1.0)   # establishes the baseline
         for _ in range(5):
-            cad.on_complete(3.0)   # sustained 3x congestion
+            complete(cad, 3.0)   # sustained 3x congestion
         assert cad.delay >= 0.05
         assert cad.increases >= 1
         before = cad.delay
         for _ in range(5):
-            cad.on_complete(3.0)   # still congested: keeps backing off
+            complete(cad, 3.0)   # still congested: keeps backing off
         assert cad.delay > before
 
     def test_delay_shrinks_when_times_halve(self):
-        cad = CongestionAwareDispatcher(step=0.05, window=5)
+        cad = attached_cad(step=0.05, window=5)
         for _ in range(5):
-            cad.on_complete(4.0)
+            complete(cad, 4.0)
         for _ in range(5):
-            cad.on_complete(9.0)   # jump -> +step(s)
+            complete(cad, 9.0)   # jump -> +step(s)
         peak = cad.delay
         assert peak > 0
         for _ in range(10):
-            cad.on_complete(2.0)   # halved -> steps back down
+            complete(cad, 2.0)   # halved -> steps back down
         assert cad.decreases >= 1
         assert cad.delay < peak
 
     def test_gating_after_launch(self):
         cad = CongestionAwareDispatcher(step=0.05, window=2)
         cad.delay = 0.1
-        cad.on_launch(3, now=10.0)
-        assert not cad.ready(3, 10.05)
-        assert cad.ready(3, 10.11)
-        assert cad.ready(4, 10.05)  # other nodes unaffected
+        cad.on_launch(None, 3, now=10.0)
+        assert cad.check(3, 10.05) is not None
+        assert cad.check(3, 10.11) is None
+        assert cad.check(4, 10.05) is None  # other nodes unaffected
 
     def test_delay_capped(self):
-        cad = CongestionAwareDispatcher(step=1.0, window=1, max_delay=2.0)
-        cad.on_complete(1.0)
-        cad.on_complete(1.0)  # sets reference
+        cad = attached_cad(step=1.0, window=1, max_delay=2.0)
+        complete(cad, 1.0)
+        complete(cad, 1.0)  # sets reference
         for t in (10.0, 100.0, 1000.0, 10000.0):
-            cad.on_complete(t)
+            complete(cad, t)
         assert cad.delay <= 2.0
 
     def test_validation(self):
@@ -309,7 +324,7 @@ class TestCAD:
         cad = CongestionAwareDispatcher(max_spacing=1.0)
         cad.delay = 1.0  # pre-set: every launch arms a 1 s per-node gate
         runner = StageRunner(sim, 1, 4, tasks, policy=LocalityFirstPolicy(),
-                             throttler=cad)
+                             gates=(cad,))
         done = runner.run()
         sim.run(until=done)
         starts = sorted(r.started_at for r in runner.records)
@@ -323,7 +338,7 @@ class TestCAD:
                                         max_spacing=0.0001)
         cad.delay = 0.05  # congestion already detected
         runner = StageRunner(sim, 1, 8, tasks, policy=LocalityFirstPolicy(),
-                             throttler=cad)
+                             gates=(cad,))
         done = runner.run()
         sim.run(until=done)
         events = []
@@ -349,7 +364,7 @@ class TestCAD:
                                         max_spacing=1e-4)
         cad.delay = 0.05  # congestion detected: the in-flight cap is live
         runner = StageRunner(sim, 1, 2, tasks,
-                             policy=LocalityFirstPolicy(), throttler=cad)
+                             policy=LocalityFirstPolicy(), gates=(cad,))
         runner.run()
         # Task 0 holds the single concurrency slot; task 1 is blocked.
         assert len(runner.records) == 0
@@ -363,6 +378,88 @@ class TestCAD:
         started = {tid: a[0].started for tid, a in runner._attempts.items()}
         assert started == {1: pytest.approx(1.0)}
         assert runner.wakeup_invariant_violation() is None
+
+
+class StubGate(AdmissionGate):
+    """Declines node 0 until ``until`` with a time wake, then with
+    ``inf`` until it is lifted by an exit (``lift="exit"``) or by
+    :meth:`lift` calling the runner's wake."""
+
+    kind = "stub-block"
+    counter = "sched.stub_declines"
+
+    def __init__(self, until, lift):
+        self.until = until
+        self.lift_on_exit = lift == "exit"
+        self.held = True
+        self.wake = None
+        self.detached = False
+
+    def attach(self, sim, wake):
+        self.wake = wake
+
+    def detach(self):
+        self.detached = True
+
+    def check(self, node, now):
+        if node != 0:
+            return None
+        if now < self.until:
+            return self.until
+        return math.inf if self.held else None
+
+    def why(self, node, now):
+        return {"reason": "timed" if now < self.until else "held",
+                "until": self.until}
+
+    def on_exit(self, task, node, duration):
+        if self.lift_on_exit:
+            self.held = False
+
+    def lift(self):
+        self.held = False
+        self.wake()
+
+
+class TestAdmissionGateProtocol:
+    """A fake gate drives the runner through the protocol alone."""
+
+    @pytest.mark.parametrize("lift, lifted_at", [("exit", 1.0),
+                                                 ("wake", 0.75)])
+    def test_stub_gate_declines_wakes_and_detaches(self, lift, lifted_at):
+        sim = Simulator()
+        sim.enable_trace(capacity=10_000)
+        registry = MetricsRegistry()
+        gate = StubGate(until=0.5, lift=lift)
+        runner = StageRunner(sim, 2, 1, make_tasks(sim, 3, duration=1.0),
+                             policy=LocalityFirstPolicy(), gates=(gate,),
+                             metrics=registry)
+        done = runner.run()
+        if lift == "wake":
+            sim.schedule_callback(lifted_at, gate.lift)
+        assert not gate.detached
+        sim.run(until=done)
+        assert gate.detached
+
+        blocks = sim.trace_events("stub-block")
+        # Two passes at t=0 hit the timed block, the retry at 0.5 the
+        # held one; the lift then admits node 0.
+        assert [(e.time, e.data["reason"]) for e in blocks] == \
+            [(0.0, "timed"), (0.0, "timed"), (0.5, "held")]
+        assert all(list(e.data) == ["node", "reason", "until"]
+                   and e.data["node"] == 0 for e in blocks)
+        counters = registry.counters
+        assert counters["sched.stub_declines{phase=compute}"].value == 3
+        for name in ("throttle", "mem", "policy"):
+            assert counters[f"sched.{name}_declines{{phase=compute}}"] \
+                .value == 0
+        # The time wake armed the retry at exactly that time; the inf
+        # wake armed nothing.
+        assert [e.data["at"] for e in sim.trace_events("retry-armed")] \
+            == [0.5]
+        first_on_0 = min(r.started_at for r in runner.records if r.node == 0)
+        assert first_on_0 == pytest.approx(lifted_at)
+        assert sorted(r.task_id for r in runner.records) == [0, 1, 2]
 
 
 class TestAbandon:
@@ -391,7 +488,7 @@ class TestAbandon:
         lv = NodeLiveness(2)
         runner = self._stage(sim, [body] * 2, cores=1, overhead=overhead,
                              liveness=lv,
-                             memory=MemoryGate(mem, ideal_task_heap=1.0))
+                             gates=(MemoryGate(mem, ideal_task_heap=1.0),))
         done = runner.run()
         assert [a[0].node for a in runner._attempts.values()] == [0, 1]
         lv.mark_dead(1)
@@ -444,7 +541,7 @@ class TestAbandon:
         mem = ClusterMemory(2, heap_bytes=4.0)
         lv = NodeLiveness(2)
         runner = self._stage(sim, [body] * 4, liveness=lv,
-                             memory=MemoryGate(mem, ideal_task_heap=1.0))
+                             gates=(MemoryGate(mem, ideal_task_heap=1.0),))
         sim.enable_trace()
         done = runner.run()
 

@@ -4,12 +4,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cad import CongestionAwareDispatcher
 from repro.core.elb import EnhancedLoadBalancer
 from repro.core.faults import NodeLiveness
+from repro.core.memory import ClusterMemory, MemoryGate
 from repro.core.policies import DelayScheduling, LocalityFirstPolicy
 from repro.core.scheduler import StageRunner
 from repro.core.speculation import SpeculativeExecution
 from repro.core.task import SimTask
+from repro.obs.registry import MetricsRegistry
 from repro.sim import Simulator
 
 
@@ -162,3 +165,63 @@ def test_speculation_preserves_exactly_once_records(task_set, n_nodes):
     sim.run(until=done)
     assert sorted(r.task_id for r in runner.records) == \
         list(range(len(tasks)))
+
+
+@given(st.lists(st.tuples(st.floats(min_value=0.01, max_value=5.0),
+                          st.one_of(st.none(), st.integers(0, 7))),
+                min_size=1, max_size=30),
+       st.integers(2, 3), st.integers(1, 3), st.booleans(),
+       st.sampled_from([0.5, 1.0, 1.5, 2.5]),
+       st.one_of(st.none(),
+                 st.tuples(st.floats(min_value=0.0, max_value=6.0),
+                           st.integers(0, 7))))
+@settings(max_examples=60, deadline=None)
+def test_cad_and_memory_gate_on_one_runner(task_set, n_nodes, cores,
+                                           elastic, heap, crash):
+    """CAD and the memory gate together on one runner: every task runs
+    once or dies with its node, no wakeup is lost, the heap and CAD's
+    in-flight counts drain to zero, and every decline is counted once
+    and traced once."""
+    sim = Simulator()
+    sim.enable_trace(capacity=1_000_000)
+    durations = [d for d, _ in task_set]
+    tasks = build_tasks(sim, durations, [None] * len(task_set), n_nodes)
+    for task, (_, pin) in zip(tasks, task_set):
+        task.pinned = None if pin is None else pin % n_nodes
+    cad = CongestionAwareDispatcher(window=2, target_concurrency=1)
+    mem = ClusterMemory(n_nodes, heap_bytes=heap)
+    gate = MemoryGate(mem, ideal_task_heap=1.0, elastic=elastic,
+                      min_task_frac=0.25)
+    liveness = NodeLiveness(n_nodes)
+    registry = MetricsRegistry()
+    runner = StageRunner(sim, n_nodes, cores, tasks,
+                         policy=LocalityFirstPolicy(), gates=(cad, gate),
+                         liveness=liveness, metrics=registry)
+    done = runner.run()
+    if crash is not None:
+        at, node = crash
+
+        def kill(node=node % n_nodes):
+            liveness.mark_dead(node)
+            runner.on_node_crash(node)
+
+        sim.schedule_callback(at, kill)
+    sim.run(until=done)
+    sim.run()   # abandoned bodies run on; let them drain
+
+    done_ids = [r.task_id for r in runner.records]
+    lost_ids = [t.task_id for t in runner.tasks_lost]
+    assert len(done_ids) == len(set(done_ids))
+    assert sorted(done_ids + lost_ids) == list(range(len(tasks)))
+    if crash is None:
+        assert not lost_ids
+    assert runner.wakeup_invariant_violation() is None
+    assert mem.exec_used == [0.0] * n_nodes
+    assert mem.exec_count == [0] * n_nodes
+    assert not mem.has_outstanding()
+    assert sum(cad._in_flight.values()) == 0
+    counters = registry.counters
+    assert counters["sched.throttle_declines{phase=compute}"].value == \
+        len(sim.trace_events("throttle"))
+    assert counters["sched.mem_declines{phase=compute}"].value == \
+        len(sim.trace_events("mem-decline"))

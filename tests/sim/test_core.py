@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator, Timeout
+from repro.sim import AllOf, Event, Simulator, Timeout
 from repro.sim.core import EmptySchedule
 
 
@@ -180,15 +180,6 @@ class TestConditions:
         assert cond.value[t1] == "one"
         assert cond.value[t2] == "two"
         assert sim.now == 2.0
-
-    def test_anyof_fires_on_first(self):
-        sim = Simulator()
-        t1 = sim.timeout(1.0, value="fast")
-        t2 = sim.timeout(5.0, value="slow")
-        cond = AnyOf(sim, [t1, t2])
-        sim.run(until=cond)
-        assert sim.now == 1.0
-        assert t1 in cond.value and t2 not in cond.value
 
     def test_allof_empty_succeeds_immediately(self):
         sim = Simulator()

@@ -16,7 +16,7 @@ from repro.cluster.spec import hyperion
 from repro.core.engine import run_job
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import AllOf, AnyOf, Process, Simulator, fastdrain
+from repro.sim import AllOf, Process, Simulator, fastdrain
 from repro.sim.events import URGENT
 from repro.sim.fluid import FluidPipe
 from repro.storage.device import BlockDevice
@@ -242,29 +242,6 @@ class TestConditionValues:
         sim.run(until=cond)
         assert dict(cond.value.items()) == {done: "a", pending: "b"}
         assert sim.now == 2.0
-
-    def test_any_of_counts_processed_not_merely_triggered(self):
-        """A Timeout is triggered from birth, but only a processed child
-        is in the value."""
-        sim = Simulator()
-        done = sim.event()
-        done.succeed("a")
-        sim.run()
-        triggered = sim.timeout(0.0, value="t")
-        pending = sim.event()
-        cond = AnyOf(sim, [triggered, pending, done])
-        assert cond.triggered  # settled by the processed child at once
-        sim.run()
-        assert dict(cond.value.items()) == {done: "a"}
-
-    def test_any_of_over_pending_children(self):
-        sim = Simulator()
-        fast = sim.timeout(1.0, value="f")
-        slow = sim.timeout(3.0, value="s")
-        cond = AnyOf(sim, [slow, fast])
-        assert sim.run(until=cond) == cond.value
-        assert list(cond.value) == [fast]
-        assert sim.now == 1.0
 
     def test_all_of_fails_on_processed_failure(self):
         sim = Simulator()

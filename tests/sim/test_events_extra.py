@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, AnyOf, Event, Simulator
+from repro.sim import AllOf, Simulator
 from repro.sim.events import ConditionValue
 
 
@@ -69,38 +69,22 @@ class TestConditionValue:
         assert ConditionValue({e1: 1}) != ConditionValue({e1: 2})
 
 
-class TestCallbackRemoval:
-    def test_remove_before_processing(self):
-        sim = Simulator()
-        ev = sim.event()
-        seen = []
-
-        def cb(e):
-            seen.append(1)
-
-        ev.add_callback(cb)
-        ev.remove_callback(cb)
-        ev.succeed()
-        sim.run()
-        assert seen == []
-
-    def test_remove_missing_callback_is_noop(self):
-        sim = Simulator()
-        ev = sim.event()
-        ev.remove_callback(lambda e: None)  # no raise
-
-
 class TestNestedConditions:
-    def test_allof_of_anyofs(self):
+    def test_allof_of_allofs(self):
         sim = Simulator()
         fast1 = sim.timeout(1.0, value="a")
         slow1 = sim.timeout(9.0, value="b")
         fast2 = sim.timeout(2.0, value="c")
-        slow2 = sim.timeout(9.0, value="d")
-        combo = AllOf(sim, [AnyOf(sim, [fast1, slow1]),
-                            AnyOf(sim, [fast2, slow2])])
+        slow2 = sim.timeout(4.0, value="d")
+        fast = AllOf(sim, [fast1, fast2])
+        slow = AllOf(sim, [slow1, slow2])
+        combo = AllOf(sim, [fast, slow])
+        sim.run(until=fast)
+        assert sim.now == pytest.approx(2.0) and not combo.triggered
         sim.run(until=combo)
-        assert sim.now == pytest.approx(2.0)
+        assert sim.now == pytest.approx(9.0)
+        assert dict(combo.value[fast].items()) == {fast1: "a", fast2: "c"}
+        assert dict(combo.value[slow].items()) == {slow1: "b", slow2: "d"}
 
     def test_schedule_callback_negative_delay_rejected(self):
         sim = Simulator()
