@@ -1,16 +1,16 @@
-/* Fabric flow-event kernels: fused drain and fused reallocation.
+/* Fabric reallocation kernel.
  *
- * Each fabric flow event is one native call.  repro_fabric_drain
- * advances and compacts the flow table; repro_fabric_realloc
+ * A fabric reallocation is one native call: repro_fabric_realloc
  * compresses the channel set, runs the progressive-filling max-min
  * water-fill and returns the completion horizon.  The flow table is
- * Fabric._tab: five parallel columns src, dst (int64) and cap,
- * remaining, rate (float64), passed in that order.
+ * Fabric._tab: five parallel columns remaining, rate (float64), src,
+ * dst (int64) and cap (float64), passed in that order.  (The drain is
+ * the fluid core's, in sim/_fastdrain.c.)
  *
- * Both are bit-for-bit the arithmetic of the NumPy fallback in
- * fabric.py (Fabric._advance, _assign_rates_numpy, _reallocate; the
- * algorithm is stated in Fabric._assign_rates_fast's docstring, and
- * DESIGN.md sections 8 and 12 give the equivalence argument):
+ * It is bit-for-bit the arithmetic of the NumPy fallback in fabric.py
+ * (Fabric._assign_rates_numpy and FlowTable.horizon; the algorithm is
+ * stated in Fabric._assign_rates_fast's docstring, and DESIGN.md
+ * sections 8 and 12 give the equivalence argument):
  *
  *   - every floating-point operation here is the identical IEEE-754
  *     double operation NumPy applies elementwise, in the same
@@ -24,51 +24,14 @@
  *     level at its freeze round.
  *
  * Compile with strict FP semantics only: no -ffast-math, and
- * -ffp-contract=off so no FMA contraction changes rounding (of
- * rate * dt before the subtract, or of inc * cnt before the head
- * update).  The loader (fastalloc.py) passes those flags; the fabric
- * falls back to the NumPy path when no C toolchain is available.
+ * -ffp-contract=off so no FMA contraction changes the rounding of
+ * inc * cnt before the head update.  The loader (perfmode.py) passes
+ * those flags; the fabric falls back to the NumPy path when no C
+ * toolchain is available.
  */
 
 #include <math.h>
 #include <stdint.h>
-
-/* Fused drain: advance n flows by dt and compact the finished ones out.
- *
- * `left = remaining - rate * dt` is one double multiply and one
- * subtract per flow, the sequence of the fallback's in-place
- * `remaining -= rate * dt`; the finish test `<= 1e-6` compares the
- * identical double.  Survivors are moved down over the holes in all
- * five columns with one write cursor, so their relative order is kept
- * (completion events enqueue in flow order: the determinism contract).
- * Compaction moves values and never recomputes them: the result equals
- * the fallback's FlowTable.remove.  Pre-compaction indices of finished
- * flows land in `finished` (capacity >= n) in ascending order.
- * Returns the number of finished flows; n minus that is the new row
- * count.
- */
-int64_t repro_fabric_drain(int64_t n, double dt,
-                           int64_t *src, int64_t *dst, double *cap,
-                           double *remaining, double *rate,
-                           int64_t *finished)
-{
-    int64_t i, w = 0, k = 0;
-
-    for (i = 0; i < n; i++) {
-        double left = remaining[i] - rate[i] * dt;
-        if (left <= 1e-6) {
-            finished[k++] = i;
-        } else {
-            src[w] = src[i];
-            dst[w] = dst[i];
-            cap[w] = cap[i];
-            remaining[w] = left;
-            rate[w] = rate[i];
-            w++;
-        }
-    }
-    return k;
-}
 
 /* Fused reallocation: max-min fair rates for m >= 1 flows, then the
  * completion horizon.
@@ -88,13 +51,13 @@ int64_t repro_fabric_drain(int64_t n, double dt,
  * Scratch (caller-owned, sized to the flow table's capacity cap >= m):
  * `iw` holds 8 * cap int64, `dw` 4 * cap double.  Rates land in
  * `rate`.  Returns min(remaining / rate) over flows with rate > 0 (the
- * fallback's horizon expression), or -1.0 when no flow has a positive
+ * fallback's horizon expression), or +inf when no flow has a positive
  * rate.
  */
 double repro_fabric_realloc(int64_t m, int64_t n_nodes,
+                            const double *remaining, double *rate,
                             const int64_t *src, const int64_t *dst,
-                            const double *caps, const double *remaining,
-                            double *rate,
+                            const double *caps,
                             double nic_bw, double bisection_bw,
                             int64_t has_core, int64_t *ids,
                             int64_t *iw, double *dw)
@@ -102,7 +65,7 @@ double repro_fabric_realloc(int64_t m, int64_t n_nodes,
     int64_t *s = iw, *d = iw + m, *idx = iw + 2 * m, *fin = iw + 3 * m;
     int64_t *cnt = iw + 4 * m, *used = iw + 6 * m;
     double *c = dw, *ctol = dw + m, *heads = dw + 2 * m;
-    int64_t i, ch, mc, w, nch = 0, positive = 0;
+    int64_t i, ch, mc, w, nch = 0;
     double nic_tol, level, core_head, core_ref, horizon = INFINITY;
 
     for (i = 0; i < m; i++) {
@@ -214,10 +177,9 @@ double repro_fabric_realloc(int64_t m, int64_t n_nodes,
     for (i = 0; i < m; i++) {
         if (rate[i] > 0.0) {
             double h = remaining[i] / rate[i];
-            positive = 1;
             if (h < horizon)
                 horizon = h;
         }
     }
-    return positive ? horizon : -1.0;
+    return horizon;
 }

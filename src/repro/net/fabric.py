@@ -16,22 +16,24 @@ rate recomputation happens at every flow arrival and departure (see the
 profiling guidance in the repository's HPC coding guides: vectorise the
 measured hotspot, nothing else).
 
-Hot-path notes (see DESIGN.md §8/§12): flow state lives in a
-:class:`~repro.sim.flowarray.FlowTable` — amortized-doubling
-preallocated columns behind a live-length cursor — so an arrival is an
-O(1) write instead of five ``np.append`` full-array copies, and a
-departure is an order-preserving compaction instead of a five-array
-boolean-mask rebuild plus a Python loop over every live flow.  When
-the C kernels in :mod:`repro.net.fastalloc` are loaded, each flow
-event is one native call: a fused drain (advance, finish test,
-compaction) or a fused reallocation (endpoint compression, water-fill,
+:class:`Fabric` is a :class:`~repro.sim.fluid.FluidCore`: the flow
+table, its drain and the coalesced reallocation timer are the fluid
+core's, shared with every :class:`~repro.sim.fluid.FluidPipe`.  The
+fabric supplies the water-fill as its rate assignment and, as its
+completion hand-off, the traced ``flow-end`` plus the tail latency.
+
+Hot-path notes (see DESIGN.md §8/§12): the flow table carries
+``src``/``dst``/``cap`` after the core's ``remaining``/``rate``, so an
+arrival is five element stores and a departure one drain-kernel call.
+When the C kernel in :mod:`repro.net.fastalloc` is loaded, a
+reallocation is one native call (endpoint compression, water-fill,
 completion horizon); the NumPy path is the fallback.  Per-node rates
 are not maintained per event: :meth:`Fabric.utilization`, which only
 telemetry and tests read, computes them on the first read after a
-flow change and caches them until the next one.  The C kernels are
-held bit for bit to the NumPy path, and that to a plain
-progressive-filling oracle, by ``tests/net/test_fastalloc.py``; whole
-runs are held to the captured fingerprints by ``repro bench --check``.
+flow change and caches them until the next one.  The C kernel is held
+bit for bit to the NumPy path, and that to a plain progressive-filling
+oracle, by ``tests/net/test_fastalloc.py``; whole runs are held to the
+captured fingerprints by ``repro bench --check``.
 """
 
 from __future__ import annotations
@@ -45,8 +47,7 @@ import numpy as np
 
 from repro.net import fastalloc
 from repro.sim.events import Event
-from repro.sim.flowarray import FlowTable
-from repro.sim.fluid import Target
+from repro.sim.fluid import FluidCore, Target
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
@@ -67,21 +68,13 @@ _EPS = 1e-9
 _COMPACT_NODES = 256
 
 
-def _horizon(remaining: np.ndarray, rates: np.ndarray) -> float:
-    """Least ``remaining / rate`` over positive rates, or -1.0 if none."""
-    positive = rates > 0
-    if not positive.any():
-        return -1.0
-    return float((remaining[positive] / rates[positive]).min())
-
-
 class NetFlow:
     """One transfer in flight through the fabric.
 
     A thin view over the fabric's columnar flow state: the authoritative
     ``remaining`` and rate live in the arrays; the object mirrors
-    ``remaining`` at allocation and completion boundaries and carries
-    the completion target and tag.  It holds no rate (mirroring one per
+    ``remaining`` at its start and completion and carries the
+    completion target and tag.  It holds no rate (mirroring one per
     reallocation would be an O(flows) Python loop per flow event); read
     ``Fabric._tab.col("rate")`` for live rates.
     ``done`` is the completion target (the returned event or the
@@ -114,7 +107,7 @@ class NetFlow:
                 f"{self.remaining:.0f}/{self.size:.0f}B>")
 
 
-class Fabric:
+class Fabric(FluidCore):
     """An ``n_nodes`` fabric with per-NIC tx/rx capacities.
 
     Parameters
@@ -136,7 +129,7 @@ class Fabric:
             raise ValueError("need at least one node")
         if nic_bw <= 0:
             raise ValueError("nic_bw must be positive")
-        self.sim = sim
+        super().__init__(sim, src=np.int64, dst=np.int64, cap=np.float64)
         self.n_nodes = n_nodes
         self.nic_bw = float(nic_bw)
         self.bisection_bw = bisection_bw
@@ -146,11 +139,6 @@ class Fabric:
         #: negligible load but would otherwise trigger a global rate
         #: recomputation each (control messages, tiny shuffle slices).
         self.small_flow_bytes = float(small_flow_bytes)
-        self._realloc_pending = False
-        self.flows: List[NetFlow] = []
-        # Columnar flow state, parallel to ``self.flows``.
-        self._tab = FlowTable(src=np.int64, dst=np.int64, cap=np.float64,
-                              remaining=np.float64, rate=np.float64)
         # Per-node (tx, rx) rates as of the last flow change, or None
         # until ``utilization`` is read again after one.
         self._node_rates: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -185,10 +173,7 @@ class Fabric:
             self._present = np.zeros(n_nodes, dtype=bool)
             self._inv = np.empty(n_nodes, dtype=np.int64)
             self._iota = np.arange(n_nodes, dtype=np.int64)
-        self._last_advance = sim.now
-        self._timer_token = 0
         self._flow_seq = 0
-        self.bytes_completed = 0.0
 
     # -- public API -----------------------------------------------------------
     def transfer(self, src: int, dst: int, nbytes: float,
@@ -239,18 +224,20 @@ class Fabric:
         if self.sim._tracing:
             self.sim.trace("flow-start", fid=flow.fid, src=src, dst=dst,
                            nbytes=nbytes)
-        self._advance()
-        self.flows.append(flow)
+        n = self._admit(flow)
         tab = self._tab
-        tab.append(flow.src, flow.dst, flow.cap, flow.remaining, 0.0)
+        _, _, tab_src, tab_dst, tab_cap = tab.cols
+        tab_src[n] = src
+        tab_dst[n] = dst
+        tab_cap[n] = flow.cap
         if tab.capacity != self._scratch_rows:
             self._size_scratch()
         self._node_rates = None
-        self._schedule_realloc()
         return done
 
     def _size_scratch(self) -> None:
-        """(Re)allocate the C kernels' scratch for the table's capacity."""
+        """(Re)allocate the water-fill kernel's scratch for the table's
+        capacity."""
         rows = self._tab.capacity
         self._scratch_rows = rows
         self._iw = np.empty(fastalloc.INT_SCRATCH * rows, dtype=np.int64)
@@ -269,10 +256,6 @@ class Fabric:
         done = flow.done
         flow.done = None
         self.sim.complete(done, flow)
-
-    @property
-    def n_active(self) -> int:
-        return len(self.flows)
 
     def utilization(self, node: int) -> Dict[str, float]:
         """Current tx/rx byte rates at ``node``.
@@ -293,100 +276,40 @@ class Fabric:
                             minlength=self.n_nodes))
         return {"tx": float(rates[0][node]), "rx": float(rates[1][node])}
 
-    # -- fluid machinery -------------------------------------------------------
-    def _advance(self) -> None:
-        now = self.sim.now
-        dt = now - self._last_advance
-        self._last_advance = now
-        if dt <= 0 or not self.flows:
-            return
-        tab = self._tab
-        if fastalloc.AVAILABLE:
-            k = fastalloc.RAW_DRAIN(tab.n, dt, *tab.ptrs, self._p_iw)
-            if k == 0:
-                return
-            tab.n -= k
-            indices = self._iw[:k].tolist()
-        else:
-            remaining = tab.col("remaining")
-            remaining -= tab.col("rate") * dt
-            finished_idx = np.flatnonzero(remaining <= 1e-6)
-            if finished_idx.size == 0:
-                return
-            tab.remove(finished_idx)
-            indices = finished_idx.tolist()
+    # -- FluidCore hooks ------------------------------------------------------
+    def _finish(self, finished: List[NetFlow]) -> None:
+        """Trace each ``flow-end`` and deliver it after the tail latency
+        (the last byte still has to propagate).  Completion entries
+        enqueue in flow order, so same-timestamp downstream scheduling
+        keeps arrival order."""
         self._node_rates = None
-        flows = self.flows
         schedule = self.sim.schedule_callback
         deliver = self._deliver
         latency = self.latency
-        # Completion events enqueue in ascending flow order, so
-        # same-timestamp downstream scheduling keeps arrival order.
         tracing = self.sim._tracing
-        for i in indices:
-            f = flows[i]
-            f.remaining = 0.0
-            self.bytes_completed += f.size
+        for f in finished:
             if tracing:
                 self.sim.trace("flow-end", fid=f.fid, src=f.src, dst=f.dst,
                                nbytes=f.size)
-            # Tail latency: the last byte still needs to propagate.
             schedule(latency, deliver, f)
-        if len(indices) == len(flows):
-            flows.clear()
-        else:
-            for i in reversed(indices):
-                del flows[i]
-
-    def _schedule_realloc(self) -> None:
-        """Coalesce all same-timestamp flow changes into one allocation.
-
-        Shuffle fetch chains complete and immediately issue the next
-        request at the same simulated instant; recomputing rates once per
-        instant instead of once per change halves the allocator load.
-        """
-        if self._realloc_pending:
-            return
-        self._realloc_pending = True
-        self.sim.schedule_callback(0.0, self._do_realloc)
-
-    def _do_realloc(self) -> None:
-        self._realloc_pending = False
-        self._advance()   # collect completions from late same-time changes
-        self._reallocate()
-
-    def _reallocate(self) -> None:
-        horizon = self._assign_rates()
-        self._timer_token += 1
-        if horizon >= 0.0:
-            # Clamp: a sub-ULP horizon must still advance the clock, or
-            # the timer respins at this timestamp forever.
-            self.sim.schedule_callback(max(horizon, 1e-9), self._on_timer,
-                                       self._timer_token)
-
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return
-        self._advance()
-        self._schedule_realloc()
 
     def _assign_rates(self) -> float:
         """Progressive-filling max–min allocation: the C kernel when it
         is loaded, else :meth:`_assign_rates_fast`.
 
         Returns the completion horizon: the least ``remaining / rate``
-        over flows with a positive rate, or -1.0 when none drains.
+        over flows with a positive rate, or ``inf`` when none drains.
         """
         self._node_rates = None
         tab = self._tab
         if tab.n == 0:
-            return -1.0
+            return math.inf
         if fastalloc.AVAILABLE:
             return fastalloc.RAW_REALLOC(
                 tab.n, self.n_nodes, *tab.ptrs, self.nic_bw, self._core_bw,
                 self._has_core, self._p_ids, self._p_iw, self._p_dw)
         self._assign_rates_fast()
-        return _horizon(tab.col("remaining"), tab.col("rate"))
+        return tab.horizon()
 
     def _assign_rates_fast(self) -> None:
         """Progressive-filling max–min allocation (NumPy fallback).

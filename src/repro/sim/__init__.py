@@ -8,11 +8,12 @@ providing the substrate for every simulated subsystem in this package:
   :class:`~repro.sim.events.AllOf` — waitable events with
   success/failure propagation.
 * :class:`~repro.sim.process.Process` — a generator that yields events.
-* :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.Container`,
-  :class:`~repro.sim.resources.Store` — classic queueing primitives.
+* :class:`~repro.sim.resources.Resource` — a classic queueing
+  primitive (FIFO slots).
 * :class:`~repro.sim.fluid.FluidPipe` — a shared-bandwidth fluid channel
-  used to model NICs, block devices, and parallel-filesystem pools.
+  used to model NICs, block devices, and parallel-filesystem pools, on
+  the :class:`~repro.sim.fluid.FluidCore` loop it shares with the
+  network fabric.
 * :class:`~repro.sim.rng.RandomStreams` — named deterministic RNG streams.
 * :mod:`~repro.sim.simtime` — epsilon-consistent deadline comparisons
   shared by every timer-driven scheduler feedback loop.
@@ -24,14 +25,13 @@ providing the substrate for every simulated subsystem in this package:
 from repro.sim.core import SimulationDeadlock, Simulator
 from repro.sim.events import AllOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, Resource, Store
+from repro.sim.resources import Resource
 from repro.sim.fluid import FluidPipe, Flow
 from repro.sim.rng import RandomStreams
 from repro.sim.trace import TraceEvent
 
 __all__ = [
     "AllOf",
-    "Container",
     "Event",
     "Flow",
     "FluidPipe",
@@ -40,7 +40,6 @@ __all__ = [
     "Resource",
     "SimulationDeadlock",
     "Simulator",
-    "Store",
     "Timeout",
     "TraceEvent",
 ]

@@ -109,22 +109,6 @@ class Event:
         heappush(sim._queue, (sim._now, priority, seq, None, self))
         return self
 
-    def trigger_from(self, other: "Event") -> None:
-        """Copy the outcome of an already-triggered event onto this one.
-
-        A failed source is defused only once this event has taken over
-        its failure, so a rejected call leaves both events untouched.
-        """
-        if other._value is _PENDING:
-            raise RuntimeError(
-                f"cannot trigger {self!r} from {other!r}: "
-                f"the source has no outcome yet")
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self.fail(other._value)
-            other._defused = True
-
     def add_callback(self, cb: Callable[["Event"], None]) -> None:
         if self.callbacks is None:
             raise RuntimeError(f"event {self!r} already processed")

@@ -1,26 +1,34 @@
-"""Amortized parallel column arrays for fluid-flow bookkeeping.
+"""The columnar flow table every fluid resource drains.
 
-A :class:`FlowTable` holds a set of same-length NumPy columns (one row
-per live flow) behind a live-length cursor.  Appending a row is O(1)
-amortized — storage doubles when full instead of reallocating every
-column on every arrival (``np.append`` copies the whole array, which
-turns a shuffle wave's O(n) arrivals into O(n²) work).  Removing
-finished rows compacts the storage in place.
+A :class:`FlowTable` holds same-length NumPy columns (one row per live
+flow) behind a live-length cursor.  The first two columns are always
+``remaining`` and ``rate`` (float64); a resource declares any others
+(8-byte int64 or float64 words).  Adding a row is O(1) amortized —
+storage doubles when full instead of reallocating every column on
+every arrival (``np.append`` copies the whole array, which turns a
+shuffle wave's O(n) arrivals into O(n²) work).
+
+:meth:`FlowTable.drain` is the one drain of the fluid core: it
+advances ``remaining`` by ``rate * dt``, collects the rows that
+finished and compacts the survivors in place, in one call of the C
+kernel in :mod:`repro.sim.fastdrain` or, without it, as
+``remaining -= rate * dt`` plus :meth:`FlowTable.remove`.  The two are
+bit for bit interchangeable (``tests/sim/test_fastdrain.py``).
 
 Compaction is **order-preserving** by design, not swap-removal: the
 simulation's determinism contract schedules completion events in flow
 order, and two flows finishing at the same timestamp must enqueue
 their events in flow order, or downstream same-timestamp scheduling
-decisions diverge.  A stable compaction keeps survivor order identical
-to a boolean-mask rebuild's while still avoiding per-arrival
-reallocation and per-completion full-array copies of every column.
+decisions diverge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Sequence
 
 import numpy as np
+
+from repro.sim import fastdrain
 
 __all__ = ["FlowTable"]
 
@@ -33,78 +41,93 @@ class FlowTable:
     Parameters
     ----------
     columns:
-        ``name=dtype`` pairs declaring the columns.  Append order is the
-        declaration order.
+        ``name=dtype`` pairs declaring the columns after ``remaining``
+        and ``rate``; each dtype must be 8 bytes wide.
 
     Attributes
     ----------
+    cols:
+        Every column's full-capacity storage, in declaration order
+        (``remaining``, ``rate``, then the declared ones).  A writer
+        reserves a row with :meth:`add` and then stores into these
+        arrays directly; a stored reference is stale after the next
+        :meth:`add` that grows the table.
     ptrs:
-        Raw data addresses of every column, in declaration order, for
-        native kernels that compact the table in place (they then set
-        :attr:`n` to the survivor count).  Valid until the next append
-        that grows the storage.
+        Raw data addresses of :attr:`cols`, for native kernels.
     """
 
-    __slots__ = ("n", "_capacity", "_names", "_cols", "ptrs")
+    __slots__ = ("n", "capacity", "cols", "ptrs", "_index", "_fin",
+                 "_addrs", "_p_addrs", "_p_fin")
 
     def __init__(self, **columns: object) -> None:
-        if not columns:
-            raise ValueError("a FlowTable needs at least one column")
+        if "remaining" in columns or "rate" in columns:
+            raise ValueError("remaining and rate are always the first "
+                             "two columns")
+        dtypes = [np.dtype(np.float64)] * 2 + [np.dtype(d) for d in
+                                               columns.values()]
+        if any(d.itemsize != 8 for d in dtypes):
+            raise ValueError("every FlowTable column must be 8 bytes wide")
+        self._index = {name: i for i, name in
+                       enumerate(("remaining", "rate", *columns))}
         self.n = 0
-        self._capacity = _MIN_CAPACITY
-        self._names: Tuple[str, ...] = tuple(columns)
-        self._cols: Dict[str, np.ndarray] = {
-            name: np.empty(self._capacity, dtype=dtype)
-            for name, dtype in columns.items()
-        }
+        self.capacity = _MIN_CAPACITY
+        self.cols = tuple(np.empty(_MIN_CAPACITY, dtype=d) for d in dtypes)
+        self._fin = np.empty(_MIN_CAPACITY, dtype=np.int64)
         self._refresh_ptrs()
 
-    def __len__(self) -> int:
-        return self.n
-
-    @property
-    def capacity(self) -> int:
-        """Allocated rows (always >= the live count)."""
-        return self._capacity
-
     def col(self, name: str) -> np.ndarray:
-        """Live view of one column (no copy; length == ``len(self)``)."""
-        return self._cols[name][:self.n]
+        """Live view of one column (no copy; length == ``n``)."""
+        return self.cols[self._index[name]][:self.n]
 
-    def columns(self) -> Tuple[np.ndarray, ...]:
-        """Live views of every column, in declaration order."""
+    def add(self) -> int:
+        """Reserve the next row and return its index."""
         n = self.n
-        return tuple(self._cols[name][:n] for name in self._names)
-
-    def append(self, *values: float) -> int:
-        """Append one row (values in declaration order); returns its index."""
-        if len(values) != len(self._names):
-            raise ValueError(
-                f"expected {len(self._names)} values, got {len(values)}")
-        n = self.n
-        if n == self._capacity:
+        if n == self.capacity:
             self._grow()
-        cols = self._cols
-        for name, value in zip(self._names, values):
-            cols[name][n] = value
         self.n = n + 1
         return n
 
     def _grow(self) -> None:
-        new_capacity = self._capacity * 2
+        capacity = self.capacity * 2
         n = self.n
-        for name, arr in self._cols.items():
-            bigger = np.empty(new_capacity, dtype=arr.dtype)
+        cols = []
+        for arr in self.cols:
+            bigger = np.empty(capacity, dtype=arr.dtype)
             bigger[:n] = arr[:n]
-            self._cols[name] = bigger
-        self._capacity = new_capacity
+            cols.append(bigger)
+        self.cols = tuple(cols)
+        # The finished-index buffer is refilled by every drain.
+        self._fin = np.empty(capacity, dtype=np.int64)
+        self.capacity = capacity
         self._refresh_ptrs()
 
     def _refresh_ptrs(self) -> None:
         # Storage moves only when it grows, so the addresses are
         # refreshed here and a kernel call does no ``.ctypes`` lookup.
-        self.ptrs = tuple(self._cols[name].ctypes.data
-                          for name in self._names)
+        self.ptrs = tuple(arr.ctypes.data for arr in self.cols)
+        self._addrs = np.array(self.ptrs, dtype=np.uintp)
+        self._p_addrs = self._addrs.ctypes.data
+        self._p_fin = self._fin.ctypes.data
+
+    def drain(self, dt: float) -> Sequence[int]:
+        """Advance every row by ``dt`` and remove the finished ones
+        (``remaining <= 1e-6``); returns their pre-removal indices in
+        ascending order."""
+        n = self.n
+        kernel = fastdrain.RAW_DRAIN
+        if kernel is not None:
+            k = kernel(n, dt, len(self.cols), self._p_addrs, self._p_fin)
+            if not k:
+                return ()
+            self.n = n - k
+            return self._fin[:k].tolist()
+        remaining = self.cols[0][:n]
+        remaining -= self.cols[1][:n] * dt
+        finished = np.flatnonzero(remaining <= 1e-6)
+        if not finished.size:
+            return ()
+        self.remove(finished)
+        return finished.tolist()
 
     def remove(self, indices: np.ndarray) -> None:
         """Remove the rows at ``indices`` (sorted ascending, unique),
@@ -120,16 +143,22 @@ class FlowTable:
         keep[indices] = False
         survivors = np.flatnonzero(keep)
         m = n - k
-        for arr in self._cols.values():
+        for arr in self.cols:
             # Fancy indexing materializes the gather before the write,
             # so the overlapping in-place assignment is safe.
             arr[:m] = arr[:n][survivors]
         self.n = m
 
-    def clear(self) -> None:
-        """Drop every row (storage is retained)."""
-        self.n = 0
+    def horizon(self) -> float:
+        """Least ``remaining / rate`` over rows with a positive rate, or
+        ``inf`` when none drains."""
+        rate = self.cols[1][:self.n]
+        positive = rate > 0
+        if not positive.any():
+            return float("inf")
+        return float((self.cols[0][:self.n][positive]
+                      / rate[positive]).min())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"<FlowTable {self.n}/{self._capacity} rows, "
-                f"cols={list(self._names)}>")
+        return (f"<FlowTable {self.n}/{self.capacity} rows, "
+                f"cols={list(self._index)}>")

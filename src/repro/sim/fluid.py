@@ -1,4 +1,4 @@
-"""Fluid-flow shared-bandwidth channels.
+"""Fluid-flow shared-bandwidth resources.
 
 A :class:`FluidPipe` carries any number of concurrent flows that share its
 capacity under max–min fairness with optional per-flow rate caps.  The
@@ -7,43 +7,46 @@ is how concurrency-dependent device behaviour (e.g. SSD garbage-collection
 interference) is expressed.
 
 Rates are piecewise-constant between *flow events* (a flow starting or
-finishing, or an explicit capacity change); at each event the pipe advances
-all remaining-byte counters and reschedules the next completion.  This is
-the standard flow-level (fluid) approximation used by network and storage
-simulators: per-packet behaviour is abstracted away but contention,
+finishing, or an explicit capacity change); at each event the resource
+advances all remaining-byte counters and reschedules the next completion.
+This is the standard flow-level (fluid) approximation used by network and
+storage simulators: per-packet behaviour is abstracted away but contention,
 fair-sharing, and completion-time dynamics are preserved.
 
-Hot-path notes (see DESIGN.md §8/§12): the optimized path keeps
-``remaining``/``rate`` in columnar float64 arrays parallel to the flow
-list, so the per-event drain is one C-kernel call
-(:mod:`repro.sim.fastdrain`) or one vectorized NumPy pass instead of a
-Python loop; finished flows are compacted out order-preservingly
-(``list.remove`` per completion is O(n²) across a drain); the
-sorted-cap order feeding :func:`fair_share` is cached between events
-while the flow set is unchanged; same-timestamp reallocations are
-coalesced behind a pending flag exactly as ``Fabric._schedule_realloc``
-does; and :attr:`FluidPipe.load` reads an epoch-cached aggregate
-(O(1) between flow events) instead of rescanning every flow.  The C
-kernels are held bit for bit to the NumPy fallback by
-``tests/sim/test_fastdrain.py``, and whole runs to the captured
-fingerprints by ``repro bench --check``.
+:class:`FluidCore` is that loop, shared by :class:`FluidPipe` and the
+network :class:`~repro.net.fabric.Fabric`.  It owns the flow list, a
+:class:`~repro.sim.flowarray.FlowTable` (``remaining`` and ``rate``
+first), the drain, ``bytes_completed`` and the coalesced reallocation
+and completion timer.  A subclass supplies two hooks: the rate
+assignment, which returns the completion horizon, and the hand-off of
+the flows a drain finished.
+
+Hot-path notes (see DESIGN.md §8/§12): the per-event drain is one call
+of :meth:`FlowTable.drain` (one C kernel, or one vectorized NumPy pass
+plus an order-preserving compaction); rows are written with direct
+element stores; same-timestamp reallocations are coalesced behind a
+pending flag; and the pipe caches the sorted-cap order feeding
+:func:`fair_share` while the flow set is unchanged.  The C kernels are
+held bit for bit to the NumPy fallback by ``tests/sim/test_fastdrain.py``,
+and whole runs to the captured fingerprints by ``repro bench --check``.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence, \
-    Union
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, \
+    Sequence, Union
 
 import numpy as np
 
 from repro.sim import fastdrain
 from repro.sim.events import Event
+from repro.sim.flowarray import FlowTable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
-__all__ = ["FluidPipe", "Flow", "fair_share"]
+__all__ = ["FluidCore", "FluidPipe", "Flow", "fair_share"]
 
 #: A transfer's completion target: the event it returned, or the
 #: caller's ``then`` callback (fired by :meth:`Simulator.complete`).
@@ -82,9 +85,116 @@ def fair_share(capacity: float, caps: Sequence[float],
     return rates
 
 
+class FluidCore:
+    """The fluid loop every shared-bandwidth resource runs.
+
+    ``flows`` and the rows of ``_tab`` are parallel: row ``i`` holds
+    flow ``i``'s authoritative ``remaining`` and ``rate``, then the
+    subclass's ``columns``.  A flow event drains the table, hands the
+    finished flows to :meth:`_finish`, and (coalesced per timestamp)
+    asks :meth:`_assign_rates` for new rates and the next completion.
+    """
+
+    def __init__(self, sim: "Simulator", **columns: object) -> None:
+        self.sim = sim
+        self.flows: List[Any] = []
+        self._tab = FlowTable(**columns)
+        self._last_advance = sim._now
+        self._timer_token = 0
+        self._realloc_pending = False
+        self.bytes_completed = 0.0
+
+    @property
+    def n_active(self) -> int:
+        return len(self.flows)
+
+    # -- subclass hooks ----------------------------------------------------
+    def _assign_rates(self) -> float:
+        """Write every row's rate; return the completion horizon, the
+        least ``remaining / rate`` over positive rates, or ``inf``."""
+        raise NotImplementedError
+
+    def _finish(self, finished: List[Any]) -> None:
+        """Hand off the flows one drain finished, in flow order."""
+        raise NotImplementedError
+
+    # -- the loop ----------------------------------------------------------
+    def _admit(self, flow: Any) -> int:
+        """Bring the table up to date and add ``flow`` at rate 0;
+        returns its row, whose further columns the caller stores."""
+        self._advance()
+        self.flows.append(flow)
+        tab = self._tab
+        n = tab.add()
+        cols = tab.cols
+        cols[0][n] = flow.remaining
+        cols[1][n] = 0.0
+        self._schedule_realloc()
+        return n
+
+    def _advance(self) -> None:
+        """Apply current rates over the elapsed interval."""
+        now = self.sim._now
+        dt = now - self._last_advance
+        self._last_advance = now
+        if dt <= 0 or not self.flows:
+            return
+        indices = self._tab.drain(dt)
+        if not indices:
+            return
+        flows = self.flows
+        finished = [flows[i] for i in indices]
+        if len(indices) == len(flows):
+            flows.clear()
+        else:
+            for i in reversed(indices):
+                del flows[i]
+        for f in finished:
+            f.remaining = 0.0
+            self.bytes_completed += f.size
+        self._finish(finished)
+
+    def _schedule_realloc(self) -> None:
+        """Coalesce all same-timestamp flow changes into one allocation.
+
+        Chained transfers complete and immediately issue the next request
+        at the same simulated instant; recomputing rates once per instant
+        instead of once per change halves the allocator load (and calls
+        a pipe's ``capacity_fn`` once, with the settled flow count).
+        """
+        if self._realloc_pending:
+            return
+        self._realloc_pending = True
+        self.sim.schedule_callback(0.0, self._do_realloc)
+
+    def _do_realloc(self) -> None:
+        self._realloc_pending = False
+        self._advance()   # collect completions from late same-time changes
+        self._reallocate()
+
+    def _reallocate(self) -> None:
+        """Reassign rates and reschedule the completion timer."""
+        horizon = self._assign_rates()
+        self._timer_token += 1
+        if horizon < math.inf:
+            # Clamp so now+horizon strictly advances the clock even for
+            # near-finished flows (otherwise a sub-ULP horizon respins the
+            # timer at the same timestamp forever).
+            self.sim.schedule_callback(max(horizon, 1e-9), self._on_timer,
+                                       self._timer_token)
+
+    def _on_timer(self, token: int) -> None:
+        if token != self._timer_token:
+            return  # stale timer; a newer reallocation superseded it
+        self._advance()
+        self._schedule_realloc()
+
+
 class Flow:
     """One transfer through a :class:`FluidPipe`.
 
+    The pipe's flow table holds its live ``remaining`` and rate; the
+    object holds ``remaining`` as of its start and completion.
     ``done`` is the completion target while the flow is in flight: the
     event :meth:`FluidPipe.transfer` returned, or the caller's ``then``
     callback.  It is cleared as it fires, so a finished flow and its
@@ -92,26 +202,25 @@ class Flow:
     (DESIGN.md §8, "Garbage-collector cost").
     """
 
-    __slots__ = ("pipe", "size", "remaining", "rate", "cap", "done",
-                 "started_at", "tag")
+    __slots__ = ("pipe", "size", "remaining", "cap", "done", "started_at",
+                 "tag")
 
     def __init__(self, pipe: "FluidPipe", size: float, cap: float,
                  done: Optional[Target], tag: Any) -> None:
         self.pipe = pipe
         self.size = float(size)
         self.remaining = float(size)
-        self.rate = 0.0
         self.cap = float(cap)
         self.done = done
         self.started_at = pipe.sim._now
         self.tag = tag
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (f"<Flow tag={self.tag!r} {self.remaining:.0f}/{self.size:.0f}B"
-                f" @{self.rate:.0f}B/s>")
+        return (f"<Flow tag={self.tag!r} "
+                f"{self.remaining:.0f}/{self.size:.0f}B>")
 
 
-class FluidPipe:
+class FluidPipe(FluidCore):
     """A shared-bandwidth channel with max–min fair sharing.
 
     Parameters
@@ -128,42 +237,16 @@ class FluidPipe:
                  capacity_fn: Optional[Callable[[int], float]] = None) -> None:
         if capacity < 0:
             raise ValueError(f"negative capacity {capacity}")
-        self.sim = sim
+        super().__init__(sim)
         self.name = name
         self._capacity = float(capacity)
         self.capacity_fn = capacity_fn
-        self.flows: List[Flow] = []
-        self._last_advance = sim._now
-        self._timer_token = 0
-        self._realloc_pending = False
         # Cached ascending-cap processing order for fair_share, valid
-        # while the flow set is unchanged (None = recompute).
+        # while the flow set is unchanged (None = recompute), mirrored
+        # into float64/int64 buffers for the C fair-share kernel.
         self._order: Optional[List[int]] = None
-        self._caps_cache: List[float] = []
-        # Columnar remaining/rate parallel to ``self.flows``: the
-        # authoritative per-flow counters live here so the drain is one
-        # kernel call; Flow objects mirror at completion and
-        # :meth:`advance` boundaries, like Fabric's NetFlow.
-        self._a_rem = np.empty(16)
-        self._a_rate = np.empty(16)
-        self._fin_buf = np.empty(16, dtype=np.int64)
-        # Sorted-cap order mirrored into float64/int64 buffers for the C
-        # fair-share kernel, refilled with the order cache and grown
-        # with the columns.
-        self._caps_arr = np.empty(16)
-        self._order_arr = np.empty(16, dtype=np.int64)
-        # Raw data addresses for the kernels: computing arr.ctypes.data
-        # allocates a wrapper object per access, so the hot path caches
-        # the integers (refreshed whenever a buffer is reallocated).
-        self._refresh_ptrs()
-        # Epoch-cached load aggregates (valid while no flow event has
-        # mutated the columns): total remaining bytes, total rate, and
-        # the relative horizon to the earliest completion.
-        self._sums_valid = False
-        self._rem_sum = 0.0
-        self._rate_sum = 0.0
-        self._drain_horizon = math.inf
-        self.bytes_completed = 0.0
+        self._caps: List[float] = []
+        self._size_order_buffers(self._tab.capacity)
 
     # -- public API -------------------------------------------------------
     @property
@@ -171,65 +254,6 @@ class FluidPipe:
         if self.capacity_fn is not None:
             return max(0.0, float(self.capacity_fn(len(self.flows))))
         return self._capacity
-
-    @property
-    def n_active(self) -> int:
-        return len(self.flows)
-
-    @property
-    def load(self) -> float:
-        """Total bytes still in flight, computed from elapsed time.
-
-        Side-effect free: a read never mutates flow state or fires
-        completion events (use :meth:`advance` for that).  Flows that
-        would already have drained at the current rates contribute zero.
-
-        It answers from an aggregate cached per flow event
-        (remaining-sum, rate-sum, earliest-completion horizon), so
-        repeated reads between events are O(1) instead of a full scan;
-        only a read past the horizon — where per-flow clamping matters —
-        falls back to one vectorized pass.
-        """
-        n = len(self.flows)
-        if n == 0:
-            return 0.0
-        if not self._sums_valid:
-            rem = self._a_rem[:n]
-            rate = self._a_rate[:n]
-            self._rem_sum = float(np.add.reduce(rem))
-            self._rate_sum = float(np.add.reduce(rate))
-            positive = rate > 0.0
-            if positive.any():
-                self._drain_horizon = float(
-                    (rem[positive] / rate[positive]).min())
-            else:
-                self._drain_horizon = math.inf
-            self._sums_valid = True
-        dt = self.sim._now - self._last_advance
-        if dt <= 0:
-            return self._rem_sum
-        if dt < self._drain_horizon:
-            # Nothing can have clamped to zero yet, so the per-flow
-            # clamp sum collapses to the cached linear form.
-            return self._rem_sum - self._rate_sum * dt
-        return float(np.maximum(
-            self._a_rem[:n] - self._a_rate[:n] * dt, 0.0).sum())
-
-    def advance(self) -> None:
-        """Apply current rates up to the present, firing any completions.
-
-        The explicit form of the state advancement every flow event
-        performs implicitly; external observers that need exact flow
-        state (rather than the computed :attr:`load`) call this first.
-        """
-        self._advance()
-        # Mirror the authoritative columns back onto the Flow objects
-        # for the observer (the implicit advances leave the objects at
-        # their last completion-boundary values).
-        n = len(self.flows)
-        for f, r, rt in zip(self.flows, self._a_rem[:n], self._a_rate[:n]):
-            f.remaining = float(r)
-            f.rate = float(rt)
 
     def set_capacity(self, capacity: float) -> None:
         """Change the static capacity (takes effect immediately)."""
@@ -269,17 +293,8 @@ class FluidPipe:
             # Born finished: the flow never holds its own target.
             self.sim.complete(target, Flow(self, nbytes, cap, None, tag))
             return done
-        flow = Flow(self, nbytes, cap, target, tag)
-        self._advance()
-        n = len(self.flows)
-        if n == self._a_rem.shape[0]:
-            self._grow()
-        self._a_rem[n] = flow.remaining
-        self._a_rate[n] = 0.0
-        self._sums_valid = False
-        self.flows.append(flow)
+        self._admit(Flow(self, nbytes, cap, target, tag))
         self._order = None
-        self._schedule_realloc()
         return done
 
     def transfer_chunked(self, nbytes: float, chunk_bytes: float,
@@ -310,138 +325,41 @@ class FluidPipe:
         proc.callbacks.append(lambda _ev: then())
         return None
 
-    def _grow(self) -> None:
-        new_cap = self._a_rem.shape[0] * 2
-        for name in ("_a_rem", "_a_rate"):
-            old = getattr(self, name)
-            bigger = np.empty(new_cap, dtype=old.dtype)
-            bigger[:old.shape[0]] = old
-            setattr(self, name, bigger)
-        # The order buffers are refilled before every use, so they grow
-        # without copying.
-        self._fin_buf = np.empty(new_cap, dtype=np.int64)
-        self._caps_arr = np.empty(new_cap)
-        self._order_arr = np.empty(new_cap, dtype=np.int64)
-        self._refresh_ptrs()
-
-    def _refresh_ptrs(self) -> None:
-        self._p_rem = self._a_rem.ctypes.data
-        self._p_rate = self._a_rate.ctypes.data
-        self._p_fin = self._fin_buf.ctypes.data
-        self._p_caps = self._caps_arr.ctypes.data
-        self._p_order = self._order_arr.ctypes.data
-
-    # -- internals ---------------------------------------------------------
-    def _advance(self) -> None:
-        """Apply current rates over the elapsed interval."""
-        now = self.sim._now
-        dt = now - self._last_advance
-        self._last_advance = now
-        if dt <= 0 or not self.flows:
-            return
-        # One decrement-and-compact pass over the columns: the C kernel
-        # (or the vectorized NumPy fallback) replaces the former
-        # per-flow Python loop; both produce bit-identical counters and
-        # the same ascending finished order (see _fastdrain.c).
-        flows = self.flows
-        n = len(flows)
-        self._sums_valid = False
-        drain = fastdrain.RAW_DRAIN
-        k = drain(n, dt, self._p_rem, self._p_rate,
-                  self._p_fin) if drain is not None else -1
-        if k == 0:
-            return
-        if k > 0:
-            fin_list = self._fin_buf[:k].tolist()
-        else:
-            rem = self._a_rem[:n]
-            rem -= self._a_rate[:n] * dt
-            fin_idx = np.flatnonzero(rem <= 1e-6)
-            if fin_idx.size == 0:
-                return
-            fin_list = fin_idx.tolist()
-            if fin_idx.size < n:
-                keep = np.ones(n, dtype=bool)
-                keep[fin_idx] = False
-                survivors = np.flatnonzero(keep)
-                m = n - fin_idx.size
-                self._a_rem[:m] = rem[survivors]
-                self._a_rate[:m] = self._a_rate[:n][survivors]
-        finished = [flows[i] for i in fin_list]
-        if len(fin_list) == n:
-            flows.clear()
-        else:
-            for i in reversed(fin_list):
-                del flows[i]
+    # -- FluidCore hooks ---------------------------------------------------
+    def _finish(self, finished: List[Flow]) -> None:
         self._order = None
         complete = self.sim.complete
         for f in finished:
-            f.remaining = 0.0
-            self.bytes_completed += f.size
             done = f.done
             f.done = None
             complete(done, f)
 
-    def _schedule_realloc(self) -> None:
-        """Coalesce all same-timestamp flow changes into one allocation.
+    def _assign_rates(self) -> float:
+        """Max–min fair share over the cached cap order: the fused C
+        kernel when it is loaded, else :func:`fair_share`."""
+        tab = self._tab
+        n = tab.n
+        if not n:
+            return math.inf
+        if self._order is None:
+            caps = [f.cap for f in self.flows]
+            order = sorted(range(n), key=caps.__getitem__)
+            self._caps = caps
+            self._order = order
+            if self._caps_arr.shape[0] < n:
+                self._size_order_buffers(tab.capacity)
+            self._caps_arr[:n] = caps
+            self._order_arr[:n] = order
+        fs = fastdrain.RAW_FAIR
+        if fs is not None:
+            return fs(self.capacity, n, self._p_caps, self._p_order,
+                      *tab.ptrs)
+        tab.cols[1][:n] = fair_share(self.capacity, self._caps, self._order)
+        return tab.horizon()
 
-        Chained transfers complete and immediately issue the next request
-        at the same simulated instant; recomputing rates once per instant
-        instead of once per change halves the allocator load (and calls
-        ``capacity_fn`` once, with the settled flow count).
-        """
-        if self._realloc_pending:
-            return
-        self._realloc_pending = True
-        self.sim.schedule_callback(0.0, self._do_realloc)
-
-    def _do_realloc(self) -> None:
-        self._realloc_pending = False
-        self._advance()   # collect completions from late same-time changes
-        self._reallocate()
-
-    def _reallocate(self) -> None:
-        """Recompute fair-share rates and reschedule the completion timer."""
-        n = len(self.flows)
-        horizon = math.inf
-        if n:
-            if self._order is None:
-                caps = [f.cap for f in self.flows]
-                order = sorted(range(n), key=caps.__getitem__)
-                self._caps_cache = caps
-                self._order = order
-                self._caps_arr[:n] = caps
-                self._order_arr[:n] = order
-            self._sums_valid = False
-            fs = fastdrain.RAW_FAIR
-            if fs is not None:
-                # Fused C fair-share + horizon over the columns; Flow
-                # objects do not mirror per event (advance() syncs them
-                # at observer boundaries).
-                horizon = fs(self.capacity, n, self._p_caps,
-                             self._p_order, self._p_rem, self._p_rate)
-            else:
-                rates = fair_share(self.capacity, self._caps_cache,
-                                   self._order)
-                self._a_rate[:n] = rates
-                rate = self._a_rate[:n]
-                positive = rate > 0
-                if positive.any():
-                    # Same per-flow divisions as the C kernel's; min
-                    # is order-independent at the bit level.
-                    horizon = float(
-                        (self._a_rem[:n][positive] / rate[positive]).min())
-        self._timer_token += 1
-        token = self._timer_token
-        if math.isfinite(horizon):
-            # Clamp so now+horizon strictly advances the clock even for
-            # near-finished flows (otherwise a sub-ULP horizon respins the
-            # timer at the same timestamp forever).
-            self.sim.schedule_callback(max(horizon, 1e-9),
-                                       self._on_timer, token)
-
-    def _on_timer(self, token: int) -> None:
-        if token != self._timer_token:
-            return  # stale timer; a newer reallocation superseded it
-        self._advance()
-        self._schedule_realloc()
+    def _size_order_buffers(self, rows: int) -> None:
+        self._caps_arr = np.empty(rows)
+        self._order_arr = np.empty(rows, dtype=np.int64)
+        # Raw addresses cached: ``arr.ctypes.data`` allocates per read.
+        self._p_caps = self._caps_arr.ctypes.data
+        self._p_order = self._order_arr.ctypes.data

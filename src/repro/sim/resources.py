@@ -1,25 +1,22 @@
-"""Queueing primitives: Resource, Container, Store.
+"""Queueing primitive: :class:`Resource`.
 
-These follow SimPy semantics closely:
-
-* :class:`Resource` — ``capacity`` identical slots; ``request()`` returns
-  an event that succeeds when a slot is granted, ``release(req)`` frees it.
-* :class:`Container` — a continuous quantity with ``put(amount)`` /
-  ``get(amount)``.
-* :class:`Store` — a FIFO of discrete items with ``put(item)`` / ``get()``.
+It follows SimPy semantics closely: ``capacity`` identical slots;
+``request()`` returns an event that succeeds when a slot is granted,
+and ``release(req)`` frees it.  Lineage recovery bounds its
+recomputation tasks to a node's cores with one.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable, Deque, List, Optional
+from typing import TYPE_CHECKING, Any, Deque, List
 
 from repro.sim.events import _PENDING, URGENT, Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Simulator
 
-__all__ = ["Resource", "Container", "Store", "Request"]
+__all__ = ["Resource", "Request"]
 
 
 class Request(Event):
@@ -97,105 +94,3 @@ class Resource:
                 continue
             self.users.append(nxt)
             nxt.succeed(priority=URGENT)
-
-
-class Container:
-    """A continuous quantity (e.g. bytes of buffer space)."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 init: float = 0.0, name: str = "") -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        if not 0 <= init <= capacity:
-            raise ValueError(f"init {init} outside [0, {capacity}]")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._level = float(init)
-        self._putters: Deque[tuple] = deque()  # (amount, event)
-        self._getters: Deque[tuple] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError(f"cannot put negative amount {amount}")
-        ev = Event(self.sim, name=f"put:{self.name}")
-        self._putters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def get(self, amount: float) -> Event:
-        if amount < 0:
-            raise ValueError(f"cannot get negative amount {amount}")
-        if amount > self.capacity:
-            raise ValueError(f"get {amount} exceeds capacity {self.capacity}")
-        ev = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append((amount, ev))
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters:
-                amount, ev = self._putters[0]
-                if self._level + amount <= self.capacity:
-                    self._putters.popleft()
-                    self._level += amount
-                    ev.succeed(priority=URGENT)
-                    progressed = True
-            if self._getters:
-                amount, ev = self._getters[0]
-                if amount <= self._level:
-                    self._getters.popleft()
-                    self._level -= amount
-                    ev.succeed(priority=URGENT)
-                    progressed = True
-
-
-class Store:
-    """A FIFO of discrete items with optional capacity."""
-
-    def __init__(self, sim: "Simulator", capacity: float = float("inf"),
-                 name: str = "") -> None:
-        if capacity <= 0:
-            raise ValueError(f"capacity must be > 0, got {capacity}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self.items: Deque[Any] = deque()
-        self._putters: Deque[tuple] = deque()  # (item, event)
-        self._getters: Deque[Event] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def put(self, item: Any) -> Event:
-        ev = Event(self.sim, name=f"put:{self.name}")
-        self._putters.append((item, ev))
-        self._settle()
-        return ev
-
-    def get(self) -> Event:
-        ev = Event(self.sim, name=f"get:{self.name}")
-        self._getters.append(ev)
-        self._settle()
-        return ev
-
-    def _settle(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            if self._putters and len(self.items) < self.capacity:
-                item, ev = self._putters.popleft()
-                self.items.append(item)
-                ev.succeed(priority=URGENT)
-                progressed = True
-            if self._getters and self.items:
-                ev = self._getters.popleft()
-                ev.succeed(self.items.popleft(), priority=URGENT)
-                progressed = True

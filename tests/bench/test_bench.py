@@ -18,7 +18,28 @@ from repro.bench.harness import (BenchReport, bench_scenario,
                                  run_bench)
 from repro.bench.scenarios import SCENARIOS, run_scenario
 from repro.cli import main as cli_main
+from repro.net import fastalloc
 from repro.obs.critpath import critical_path
+from repro.sim import fastdrain
+
+#: Kernel modes a run must be byte-identical in: the fluid core's drain
+#: (and the pipe's fair share) and the fabric's reallocation load, and
+#: can be switched off, independently.
+KERNEL_MODES = {
+    "both": {},
+    "drain-off": {(fastdrain, "RAW_DRAIN"): None,
+                  (fastdrain, "RAW_FAIR"): None},
+    "fabric-off": {(fastalloc, "AVAILABLE"): False},
+}
+
+
+def _check_cases(names):
+    """(name, kernels) pairs; the both-kernels case keeps the bare
+    scenario name as its id."""
+    return [pytest.param(name, kernels,
+                         id=name if kernels == "both" else
+                         f"{name}-{kernels}")
+            for kernels in KERNEL_MODES for name in names]
 
 
 class TestScenarios:
@@ -48,9 +69,13 @@ class TestScenarios:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("name", ["timer_churn", "ssd_spill"])
-    def test_optimized_matches_reference(self, name):
-        """The digest equals the captured (reference) one."""
+    @pytest.mark.parametrize("name,kernels", _check_cases(
+        ["timer_churn", "ssd_spill", "shuffle_wave", "fig08_job"]))
+    def test_optimized_matches_reference(self, name, kernels, monkeypatch):
+        """The digest equals the captured (reference) one, in every
+        kernel mode."""
+        for (module, attr), value in KERNEL_MODES[kernels].items():
+            monkeypatch.setattr(module, attr, value)
         report = bench_scenario(name, quick=True, check=True)
         assert report.matches["golden"] is True
         assert report.digest == golden_digests()["quick"][name]

@@ -1,5 +1,6 @@
 """Tests for fabric optimizations: small-flow fast path, coalescing,
-and the fused C flow-event kernels against the NumPy fallback."""
+and the C flow-event kernels (the fluid core's drain and the fabric's
+reallocation) against the NumPy fallback."""
 
 import math
 import random
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.net import Fabric, fastalloc
-from repro.sim import Simulator
+from repro.sim import Simulator, fastdrain
 from repro.sim.flowarray import FlowTable
 
 GB = 1024.0 ** 3
@@ -18,6 +19,17 @@ KB = 1024.0
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+_needs_kernels = pytest.mark.skipif(
+    not (fastalloc.AVAILABLE and fastdrain.AVAILABLE),
+    reason="C kernels unavailable on this machine")
+
+
+def _numpy_only(monkeypatch):
+    """Switch both fabric flow-event kernels to the NumPy fallback."""
+    monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+    monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
 
 
 class TestSmallFlowFastPath:
@@ -81,6 +93,16 @@ class TestCoalescedAllocation:
         sim.run()
         assert fab.bytes_completed == pytest.approx(1 * GB)
 
+    def test_overflowing_horizon_arms_no_timer(self, sim):
+        """A positive rate whose horizon overflows to inf (a subnormal
+        cap) arms no completion timer, as when nothing drains: the run
+        ends at a finite time with the flow still in flight."""
+        fab = Fabric(sim, n_nodes=2, nic_bw=1 * GB, latency=0.0)
+        fab.transfer(0, 1, 1 * GB, cap=5e-324)
+        sim.run()
+        assert sim.now == 0.0
+        assert fab.n_active == 1 and fab._tab.col("rate")[0] > 0
+
 
 def _drive_fused(n_nodes, seed, bisection_bw):
     """A fabric workload with simultaneous completions, finite caps and
@@ -102,8 +124,9 @@ def _drive_fused(n_nodes, seed, bisection_bw):
     advance, assign = fab._advance, fab._assign_rates
 
     def snapshot():
+        tab = fab._tab
         return ([f.tag for f in fab.flows],
-                [c.copy() for c in fab._tab.columns()])
+                [c[:tab.n].copy() for c in tab.cols])
 
     def traced_advance():
         before = [f.tag for f in fab.flows]
@@ -154,16 +177,15 @@ def _drive_fused(n_nodes, seed, bisection_bw):
 
 
 class TestFusedKernelParity:
-    """The fused C drain and reallocation equal the NumPy fallback
-    exactly — no tolerances — on dense and giant fabrics."""
+    """The C drain and reallocation equal the NumPy fallback exactly —
+    no tolerances — on dense and giant fabrics."""
 
-    @pytest.mark.skipif(not fastalloc.AVAILABLE,
-                        reason="C kernel unavailable on this machine")
+    @_needs_kernels
     @pytest.mark.parametrize("n_nodes", [16, 300])
     @pytest.mark.parametrize("bisection_bw", [None, 450.0])
     def test_c_matches_numpy(self, monkeypatch, n_nodes, bisection_bw):
         kernel = _drive_fused(n_nodes, 5, bisection_bw)
-        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        _numpy_only(monkeypatch)
         numpy = _drive_fused(n_nodes, 5, bisection_bw)
 
         assert kernel["done"] == numpy["done"]
@@ -242,23 +264,21 @@ class TestFusedRouting:
             calls["numpy"] += 1
             numpy_alloc(fab)
 
-        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
-        monkeypatch.setattr(fastalloc, "RAW_DRAIN", boom)
+        _numpy_only(monkeypatch)
         monkeypatch.setattr(fastalloc, "RAW_REALLOC", boom)
         monkeypatch.setattr(FlowTable, "remove", count_remove)
         monkeypatch.setattr(Fabric, "_assign_rates_fast", count_numpy)
         self._run()
         assert calls["remove"] > 0 and calls["numpy"] > 0
 
-    @pytest.mark.skipif(not fastalloc.AVAILABLE,
-                        reason="C kernel unavailable on this machine")
+    @_needs_kernels
     def test_available_kernel_takes_one_native_call_per_event(
             self, monkeypatch):
         def boom(*args):
             raise AssertionError("NumPy path taken with the kernel loaded")
 
         calls = {"drain": 0, "realloc": 0}
-        drain, realloc = fastalloc.RAW_DRAIN, fastalloc.RAW_REALLOC
+        drain, realloc = fastdrain.RAW_DRAIN, fastalloc.RAW_REALLOC
 
         def count_drain(*args):
             calls["drain"] += 1
@@ -268,7 +288,7 @@ class TestFusedRouting:
             calls["realloc"] += 1
             return realloc(*args)
 
-        monkeypatch.setattr(fastalloc, "RAW_DRAIN", count_drain)
+        monkeypatch.setattr(fastdrain, "RAW_DRAIN", count_drain)
         monkeypatch.setattr(fastalloc, "RAW_REALLOC", count_realloc)
         monkeypatch.setattr(FlowTable, "remove", boom)
         monkeypatch.setattr(Fabric, "_assign_rates_fast", boom)

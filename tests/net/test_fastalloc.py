@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.net import fastalloc
 from repro.net.fabric import Fabric
-from repro.sim import Simulator
+from repro.sim import Simulator, fastdrain
 
 
 def progressive_filling(src, dst, caps, nic_bw, bisection_bw):
@@ -81,10 +81,19 @@ def _loaded_fabric(n_nodes, flows, nic_bw, bisection_bw):
     """A fabric whose flow table holds ``flows`` as (src, dst, cap)."""
     fab = Fabric(Simulator(), n_nodes, nic_bw=nic_bw,
                  bisection_bw=bisection_bw)
+    tab = fab._tab
     for src, dst, cap in flows:
-        fab._tab.append(src, dst, cap, 1e9, 0.0)
+        n = tab.add()
+        for col, value in zip(tab.cols, (1e9, 0.0, src, dst, cap)):
+            col[n] = value
     fab._size_scratch()
     return fab
+
+
+def _numpy_only(monkeypatch):
+    """Switch both fabric flow-event kernels to the NumPy fallback."""
+    monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+    monkeypatch.setattr(fastdrain, "RAW_DRAIN", None)
 
 
 _flow_sets = st.integers(min_value=1, max_value=12).flatmap(
@@ -162,20 +171,20 @@ class TestThreeWayParity:
     @pytest.mark.parametrize("kernel", ["c", "numpy"])
     def test_drive_matches_captured_output(self, kernel, monkeypatch):
         if kernel == "numpy":
-            monkeypatch.setattr(fastalloc, "AVAILABLE", False)
-        elif not fastalloc.AVAILABLE:
-            pytest.skip("C kernel unavailable on this machine")
+            _numpy_only(monkeypatch)
+        elif not (fastalloc.AVAILABLE and fastdrain.AVAILABLE):
+            pytest.skip("C kernels unavailable on this machine")
         out = _drive()
         assert len(out[0]) == 40
         assert all(rates for _t, rates, _u in out[1])  # flows were live
         assert hashlib.sha256(repr(out).encode()).hexdigest() \
             == DRIVE_DIGEST
 
-    @pytest.mark.skipif(not fastalloc.AVAILABLE,
-                        reason="C kernel unavailable on this machine")
+    @pytest.mark.skipif(not (fastalloc.AVAILABLE and fastdrain.AVAILABLE),
+                        reason="C kernels unavailable on this machine")
     def test_ckernel_matches_numpy(self, monkeypatch):
         kernel_out = _drive()
-        monkeypatch.setattr(fastalloc, "AVAILABLE", False)
+        _numpy_only(monkeypatch)
         numpy_out = _drive()
         assert kernel_out == numpy_out
 
@@ -208,15 +217,16 @@ def test_kernel_matches_numpy_allocator_directly():
 
 
 def test_no_ckernel_env_gate(tmp_path):
-    """REPRO_NO_CKERNEL=1 must disable the kernel at import time."""
+    """REPRO_NO_CKERNEL=1 must disable both kernels at import time."""
     env = dict(os.environ, REPRO_NO_CKERNEL="1",
                PYTHONPATH=os.path.join(os.getcwd(), "src"))
     out = subprocess.run(
         [sys.executable, "-c",
-         "from repro.net import fastalloc; print(fastalloc.AVAILABLE)"],
+         "from repro.net import fastalloc; from repro.sim import fastdrain; "
+         "print(fastalloc.AVAILABLE, fastdrain.AVAILABLE)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 class TestUtilizationAccumulators:

@@ -6,50 +6,6 @@ from repro.sim import AllOf, Simulator
 from repro.sim.events import ConditionValue
 
 
-class TestTriggerFrom:
-    def test_copies_success(self):
-        sim = Simulator()
-        src, dst = sim.event(), sim.event()
-        src.succeed("v")
-        dst.trigger_from(src)
-        sim.run()
-        assert dst.ok and dst.value == "v"
-
-    def test_copies_failure_and_defuses_source(self):
-        sim = Simulator()
-        src, dst = sim.event(), sim.event()
-        src.fail(ValueError("x"))
-        dst.trigger_from(src)
-        dst.defuse()
-        sim.run()
-        assert not dst.ok
-        assert src.defused()
-
-    def test_pending_source_rejected_without_defusing_it(self):
-        sim = Simulator()
-        src, dst = sim.event("src"), sim.event("dst")
-        with pytest.raises(RuntimeError,
-                           match="'src'.*the source has no outcome yet"):
-            dst.trigger_from(src)
-        assert not src.defused()
-        assert not dst.triggered
-        # The source's later failure still surfaces from run().
-        src.fail(ValueError("late"))
-        with pytest.raises(ValueError, match="late"):
-            sim.run()
-
-    def test_triggered_target_leaves_failed_source_armed(self):
-        sim = Simulator()
-        src, dst = sim.event(), sim.event()
-        dst.succeed()
-        src.fail(ValueError("x"))
-        with pytest.raises(RuntimeError, match="already triggered"):
-            dst.trigger_from(src)
-        assert not src.defused()
-        src.defuse()
-        sim.run()
-
-
 class TestConditionValue:
     def test_mapping_protocol(self):
         sim = Simulator()

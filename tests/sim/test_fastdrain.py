@@ -1,8 +1,8 @@
 """C drain / fair-share kernel parity (hypothesis-driven).
 
-The fluid-pipe inner loops run as C kernels or, without a compiler, as
-a vectorized NumPy fallback, and the two must be **bit-for-bit**
-interchangeable.  These tests drive both against a transparent Python
+The fluid core's drain and the pipe's fair share run as C kernels or,
+without a compiler, as a vectorized NumPy fallback, and the two must be
+**bit-for-bit** interchangeable.  These tests drive both against a transparent Python
 model with adversarial rates, sizes, and near-threshold epsilons, and
 whole pipes against each other, comparing with exact equality — never
 tolerances.  ``repro bench --check`` holds whole runs to the captured
@@ -18,70 +18,128 @@ from hypothesis import strategies as st
 
 from repro.sim import FluidPipe, Simulator
 from repro.sim import fastdrain
+from repro.sim.flowarray import FlowTable
 from repro.sim.fluid import fair_share
 
 # Adversarial magnitudes: tiny values straddling the 1e-6 finish
 # threshold, everyday byte counts, and huge transfers.
 _sizes = st.floats(min_value=1e-9, max_value=1e12, allow_nan=False,
                    allow_infinity=False)
-_rates = st.floats(min_value=0.0, max_value=1e12, allow_nan=False,
-                   allow_infinity=False)
-_dts = st.floats(min_value=0.0, max_value=1e6, allow_nan=False,
-                 allow_infinity=False)
 
 
-def _model_drain(remaining, rate, dt):
-    """The reference semantics, in the most transparent form possible."""
-    finished, surv_rem, surv_rate = [], [], []
-    for i in range(len(remaining)):
-        left = remaining[i] - rate[i] * dt
+def _ulps(x, k):
+    """``x`` moved ``k`` ULP up (k > 0) or down."""
+    for _ in range(abs(k)):
+        x = float(np.nextafter(x, math.inf if k > 0 else -math.inf))
+    return x
+
+
+def _bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+_SUBNORMALS = st.sampled_from([5e-324, -5e-324, 2.2250738585072009e-308,
+                               1e-310])
+# remaining: within a few ULP of the threshold, -0.0, subnormals, sizes.
+_remaining = st.one_of(st.integers(-4, 4).map(lambda k: _ulps(1e-6, k)),
+                       st.sampled_from([0.0, -0.0]), _SUBNORMALS, _sizes)
+# rate: zero, -0.0, subnormal, ordinary and huge.  dt is positive: the
+# fluid core drains only over elapsed time.
+_rate = st.one_of(st.sampled_from([0.0, -0.0]), _SUBNORMALS,
+                  st.floats(min_value=0.0, max_value=1e300))
+_dt = st.one_of(st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+                st.sampled_from([5e-324, 1e-9]))
+# Extra columns are given as raw 64-bit words: any pattern for int64,
+# and for float64 any pattern (NaN payloads included) or a rate cap a
+# table really holds (inf, -0.0, subnormals).
+_word = st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1)
+_float_word = st.one_of(_word, st.sampled_from(
+    [_bits(math.inf), _bits(-0.0), _bits(5e-324), _bits(1e-310)]))
+
+
+@st.composite
+def _tables(draw):
+    """(extra dtypes, rows, dt): 2 to 5 columns, 0 to 40 rows."""
+    kinds = draw(st.lists(st.sampled_from([np.int64, np.float64]),
+                          max_size=3))
+    row = st.tuples(_remaining, _rate,
+                    *[_word if k is np.int64 else _float_word
+                      for k in kinds])
+    return kinds, draw(st.lists(row, max_size=40)), draw(_dt)
+
+
+def _filled(kinds, rows):
+    """A table holding ``rows``; extra columns are stored as words."""
+    tab = FlowTable(**{f"c{i}": k for i, k in enumerate(kinds)})
+    for rem, rate, *words in rows:
+        n = tab.add()
+        tab.cols[0][n] = rem
+        tab.cols[1][n] = rate
+        for col, word in zip(tab.cols[2:], words):
+            col.view(np.int64)[n] = word
+    return tab
+
+
+def _column_bytes(tab):
+    return [col[:tab.n].tobytes() for col in tab.cols]
+
+
+def _drain(kinds, rows, dt, kernel):
+    """Drain a fresh table with the C kernel or (None) the NumPy path."""
+    tab = _filled(kinds, rows)
+    saved = fastdrain.RAW_DRAIN
+    fastdrain.RAW_DRAIN = kernel
+    try:
+        finished = list(tab.drain(dt))
+    finally:
+        fastdrain.RAW_DRAIN = saved
+    return finished, _column_bytes(tab)
+
+
+def _model_drain(kinds, rows, dt):
+    """The reference semantics, in the most transparent form possible:
+    finished indices and the survivors' columns, ``remaining``
+    decremented and every other value moved unchanged."""
+    finished, survivors = [], []
+    for i, (rem, rate, *words) in enumerate(rows):
+        left = rem - rate * dt
         if left <= 1e-6:
             finished.append(i)
         else:
-            surv_rem.append(left)
-            surv_rate.append(rate[i])
-    return finished, surv_rem, surv_rate
+            survivors.append((left, rate, *words))
+    return finished, _column_bytes(_filled(kinds, survivors))
+
+
+_needs_kernel = pytest.mark.skipif(
+    not fastdrain.AVAILABLE, reason="C kernel unavailable on this machine")
 
 
 class TestDrainParity:
-    @pytest.mark.skipif(not fastdrain.AVAILABLE,
-                        reason="C kernel unavailable on this machine")
-    @given(st.lists(st.tuples(_sizes, _rates), min_size=0, max_size=64),
-           _dts)
-    @settings(max_examples=200, deadline=None)
-    def test_c_kernel_matches_python_model(self, flows, dt):
-        rem = np.array([f[0] for f in flows], dtype=np.float64)
-        rate = np.array([f[1] for f in flows], dtype=np.float64)
-        fin = np.empty(max(len(flows), 1), dtype=np.int64)
-        k = fastdrain.drain(len(flows), dt, rem, rate, fin)
-        finished, surv_rem, surv_rate = _model_drain(
-            [f[0] for f in flows], [f[1] for f in flows], dt)
-        assert k == len(finished)
-        assert fin[:k].tolist() == finished          # ascending, exact
-        w = len(flows) - k
-        assert rem[:w].tobytes() == np.array(
-            surv_rem, dtype=np.float64).tobytes()    # bitwise survivors
-        assert rate[:w].tobytes() == np.array(
-            surv_rate, dtype=np.float64).tobytes()
+    """``repro_flow_drain`` and the NumPy drain (``remaining -= rate *
+    dt`` plus ``FlowTable.remove``) over 2 to 5 columns, compared by
+    finished indices and every column's bytes."""
 
-    @given(st.lists(st.tuples(_sizes, _rates), min_size=0, max_size=64),
-           _dts)
-    @settings(max_examples=200, deadline=None)
-    def test_numpy_fallback_matches_python_model(self, flows, dt):
-        # The expression FluidPipe._advance uses when RAW_DRAIN is None.
-        rem = np.array([f[0] for f in flows], dtype=np.float64)
-        rate = np.array([f[1] for f in flows], dtype=np.float64)
-        rem2 = rem - rate * dt
-        fin_idx = np.flatnonzero(rem2 <= 1e-6)
-        keep = np.ones(len(flows), dtype=bool)
-        keep[fin_idx] = False
-        finished, surv_rem, surv_rate = _model_drain(
-            [f[0] for f in flows], [f[1] for f in flows], dt)
-        assert fin_idx.tolist() == finished
-        assert rem2[keep].tobytes() == np.array(
-            surv_rem, dtype=np.float64).tobytes()
-        assert rate[keep].tobytes() == np.array(
-            surv_rate, dtype=np.float64).tobytes()
+    @_needs_kernel
+    @given(_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_c_kernel_matches_numpy_bitwise(self, case):
+        kinds, rows, dt = case
+        assert _drain(kinds, rows, dt, fastdrain.RAW_DRAIN) \
+            == _drain(kinds, rows, dt, None)
+
+    @_needs_kernel
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_c_kernel_matches_python_model(self, case):
+        kinds, rows, dt = case
+        assert _drain(kinds, rows, dt, fastdrain.RAW_DRAIN) \
+            == _model_drain(kinds, rows, dt)
+
+    @given(_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_numpy_fallback_matches_python_model(self, case):
+        kinds, rows, dt = case
+        assert _drain(kinds, rows, dt, None) == _model_drain(kinds, rows, dt)
 
 
 class TestFairShareParity:
@@ -92,7 +150,8 @@ class TestFairShareParity:
                          st.floats(min_value=1e-6, max_value=1e9,
                                    allow_nan=False)),
                _sizes), min_size=1, max_size=64),
-           st.floats(min_value=1e-3, max_value=1e12, allow_nan=False))
+           st.one_of(st.floats(min_value=1e-3, max_value=1e12,
+                               allow_nan=False), st.just(math.inf)))
     @settings(max_examples=200, deadline=None)
     def test_fused_kernel_matches_python_fair_share(self, flows, capacity):
         caps = [f[0] for f in flows]
@@ -112,45 +171,6 @@ class TestFairShareParity:
         assert rates_out.tobytes() == np.array(
             expected, dtype=np.float64).tobytes()    # bitwise rates
         assert horizon_c == horizon_py               # inf == inf is fine
-
-
-class TestLoadAggregateParity:
-    """`FluidPipe.load` answers from an incremental aggregate; the
-    oracle clamps every flow's column value and sums.  The aggregate
-    reorders the float summation (one subtract of `rate_sum*dt` instead
-    of per-flow subtracts), so parity here is near-exact rather than
-    bitwise — unlike everything the fingerprint check covers, `load` is
-    a pure observer and feeds no simulation decisions."""
-
-    @given(st.lists(st.tuples(
-               st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
-               st.floats(min_value=1e-3, max_value=1e8, allow_nan=False)),
-               min_size=1, max_size=20),
-           st.lists(st.floats(min_value=0.0, max_value=8.0,
-                              allow_nan=False),
-                    min_size=1, max_size=8))
-    @settings(max_examples=50, deadline=None)
-    def test_load_reads_match_reference(self, arrivals, probe_times):
-        sim = Simulator()
-        pipe = FluidPipe(sim, capacity=1e6)
-
-        def clamp_sum():
-            n = len(pipe.flows)
-            dt = sim.now - pipe._last_advance
-            return sum(max(rem - rate * dt, 0.0) for rem, rate in
-                       zip(pipe._a_rem[:n].tolist(),
-                           pipe._a_rate[:n].tolist()))
-
-        for delay, size in arrivals:
-            sim.schedule_callback(delay, lambda s=size: pipe.transfer(s))
-        reads = []
-        for t in probe_times:
-            sim.schedule_callback(
-                t, lambda: reads.append((pipe.load, clamp_sum())))
-        sim.run()
-        assert len(reads) == len(probe_times)
-        for load, expected in reads:
-            assert load == pytest.approx(expected, rel=1e-9, abs=1e-6)
 
 
 class TestEndToEndPipeParity:

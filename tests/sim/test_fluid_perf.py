@@ -1,9 +1,8 @@
 """FluidPipe hot-path contracts and ``fair_share`` properties.
 
-Covers the satellite guarantees from the perf PR: ``load`` is a pure
-read, ``advance()`` is the explicit mutation point, the coalesced
-reallocation path reproduces completion times captured before the
-uncoalesced path was retired, and ``fair_share`` satisfies the max–min
+The coalesced reallocation path reproduces completion times captured
+before the uncoalesced path was retired, same-timestamp completions
+fire in arrival order, and ``fair_share`` satisfies the max–min
 properties (work-conservation, cap-respect, permutation invariance)
 under Hypothesis-generated inputs.
 """
@@ -75,38 +74,6 @@ class TestFairShareProperties:
         assert rates == [10.0, 40.0, 40.0]
 
 
-class TestLoadIsPure:
-    def test_load_mid_flight_does_not_mutate(self):
-        sim = Simulator()
-        pipe = FluidPipe(sim, capacity=100.0)
-        pipe.transfer(1000.0, tag="a")
-        sim.run(until=4.0)
-        before = [f.remaining for f in pipe.flows]
-        assert pipe.load == 600.0  # 1000 - 100 B/s * 4 s
-        assert [f.remaining for f in pipe.flows] == before  # untouched
-        assert pipe.load == 600.0  # repeatable
-
-    def test_load_excludes_already_drained(self):
-        sim = Simulator()
-        pipe = FluidPipe(sim, capacity=100.0)
-        done = []
-        pipe.transfer(100.0, tag="a").add_callback(lambda e: done.append(e))
-        # Peek past the completion horizon without advancing the pipe.
-        sim.run(until=0.5)
-        pipe._last_advance = -1.0  # pretend 1.5s elapsed at 100 B/s
-        assert pipe.load == 0.0
-        assert not done  # a pure read never fires completions
-
-    def test_advance_fires_completions(self):
-        sim = Simulator()
-        pipe = FluidPipe(sim, capacity=100.0)
-        done = []
-        pipe.transfer(100.0, tag="a").add_callback(lambda e: done.append(e))
-        sim.run(until=2.0)
-        pipe.advance()
-        assert done and pipe.n_active == 0
-
-
 def _drive_chained(n_chains=6, depth=4):
     """A chained-transfer workload; returns (tag -> completion time)."""
     sim = Simulator()
@@ -149,6 +116,15 @@ class TestCoalescingParity:
     def test_optimized_matches_reference(self):
         """The captured completion times, byte for byte."""
         assert _drive_chained() == CHAINED_TIMES
+
+    def test_overflowing_horizon_arms_no_timer(self):
+        """As on the fabric: a horizon that overflows to inf (a
+        subnormal cap) arms no completion timer."""
+        sim = Simulator()
+        pipe = FluidPipe(sim, capacity=100.0)
+        pipe.transfer(100.0, cap=5e-324)
+        sim.run()
+        assert sim.now == 0.0 and pipe.n_active == 1
 
     def test_drain_order_preserved(self):
         """Same-timestamp completions fire in arrival order."""

@@ -1,8 +1,8 @@
-"""Tests for Resource / Container / Store."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Resource, Simulator, Store
+from repro.sim import Resource, Simulator
 
 
 class TestResource:
@@ -86,136 +86,3 @@ class TestResource:
         sim.run()
         assert max(peak) <= 3
         assert len(peak) == 20
-
-
-class TestContainer:
-    def test_init_level(self):
-        sim = Simulator()
-        c = Container(sim, capacity=10, init=4)
-        assert c.level == 4
-
-    def test_invalid_init(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            Container(sim, capacity=10, init=11)
-        with pytest.raises(ValueError):
-            Container(sim, capacity=0)
-
-    def test_get_blocks_until_put(self):
-        sim = Simulator()
-        c = Container(sim, capacity=100)
-        times = []
-
-        def consumer():
-            yield c.get(5)
-            times.append(sim.now)
-
-        def producer():
-            yield sim.timeout(2.0)
-            yield c.put(5)
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert times == [2.0]
-        assert c.level == 0
-
-    def test_put_blocks_at_capacity(self):
-        sim = Simulator()
-        c = Container(sim, capacity=10, init=8)
-        times = []
-
-        def producer():
-            yield c.put(5)  # needs 3 units drained first
-            times.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(1.0)
-            yield c.get(4)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert times == [1.0]
-        assert c.level == 9
-
-    def test_negative_amounts_rejected(self):
-        sim = Simulator()
-        c = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            c.put(-1)
-        with pytest.raises(ValueError):
-            c.get(-1)
-
-    def test_get_more_than_capacity_rejected(self):
-        sim = Simulator()
-        c = Container(sim, capacity=10)
-        with pytest.raises(ValueError):
-            c.get(11)
-
-
-class TestStore:
-    def test_fifo_ordering(self):
-        sim = Simulator()
-        s = Store(sim)
-        got = []
-
-        def producer():
-            for i in range(3):
-                yield s.put(i)
-                yield sim.timeout(1.0)
-
-        def consumer():
-            for _ in range(3):
-                item = yield s.get()
-                got.append(item)
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_capacity_blocks_putter(self):
-        sim = Simulator()
-        s = Store(sim, capacity=1)
-        times = []
-
-        def producer():
-            yield s.put("a")
-            yield s.put("b")
-            times.append(sim.now)
-
-        def consumer():
-            yield sim.timeout(3.0)
-            yield s.get()
-
-        sim.process(producer())
-        sim.process(consumer())
-        sim.run()
-        assert times == [3.0]
-
-    def test_get_blocks_on_empty(self):
-        sim = Simulator()
-        s = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield s.get()
-            got.append((sim.now, item))
-
-        def producer():
-            yield sim.timeout(5.0)
-            yield s.put("x")
-
-        sim.process(consumer())
-        sim.process(producer())
-        sim.run()
-        assert got == [(5.0, "x")]
-
-    def test_len(self):
-        sim = Simulator()
-        s = Store(sim)
-        s.put(1)
-        s.put(2)
-        sim.run()
-        assert len(s) == 2
