@@ -2,9 +2,10 @@
 
 Two execution backends share one job model:
 
-* :class:`~repro.core.local.LocalContext` — really executes RDD programs
-  (map/filter/groupByKey/...) on in-memory Python data, for validating
-  the programming model and running the example applications.
+* :class:`~repro.core.local.LocalContext` — really executes the RDD
+  programs of the workloads and examples (map/flat_map/filter,
+  group_by_key/reduce_by_key, cache) on in-memory Python data; the
+  workload-shape tests run them to check each ``JobSpec``.
 * :class:`~repro.core.engine.SparkSim` — executes a
   :class:`~repro.core.jobspec.JobSpec` on a simulated
   :class:`~repro.cluster.Cluster`, reproducing the paper's scheduling,

@@ -12,10 +12,13 @@ Reduction-factor derivation (DESIGN.md §14)
 A node holding ``B`` raw intermediate bytes holds ``m = B / pair_bytes``
 key/value records whose keys follow the workload's key distribution: a
 Zipf law with exponent ``1 + skew`` truncated to ``n_keys`` ranks
-(``skew = 0`` degenerates to uniform).  This is the same knob the data
-generator exposes — ``datagen.generate_kv_pairs(skew=...)`` draws
-``rng.zipf(1.0 + skew)`` folded onto ``n_keys`` keys — so the simulated
-curves and the real local-backend workloads share one parameterisation.
+(``skew = 0`` degenerates to uniform), :func:`zipf_pmf`.  The data
+generator draws its keys from this same vector
+(``datagen.generate_kv_pairs(skew=...)``), and
+``tests/workloads/test_workload_shapes.py`` checks that the distinct
+keys each map partition of the local GroupBy and WordCount programs
+feeds its shuffle match :func:`expected_distinct_keys` within 3
+standard errors.
 
 A perfect combiner leaves one record per *distinct* key, so the expected
 post-combine volume is ``E[D(m)] * pair_bytes`` where ``D(m)`` is the

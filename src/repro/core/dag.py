@@ -4,8 +4,8 @@ Spark builds a DAG of stages when an action fires (§II-C): narrow
 transformations pipeline into one stage; every shuffle dependency starts
 a new stage.  The local backend does not need explicit stages to compute
 correctly (its pull-based evaluation materialises shuffles on demand),
-but the plan is how users — and our tests — verify that e.g. GroupBy
-compiles to the paper's Fig 4(a) shape.
+but the plan is how users — and the workload-shape tests — verify
+that e.g. GroupBy compiles to the paper's Fig 4(a) shape.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ class ExecutionPlan:
     """All stages of one action, in execution order."""
 
     stages: List[Stage]
-    final_stage: Stage
 
     @property
     def num_stages(self) -> int:
@@ -85,22 +84,20 @@ def execution_plan(rdd: RDD) -> ExecutionPlan:
                 continue
             seen.add(r.rdd_id)
             stage.rdds.append(r)
-            dep = r.shuffle_dependency
-            if dep is not None:
-                assert isinstance(r, ShuffledRDD)
+            if isinstance(r, ShuffledRDD):
                 parent = shuffle_stage.get(r.rdd_id)
                 if parent is None:
-                    parent = build(dep.parent, shuffle=r)
+                    parent = build(r.parents[0], shuffle=r)
                     shuffle_stage[r.rdd_id] = parent
                 stage.parent_stages.append(parent)
             else:
                 frontier.extend(r.parents)
         return stage
 
-    final = build(rdd, shuffle=None)
+    build(rdd, shuffle=None)
     # Execution order: parents before children (reverse creation works
     # because build() recurses depth-first into parents).
     ordered = sorted(stages, key=lambda s: -s.stage_id)
     for i, s in enumerate(ordered):
         s.stage_id = i
-    return ExecutionPlan(stages=ordered, final_stage=final)
+    return ExecutionPlan(stages=ordered)

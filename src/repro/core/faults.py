@@ -21,8 +21,10 @@ that makes such scenarios runnable:
 
 * :class:`LineageRecovery` — one job's lineage recovery: which lost
   partitions to recompute (or only re-store) and where, run as a
-  ``recovery`` process; see :meth:`~repro.core.rdd.RDD.recompute_scope`
-  for the RDD-level statement of the same rule.
+  ``recovery`` process.  Its rule cuts re-execution at materialised
+  data: only the map tasks that produced lost outputs rerun (mode
+  ``"full"``), an output whose in-memory copy survives is only
+  re-stored (mode ``"store"``), and nothing upstream reruns.
 
 A node crash loses the memory-resident map outputs (and any node-local
 shuffle files) of every partition cached there; a shuffle-output loss

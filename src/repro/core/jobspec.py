@@ -79,8 +79,9 @@ class JobSpec:
     #: derived from the key distribution below, not hand-tuned.
     combiner: bool = False
     #: Zipf skew of the intermediate key distribution (the exponent is
-    #: ``1 + key_skew``; 0 = uniform) — the same knob as
-    #: ``datagen.generate_kv_pairs(skew=...)``.
+    #: ``1 + key_skew``, truncated to ``n_keys`` ranks; 0 = uniform) —
+    #: ``combine.zipf_pmf``, which ``datagen.generate_kv_pairs(skew=...)``
+    #: also draws from.
     key_skew: float = 0.0
     #: Distinct intermediate keys the workload can produce.
     n_keys: int = 1 << 20

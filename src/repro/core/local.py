@@ -10,7 +10,7 @@ files.  Cached RDDs keep their computed partitions in memory.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.rdd import RDD, ShuffledRDD, SourceRDD
 
@@ -45,18 +45,6 @@ class LocalBackend:
             self.partitions_computed += 1
         return hit
 
-    # -- fault injection (lineage recovery demonstrations) -----------------------
-    def drop_cached_partition(self, rdd: RDD, split: int) -> bool:
-        """Simulate losing one cached partition (node failure); the next
-        access recomputes it through lineage.  Returns whether anything
-        was actually dropped."""
-        return self._rdd_cache.pop((rdd.rdd_id, split), None) is not None
-
-    def drop_shuffle(self, rdd: ShuffledRDD) -> bool:
-        """Simulate losing a materialised shuffle output; the next access
-        re-runs the shuffle from the parent lineage."""
-        return self._shuffle_cache.pop(rdd.rdd_id, None) is not None
-
     # -- shuffle ------------------------------------------------------------------
     def get_or_run_shuffle(self, rdd: ShuffledRDD) -> List[List]:
         buckets = self._shuffle_cache.get(rdd.rdd_id)
@@ -69,7 +57,7 @@ class LocalBackend:
     def _run_shuffle(self, rdd: ShuffledRDD) -> List[List]:
         parent = rdd.parents[0]
         n_out = rdd.num_partitions
-        # Storing phase: combine map-side, bucket by hash(key).
+        # Storing phase: bucket by hash(key), combining per bucket.
         combined: List[Dict] = [dict() for _ in range(n_out)]
         for split in range(parent.num_partitions):
             for k, v in parent.iterator(split, self):
@@ -95,12 +83,10 @@ class LocalContext:
                     .collect())
     """
 
-    def __init__(self, parallelism: int = 4,
-                 default_parallelism: Optional[int] = None) -> None:
+    def __init__(self, parallelism: int = 4) -> None:
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
         self.parallelism = parallelism
-        self.default_parallelism = default_parallelism
         self.backend = LocalBackend()
 
     def parallelize(self, data, num_partitions: Optional[int] = None) -> RDD:
@@ -110,17 +96,5 @@ class LocalContext:
             raise ValueError("num_partitions must be >= 1")
         n = min(n, max(1, len(items)))
         size = int(math.ceil(len(items) / n)) if items else 1
-        partitions = [items[i * size:(i + 1) * size] for i in range(n)]
-        # Guarantee exactly n partitions even when items is short.
-        while len(partitions) < n:
-            partitions.append([])
-        return SourceRDD(self, partitions)
-
-    def range(self, n: int, num_partitions: Optional[int] = None) -> RDD:
-        return self.parallelize(range(n), num_partitions)
-
-    def from_partitions(self, partitions: List[List]) -> RDD:
-        """Build an RDD with an explicit partition layout."""
-        if not partitions:
-            raise ValueError("need at least one partition")
-        return SourceRDD(self, [list(p) for p in partitions])
+        return SourceRDD(self, [items[i * size:(i + 1) * size]
+                                for i in range(n)])

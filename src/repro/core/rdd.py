@@ -1,47 +1,39 @@
 """Resilient Distributed Datasets: the lazy programming model (§II-C).
 
-A faithful miniature of Spark's RDD API: transformations build a lineage
-graph lazily; actions trigger execution through the context's backend.
-Narrow transformations (map, filter, flatMap, ...) pipeline within a
-stage; :class:`ShuffledRDD` introduces a stage boundary, materialising
-hash-partitioned buckets exactly like Spark's shuffle files.
+A miniature of Spark's RDD API, cut to the operators the workload
+programs and the examples run: transformations build a lineage graph
+lazily; actions trigger execution through the context's backend.
+Narrow transformations (``map``, ``flat_map``, ``filter``) pipeline
+within a stage; :class:`ShuffledRDD` introduces a stage boundary,
+materialising hash-partitioned buckets exactly like Spark's shuffle
+files.
 
-The local backend really computes (see :mod:`repro.core.local`), which is
-what the example applications run on; the simulation engine executes
-:class:`~repro.core.jobspec.JobSpec` descriptors instead, because the
-paper's questions are about scheduling and I/O, not record values.
+The local backend really computes (see :mod:`repro.core.local`).  The
+simulation engine executes :class:`~repro.core.jobspec.JobSpec`
+descriptors instead, because the paper's questions are about scheduling
+and I/O, not record values; ``tests/workloads/test_workload_shapes.py``
+runs each workload's RDD program here and checks that its ``JobSpec``
+has the shape the program implies.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
-from collections import defaultdict
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
-                    Tuple, TypeVar)
+from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 T = TypeVar("T")
 U = TypeVar("U")
-K = TypeVar("K")
 V = TypeVar("V")
 
-__all__ = ["RDD", "ShuffledRDD", "ShuffleDependency"]
+__all__ = ["RDD", "ShuffledRDD"]
 
 _next_rdd_id = itertools.count()
-
-
-class ShuffleDependency:
-    """A wide dependency: the child needs a repartitioning of the parent."""
-
-    def __init__(self, parent: "RDD", num_partitions: int) -> None:
-        self.parent = parent
-        self.num_partitions = num_partitions
 
 
 class RDD:
     """Base class: a lazily evaluated, partitioned collection."""
 
-    def __init__(self, ctx, parents: Tuple["RDD", ...] = ()) -> None:
+    def __init__(self, ctx, parents=()) -> None:
         self.ctx = ctx
         self.parents = parents
         self.rdd_id = next(_next_rdd_id)
@@ -55,10 +47,6 @@ class RDD:
     def compute(self, split: int, backend) -> Iterator:
         raise NotImplementedError
 
-    @property
-    def shuffle_dependency(self) -> Optional[ShuffleDependency]:
-        return None
-
     # -- evaluation --------------------------------------------------------------
     def iterator(self, split: int, backend) -> Iterator:
         """Iterate one partition, honouring caching."""
@@ -66,56 +54,11 @@ class RDD:
             return iter(backend.get_or_compute_cached(self, split))
         return self.compute(split, backend)
 
-    # -- lineage -----------------------------------------------------------------
-    def lineage(self) -> List["RDD"]:
-        """The full ancestry of this RDD, parents before children (this
-        RDD last), each ancestor once — the graph Spark's DAGScheduler
-        walks when an output is lost."""
-        seen = set()
-        order: List["RDD"] = []
-
-        def visit(rdd: "RDD") -> None:
-            if rdd.rdd_id in seen:
-                return
-            seen.add(rdd.rdd_id)
-            for parent in rdd.parents:
-                visit(parent)
-            order.append(rdd)
-
-        visit(self)
-        return order
-
-    def recompute_scope(self) -> List["RDD"]:
-        """The subgraph that must actually re-execute to rebuild this
-        RDD's partitions: the lineage walk cut at *materialised*
-        boundaries — cached ancestors and shuffle outputs are read back,
-        not recomputed (this is the partial re-execution rule the
-        simulation engine applies when a crash loses map outputs)."""
-        seen = set()
-        order: List["RDD"] = []
-
-        def visit(rdd: "RDD", root: bool) -> None:
-            if rdd.rdd_id in seen:
-                return
-            seen.add(rdd.rdd_id)
-            if not root and (rdd.is_cached
-                             or rdd.shuffle_dependency is not None):
-                return  # materialised boundary: read back, don't rerun
-            for parent in rdd.parents:
-                visit(parent, False)
-            order.append(rdd)
-
-        visit(self, True)
-        return order
-
-    # -- persistence ---------------------------------------------------------------
     def cache(self) -> "RDD":
         """Keep computed partitions in memory (the memory-resident
         feature that makes iterative jobs like LR fast)."""
         self.is_cached = True
         return self
-
-    persist = cache
 
     # -- transformations (lazy) ----------------------------------------------------
     def map(self, f: Callable[[T], U]) -> "RDD":
@@ -126,196 +69,30 @@ class RDD:
             self, lambda it: itertools.chain.from_iterable(map(f, it)),
             "flatMap")
 
-    flatMap = flat_map
-
     def filter(self, f: Callable[[T], bool]) -> "RDD":
         return MapPartitionsRDD(self, lambda it: filter(f, it), "filter")
 
-    def map_partitions(self, f: Callable[[Iterator], Iterator]) -> "RDD":
-        return MapPartitionsRDD(self, f, "mapPartitions")
-
-    mapPartitions = map_partitions
-
-    def glom(self) -> "RDD":
-        return MapPartitionsRDD(self, lambda it: iter([list(it)]), "glom")
-
-    def distinct(self, num_partitions: Optional[int] = None) -> "RDD":
-        return (self.map(lambda x: (x, None))
-                .reduce_by_key(lambda a, b: a, num_partitions)
-                .map(lambda kv: kv[0]))
-
-    def union(self, other: "RDD") -> "RDD":
-        return UnionRDD(self, other)
-
-    def sample(self, fraction: float, seed: int = 0) -> "RDD":
-        if not 0 <= fraction <= 1:
-            raise ValueError("fraction must be in [0, 1]")
-
-        def sampler(split_it, split):
-            rng = random.Random(seed * 1_000_003 + split)
-            return (x for x in split_it if rng.random() < fraction)
-
-        return MapPartitionsWithIndexRDD(self, sampler, "sample")
-
-    # -- key/value transformations -----------------------------------------------
-    def map_values(self, f: Callable[[V], U]) -> "RDD":
-        return self.map(lambda kv: (kv[0], f(kv[1])))
-
-    mapValues = map_values
-
-    def flat_map_values(self, f: Callable[[V], Iterable[U]]) -> "RDD":
-        return self.flat_map(
-            lambda kv: ((kv[0], v) for v in f(kv[1])))
-
-    flatMapValues = flat_map_values
-
-    def keys(self) -> "RDD":
-        return self.map(lambda kv: kv[0])
-
-    def values(self) -> "RDD":
-        return self.map(lambda kv: kv[1])
-
     def combine_by_key(self, create, merge_value, merge_combiners,
                        num_partitions: Optional[int] = None) -> "RDD":
+        if num_partitions is None:
+            num_partitions = self.num_partitions
+        elif num_partitions < 1:
+            raise ValueError("num_partitions must be >= 1")
         return ShuffledRDD(self, create, merge_value, merge_combiners,
-                           self._pick_partitions(num_partitions))
-
-    combineByKey = combine_by_key
+                           num_partitions)
 
     def group_by_key(self, num_partitions: Optional[int] = None) -> "RDD":
         return self.combine_by_key(lambda v: [v],
                                    lambda acc, v: (acc.append(v) or acc),
                                    lambda a, b: a + b, num_partitions)
 
-    groupByKey = group_by_key
-
-    def group_by(self, f: Callable[[T], K],
-                 num_partitions: Optional[int] = None) -> "RDD":
-        return self.map(lambda x: (f(x), x)).group_by_key(num_partitions)
-
-    groupBy = group_by
-
     def reduce_by_key(self, f: Callable[[V, V], V],
                       num_partitions: Optional[int] = None) -> "RDD":
         return self.combine_by_key(lambda v: v, f, f, num_partitions)
 
-    reduceByKey = reduce_by_key
-
-    def aggregate_by_key(self, zero, seq_func, comb_func,
-                         num_partitions: Optional[int] = None) -> "RDD":
-        import copy
-        return self.combine_by_key(
-            lambda v: seq_func(copy.deepcopy(zero), v),
-            seq_func, comb_func, num_partitions)
-
-    aggregateByKey = aggregate_by_key
-
-    def fold_by_key(self, zero, f,
-                    num_partitions: Optional[int] = None) -> "RDD":
-        return self.aggregate_by_key(zero, f, f, num_partitions)
-
-    foldByKey = fold_by_key
-
-    def cogroup(self, other: "RDD",
-                num_partitions: Optional[int] = None) -> "RDD":
-        grouped = (self.map_values(lambda v: (0, v))
-                   .union(other.map_values(lambda v: (1, v)))
-                   .group_by_key(num_partitions))
-
-        def split(kv):
-            k, tagged = kv
-            return (k, ([v for t, v in tagged if t == 0],
-                        [v for t, v in tagged if t == 1]))
-
-        return grouped.map(split)
-
-    def join(self, other: "RDD",
-             num_partitions: Optional[int] = None) -> "RDD":
-        def emit(kv):
-            k, (left, right) = kv
-            return ((k, (l, r)) for l in left for r in right)
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
-
-    def left_outer_join(self, other: "RDD",
-                        num_partitions: Optional[int] = None) -> "RDD":
-        def emit(kv):
-            k, (left, right) = kv
-            if not right:
-                return ((k, (l, None)) for l in left)
-            return ((k, (l, r)) for l in left for r in right)
-
-        return self.cogroup(other, num_partitions).flat_map(emit)
-
-    leftOuterJoin = left_outer_join
-
-    def sort_by(self, key_func, ascending: bool = True) -> "RDD":
-        """Total sort.  Collects to a single partition, as a small local
-        engine may: ordering, not scalability, is the contract here."""
-
-        def do_sort(it):
-            return iter(sorted(it, key=key_func, reverse=not ascending))
-
-        return self.coalesce(1).map_partitions(do_sort)
-
-    sortBy = sort_by
-
-    def sort_by_key(self, ascending: bool = True) -> "RDD":
-        return self.sort_by(lambda kv: kv[0], ascending)
-
-    sortByKey = sort_by_key
-
-    def coalesce(self, num_partitions: int) -> "RDD":
-        if num_partitions < 1:
-            raise ValueError("num_partitions must be >= 1")
-        return CoalescedRDD(self, num_partitions)
-
-    def repartition(self, num_partitions: int) -> "RDD":
-        """Redistribute records evenly via a shuffle."""
-        indexed = MapPartitionsWithIndexRDD(
-            self, lambda it, split: ((i, x) for i, x in enumerate(it)),
-            "index")
-        shuffled = indexed.combine_by_key(
-            lambda v: [v], lambda acc, v: (acc.append(v) or acc),
-            lambda a, b: a + b, num_partitions)
-        return shuffled.flat_map(lambda kv: kv[1])
-
-    def zip_with_index(self) -> "RDD":
-        return ZipWithIndexRDD(self)
-
-    zipWithIndex = zip_with_index
-
-    def cartesian(self, other: "RDD") -> "RDD":
-        return CartesianRDD(self, other)
-
-    def _pick_partitions(self, num_partitions: Optional[int]) -> int:
-        if num_partitions is not None:
-            if num_partitions < 1:
-                raise ValueError("num_partitions must be >= 1")
-            return num_partitions
-        if self.ctx.default_parallelism is not None:
-            return self.ctx.default_parallelism
-        return self.num_partitions
-
     # -- actions (eager) --------------------------------------------------------------
     def collect(self) -> List:
         return self.ctx.backend.collect(self)
-
-    def count(self) -> int:
-        return sum(1 for _ in self.ctx.backend.iterate(self))
-
-    def take(self, n: int) -> List:
-        out: List = []
-        for x in self.ctx.backend.iterate(self):
-            out.append(x)
-            if len(out) >= n:
-                break
-        return out
-
-    def first(self):
-        for x in self.ctx.backend.iterate(self):
-            return x
-        raise ValueError("RDD is empty")
 
     def reduce(self, f: Callable[[T, T], T]):
         it = self.ctx.backend.iterate(self)
@@ -326,76 +103,6 @@ class RDD:
         for x in it:
             acc = f(acc, x)
         return acc
-
-    def fold(self, zero, f: Callable[[T, T], T]):
-        acc = zero
-        for x in self.ctx.backend.iterate(self):
-            acc = f(acc, x)
-        return acc
-
-    def count_by_key(self) -> Dict:
-        counts: Dict = defaultdict(int)
-        for k, _ in self.ctx.backend.iterate(self):
-            counts[k] += 1
-        return dict(counts)
-
-    countByKey = count_by_key
-
-    def count_by_value(self) -> Dict:
-        counts: Dict = defaultdict(int)
-        for x in self.ctx.backend.iterate(self):
-            counts[x] += 1
-        return dict(counts)
-
-    countByValue = count_by_value
-
-    def top(self, n: int, key: Callable = None) -> List:
-        """The ``n`` largest elements, descending."""
-        import heapq
-        it = self.ctx.backend.iterate(self)
-        if key is None:
-            return heapq.nlargest(n, it)
-        return heapq.nlargest(n, it, key=key)
-
-    def take_ordered(self, n: int, key: Callable = None) -> List:
-        """The ``n`` smallest elements, ascending."""
-        import heapq
-        it = self.ctx.backend.iterate(self)
-        if key is None:
-            return heapq.nsmallest(n, it)
-        return heapq.nsmallest(n, it, key=key)
-
-    takeOrdered = take_ordered
-
-    def sum(self):
-        return self.fold(0, lambda a, b: a + b)
-
-    def mean(self) -> float:
-        total = 0.0
-        n = 0
-        for x in self.ctx.backend.iterate(self):
-            total += x
-            n += 1
-        if n == 0:
-            raise ValueError("mean of empty RDD")
-        return total / n
-
-    def max(self):
-        return self.reduce(lambda a, b: a if a >= b else b)
-
-    def min(self):
-        return self.reduce(lambda a, b: a if a <= b else b)
-
-    def is_empty(self) -> bool:
-        for _ in self.ctx.backend.iterate(self):
-            return False
-        return True
-
-    isEmpty = is_empty
-
-    def foreach(self, f: Callable[[T], None]) -> None:
-        for x in self.ctx.backend.iterate(self):
-            f(x)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} id={self.rdd_id}>"
@@ -433,114 +140,6 @@ class MapPartitionsRDD(RDD):
         return self.f(self.parents[0].iterator(split, backend))
 
 
-class MapPartitionsWithIndexRDD(RDD):
-    """Narrow transformation whose function also sees the split index."""
-
-    def __init__(self, parent: RDD, f, op_name: str) -> None:
-        super().__init__(parent.ctx, (parent,))
-        self.f = f
-        self.op_name = op_name
-
-    @property
-    def num_partitions(self) -> int:
-        return self.parents[0].num_partitions
-
-    def compute(self, split: int, backend) -> Iterator:
-        return self.f(self.parents[0].iterator(split, backend), split)
-
-
-class UnionRDD(RDD):
-    """Concatenation of two RDDs' partition lists (narrow)."""
-
-    def __init__(self, left: RDD, right: RDD) -> None:
-        if left.ctx is not right.ctx:
-            raise ValueError("cannot union RDDs from different contexts")
-        super().__init__(left.ctx, (left, right))
-
-    @property
-    def num_partitions(self) -> int:
-        return sum(p.num_partitions for p in self.parents)
-
-    def compute(self, split: int, backend) -> Iterator:
-        left, right = self.parents
-        if split < left.num_partitions:
-            return left.iterator(split, backend)
-        return right.iterator(split - left.num_partitions, backend)
-
-
-class CoalescedRDD(RDD):
-    """Merge parent partitions into fewer splits without a shuffle."""
-
-    def __init__(self, parent: RDD, num_partitions: int) -> None:
-        super().__init__(parent.ctx, (parent,))
-        self._n = min(num_partitions, parent.num_partitions)
-
-    @property
-    def num_partitions(self) -> int:
-        return self._n
-
-    def compute(self, split: int, backend) -> Iterator:
-        parent = self.parents[0]
-        # Contiguous ranges of parent partitions fold into each split.
-        per = parent.num_partitions / self._n
-        start = int(split * per)
-        end = parent.num_partitions if split == self._n - 1 \
-            else int((split + 1) * per)
-        return itertools.chain.from_iterable(
-            parent.iterator(p, backend) for p in range(start, end))
-
-
-class ZipWithIndexRDD(RDD):
-    """Pair each record with its global index.
-
-    Like Spark, this needs the sizes of all preceding partitions, so it
-    materialises partition lengths on first use.
-    """
-
-    def __init__(self, parent: RDD) -> None:
-        super().__init__(parent.ctx, (parent,))
-        self._offsets: Optional[List[int]] = None
-
-    @property
-    def num_partitions(self) -> int:
-        return self.parents[0].num_partitions
-
-    def _ensure_offsets(self, backend) -> List[int]:
-        if self._offsets is None:
-            sizes = [sum(1 for _ in self.parents[0].iterator(p, backend))
-                     for p in range(self.num_partitions)]
-            offsets = [0]
-            for s in sizes[:-1]:
-                offsets.append(offsets[-1] + s)
-            self._offsets = offsets
-        return self._offsets
-
-    def compute(self, split: int, backend) -> Iterator:
-        base = self._ensure_offsets(backend)[split]
-        return ((x, base + i) for i, x in
-                enumerate(self.parents[0].iterator(split, backend)))
-
-
-class CartesianRDD(RDD):
-    """All pairs of records from two RDDs."""
-
-    def __init__(self, left: RDD, right: RDD) -> None:
-        if left.ctx is not right.ctx:
-            raise ValueError("cannot cross RDDs from different contexts")
-        super().__init__(left.ctx, (left, right))
-
-    @property
-    def num_partitions(self) -> int:
-        return self.parents[0].num_partitions * self.parents[1].num_partitions
-
-    def compute(self, split: int, backend) -> Iterator:
-        left, right = self.parents
-        lp, rp = divmod(split, right.num_partitions)
-        right_items = list(right.iterator(rp, backend))
-        return ((a, b) for a in left.iterator(lp, backend)
-                for b in right_items)
-
-
 class ShuffledRDD(RDD):
     """A wide transformation: hash-partitions the parent's key/value
     records into ``num_partitions`` buckets with combineByKey semantics.
@@ -561,10 +160,6 @@ class ShuffledRDD(RDD):
     @property
     def num_partitions(self) -> int:
         return self._num_partitions
-
-    @property
-    def shuffle_dependency(self) -> ShuffleDependency:
-        return ShuffleDependency(self.parents[0], self._num_partitions)
 
     def partition_of(self, key) -> int:
         return hash(key) % self._num_partitions

@@ -8,9 +8,10 @@ other axis the related work optimises:
 * **In-node combiner** (arXiv:1511.04861): merge each node's map
   outputs key-by-key before the storing stage.  The reduction factor is
   derived from the intermediate key distribution — expected distinct
-  keys among the node's pairs — so skewing the keys (the
-  ``datagen.generate_kv_pairs`` Zipf knob) honestly shrinks the curve
-  instead of dialling a hand-tuned ratio.
+  keys among the node's pairs under the truncated Zipf
+  ``combine.zipf_pmf``, which ``datagen.generate_kv_pairs`` also draws
+  from — so skewing the keys honestly shrinks the curve instead of
+  dialling a hand-tuned ratio.
 * **M3R partition-stable shuffle** (arXiv:1208.4168): for iterative
   jobs, pin the reducer→node map after the first round so reducer-side
   state stays put and later rounds ship only the iteration delta.

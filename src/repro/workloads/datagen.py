@@ -6,6 +6,8 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.combine import zipf_pmf
+
 __all__ = ["generate_text_corpus", "generate_kv_pairs",
            "generate_labelled_points", "WORDS"]
 
@@ -37,10 +39,10 @@ def generate_text_corpus(n_lines: int, words_per_line: int = 8,
 def generate_kv_pairs(n_pairs: int, n_keys: int = 1000, value_size: int = 1,
                       skew: float = 0.0, seed: int = 0
                       ) -> List[Tuple[int, int]]:
-    """(key, value) pairs; ``skew`` > 0 gives a Zipf-ish key distribution
-    (drawn as ``rng.zipf(1.0 + skew)`` folded onto ``n_keys`` keys — the
-    same parameterisation the simulated combiner model derives its
-    reduction curves from, see :mod:`repro.core.combine`)."""
+    """(key, value) pairs; ``skew`` > 0 draws key ``k`` with probability
+    :func:`~repro.core.combine.zipf_pmf` ``(n_keys, skew)[k]`` — Zipf with
+    exponent ``1 + skew`` truncated to ``n_keys`` ranks, the distribution
+    the simulated combiner model derives its reduction curves from."""
     if n_pairs < 0:
         raise ValueError(f"n_pairs must be non-negative, got {n_pairs}")
     if n_keys < 1:
@@ -51,7 +53,7 @@ def generate_kv_pairs(n_pairs: int, n_keys: int = 1000, value_size: int = 1,
             f"values sharpen the Zipf head)")
     rng = np.random.default_rng(seed)
     if skew > 0:
-        keys = rng.zipf(1.0 + skew, size=n_pairs) % n_keys
+        keys = rng.choice(n_keys, size=n_pairs, p=zipf_pmf(n_keys, skew))
     else:
         keys = rng.integers(0, n_keys, size=n_pairs)
     values = rng.integers(0, 1000, size=n_pairs)

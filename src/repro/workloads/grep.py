@@ -36,6 +36,9 @@ def grep_spec(input_bytes: float,
     high: Grep's cost is reading, not computing.  The tiny intermediate
     volume (1–200 MB in the paper's runs) still exercises the shuffle
     machinery without ever making it the bottleneck.
+    ``intermediate_bytes`` is that measured volume, not a shape the
+    program implies: :func:`run_grep_local` is a single filter stage
+    with no shuffle.
 
     ``shuffle_store=None`` picks the configuration's natural device
     (RAMDisk shuffle dirs, or Lustre when the input comes from Lustre);

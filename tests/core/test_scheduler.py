@@ -462,6 +462,40 @@ class TestAdmissionGateProtocol:
         assert sorted(r.task_id for r in runner.records) == [0, 1, 2]
 
 
+class TestBookOutOrder:
+    """``_book_out`` returns an exiting attempt's heap before its slot.
+
+    With a memory gate attached, the heap release wakes the gate's own
+    runner, so an offer pass runs while the exiting attempt still holds
+    its slot and before its completion is recorded; the next launch comes
+    from the exit's own pass, after ``complete``.  Both orders are
+    model-visible (the ``spill_pressure`` bench digest depends on the
+    self re-offer), and releasing the slot first breaks both.
+    """
+
+    def test_heap_release_re_offers_while_the_slot_is_held(self):
+        sim = Simulator()
+        sim.enable_trace(capacity=10_000)
+        mem = ClusterMemory(1, heap_bytes=4.0)
+        runner = StageRunner(sim, 1, 1, make_tasks(sim, 2, duration=1.0),
+                             policy=LocalityFirstPolicy(),
+                             gates=(MemoryGate(mem, ideal_task_heap=1.0),))
+        sim.run(until=runner.run())
+
+        at_exit = [(e.kind, dict(e.data)) for e in sim.trace_events()
+                   if e.time == 1.0
+                   and e.kind in ("offer", "launch", "complete")]
+        assert [kind for kind, _ in at_exit] == \
+            ["offer", "complete", "offer", "launch"]
+        # The gate's self re-offer: task 0 still holds node 0's only
+        # slot, and task 1 waits in the queue.
+        assert at_exit[0][1] == {"free_slots": [0], "pending": 1}
+        assert at_exit[1][1]["task"] == 0
+        assert at_exit[2][1] == {"free_slots": [1], "pending": 1}
+        assert at_exit[3][1]["task"] == 1
+        assert [r.task_id for r in runner.records] == [0, 1]
+
+
 class TestAbandon:
     """An attempt is abandoned by bookkeeping: the scheduler never throws
     into its body, and every attempt is booked out exactly once."""

@@ -6,17 +6,12 @@ import pytest
 from repro import (
     Cluster,
     EngineOptions,
-    LocalContext,
     LognormalSpeed,
     SparkSim,
     hyperion,
     run_job,
 )
-from repro.workloads import (
-    generate_kv_pairs,
-    groupby_spec,
-    run_groupby_local,
-)
+from repro.workloads import groupby_spec
 
 GB = 1024.0 ** 3
 MB = 1024.0 ** 2
@@ -65,23 +60,6 @@ class TestOptimizationsCompose:
         cad = run_job(spec, cluster_spec=hyperion(4),
                       options=EngineOptions(seed=1, cad=True))
         assert cad.store_time <= stock.store_time * 1.05
-
-
-class TestBothBackendsAgreeOnSemantics:
-    def test_local_groupby_result_is_what_the_sim_models(self):
-        """The local backend's shuffle volume equals the sim's notion of
-        intermediate data: every input record crosses the shuffle."""
-        pairs = generate_kv_pairs(1000, n_keys=13, seed=5)
-        grouped = run_groupby_local(pairs)
-        assert sum(len(v) for v in grouped.values()) == len(pairs)
-        spec = groupby_spec(1 * GB)
-        assert spec.intermediate_bytes == pytest.approx(1 * GB)
-
-    def test_local_context_independent_of_sim(self):
-        ctx = LocalContext(parallelism=2)
-        res = run_job(groupby_spec(1 * GB), cluster_spec=hyperion(2))
-        assert ctx.parallelize([1, 2, 3]).count() == 3
-        assert res.job_time > 0
 
 
 class TestFailureSurfaces:

@@ -108,7 +108,7 @@ class TestCrashThenRestart:
 class TestShuffleOutputLoss:
     """Only the *stored* copy is lost; the memory-resident intermediates
     survive, so recovery re-stores without recomputing — the lineage cut
-    of ``RDD.recompute_scope`` at work."""
+    of ``LineageRecovery``'s ``"store"`` mode at work."""
 
     PLAN = FaultPlan((ShuffleOutputLoss(at=1.1, node=2),))
 
