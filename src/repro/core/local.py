@@ -57,7 +57,8 @@ class LocalBackend:
     def _run_shuffle(self, rdd: ShuffledRDD) -> List[List]:
         parent = rdd.parents[0]
         n_out = rdd.num_partitions
-        # Storing phase: bucket by hash(key), combining per bucket.
+        # Storing phase: bucket by partition_of(key), combining per
+        # bucket.
         combined: List[Dict] = [dict() for _ in range(n_out)]
         for split in range(parent.num_partitions):
             for k, v in parent.iterator(split, self):

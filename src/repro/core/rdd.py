@@ -19,6 +19,7 @@ has the shape the program implies.
 from __future__ import annotations
 
 import itertools
+import zlib
 from typing import Callable, Iterable, Iterator, List, Optional, TypeVar
 
 T = TypeVar("T")
@@ -28,6 +29,20 @@ V = TypeVar("V")
 __all__ = ["RDD", "ShuffledRDD"]
 
 _next_rdd_id = itertools.count()
+
+
+def _stable_hash(key) -> int:
+    """A hash of ``key`` that is the same in every process.
+
+    ``hash`` of a ``str`` is salted per process (``PYTHONHASHSEED``),
+    so bucketing by it would reorder a shuffle's output from run to
+    run.  Text hashes as the CRC-32 of its UTF-8 encoding; anything
+    else the programs shuffle (numbers), whose ``hash`` is not salted,
+    as ``hash(key)``.
+    """
+    if isinstance(key, str):
+        return zlib.crc32(key.encode("utf-8", "surrogatepass"))
+    return hash(key)
 
 
 class RDD:
@@ -162,7 +177,7 @@ class ShuffledRDD(RDD):
         return self._num_partitions
 
     def partition_of(self, key) -> int:
-        return hash(key) % self._num_partitions
+        return _stable_hash(key) % self._num_partitions
 
     def compute(self, split: int, backend) -> Iterator:
         buckets = backend.get_or_run_shuffle(self)

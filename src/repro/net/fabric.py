@@ -10,11 +10,12 @@ frozen and filling continues with the rest.
 
 This is the standard fidelity level for datacenter-scale simulation:
 packets are abstracted away, but contention, fair sharing, stragglers and
-incast behaviour are preserved.  The allocator is fully vectorised with
-NumPy — shuffles put thousands of concurrent flows on the fabric, and a
-rate recomputation happens at every flow arrival and departure (see the
-profiling guidance in the repository's HPC coding guides: vectorise the
-measured hotspot, nothing else).
+incast behaviour are preserved.  Shuffles put thousands of concurrent
+flows on the fabric, and a rate recomputation happens at every flow
+arrival and departure, so the allocator is the measured hot spot: it
+runs as one C kernel call (:mod:`repro.net.fastalloc`, a water-fill
+over channel classes), with a vectorised NumPy loop as the fallback
+and parity oracle.
 
 :class:`Fabric` is a :class:`~repro.sim.fluid.FluidCore`: the flow
 table, its drain and the coalesced reallocation timer are the fluid
@@ -239,8 +240,12 @@ class Fabric(FluidCore):
         """(Re)allocate the water-fill kernel's scratch for the table's
         capacity."""
         rows = self._tab.capacity
+        if rows >= 2 ** 31:
+            raise ValueError(
+                f"flow table capacity {rows} exceeds the water-fill "
+                f"kernel's 32-bit indices")
         self._scratch_rows = rows
-        self._iw = np.empty(fastalloc.INT_SCRATCH * rows, dtype=np.int64)
+        self._iw = np.empty(fastalloc.INT_SCRATCH * rows, dtype=np.uint32)
         self._dw = np.empty(fastalloc.DOUBLE_SCRATCH * rows)
         self._p_iw = self._iw.ctypes.data
         self._p_dw = self._dw.ctypes.data

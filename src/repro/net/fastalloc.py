@@ -55,7 +55,12 @@ AVAILABLE = _LIB is not None
 # objects.  None when the kernel is unavailable.
 RAW_REALLOC = _LIB.repro_fabric_realloc if _LIB is not None else None
 
-#: Scratch row multiples ``repro_fabric_realloc`` needs per table row:
-#: int64 and float64 words respectively.
-INT_SCRATCH = 8
+#: Scratch ``repro_fabric_realloc`` needs per table row, in uint32 and
+#: float64 words.  The uint32 words are three per-flow columns (tx and
+#: rx channel, table row), two per-channel ones (class and count) over
+#: at most ``2 * m`` channels, the frozen-flow triples (three words a
+#: row), the live-class list (two) and four per-class columns over at
+#: most ``2 * m`` classes; the float64 words are the cap and its
+#: tolerance per flow and the head per class: 112 bytes a row.
+INT_SCRATCH = 20
 DOUBLE_SCRATCH = 4

@@ -121,8 +121,11 @@ class FluidCore:
     # -- the loop ----------------------------------------------------------
     def _admit(self, flow: Any) -> int:
         """Bring the table up to date and add ``flow`` at rate 0;
-        returns its row, whose further columns the caller stores."""
-        self._advance()
+        returns its row, whose further columns the caller stores.  The
+        drain is skipped when the clock has not moved since the last
+        one, where it would return at once."""
+        if self.sim._now != self._last_advance:
+            self._advance()
         self.flows.append(flow)
         tab = self._tab
         n = tab.add()
